@@ -48,6 +48,7 @@ def main(argv=None) -> int:
         config = PipelineConfig.from_file(args.config)
         if args.seed is not None:
             config.seed = args.seed
+            config.validate()
         if args.command == "run":
             report = run_pipeline(config)
             json.dump(report, sys.stdout, indent=2, sort_keys=True)

@@ -1,11 +1,12 @@
 """Component-wise peak-finding clustering on an intersected neighborhood graph.
 
-Pipeline inside fit(): build the feature-space mutual kNN graph with the
-same k as the geographic graph, intersect the two, split into connected
-components, estimate kNN densities, link each sample to its nearest
-higher-density neighbor within its component ("big brother"), pick cluster
-centers from the omega/density quantile rule, propagate labels down the
-big-brother tree, then merge near-duplicate clusters. Samples stranded in
+Pipeline inside fit(): one feature-space kNN query with the same k as the
+geographic graph yields both the feature mutual kNN graph and the kNN
+density radii; intersect the feature graph with the geographic graph, split
+into connected components, estimate kNN densities, link each sample to its
+nearest higher-density neighbor within its component ("big brother"), pick
+cluster centers from the omega/density quantile rule, propagate labels down
+the big-brother tree, then merge near-duplicate clusters. Samples stranded in
 components smaller than min_component_size are labeled -1.
 """
 
@@ -16,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
 from .errors import InternalConsistencyError, ParameterError
-from .graph import (ComponentLabels, SparseAdjacency, UnionFind,
-                    connected_components, hadamard_intersect, mutual_knn_graph)
+from .graph import (ComponentLabels, SparseAdjacency, connected_components,
+                    hadamard_intersect, knn, mutual_graph)
 
 OUTLIER = -1
 
@@ -96,17 +97,15 @@ def _log_unit_ball_volume(d: int) -> float:
     return (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
 
 
-def knn_density(features: np.ndarray, params: CpfParams) -> DensityEstimate:
+def knn_density(radius: np.ndarray, d: int, params: CpfParams) -> DensityEstimate:
     """kNN density in log form: log k - log n - log V_d - d*log r_k, with r_k
-    the distance to the min_samples-th nearest neighbor over all samples."""
-    features = np.asarray(features, dtype=float)
-    n, d = features.shape
+    the distance to the min_samples-th nearest neighbor over all samples
+    (radius, as returned by graph.knn) in d-dimensional feature space."""
+    r_k = np.array(radius, dtype=float)
+    n = r_k.shape[0]
     k = params.min_samples
     if n <= k:
         raise ParameterError(f"need n > min_samples ({k}), got n={n}")
-    tree = cKDTree(features)
-    dist, _ = tree.query(features, k=k + 1)
-    r_k = dist[:, -1].copy()
     if np.any(r_k == 0.0):
         positive = r_k[r_k > 0.0]
         # All-duplicate input: any constant radius gives equal densities.
@@ -236,22 +235,17 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
     if centers.size >= 2 and params.merge_threshold > 0.0:
         pts = features[centers]
         dens = density.log_density[centers]
-        dmat = cdist(pts, pts)
-        uf = UnionFind(centers.size)
-        for a in range(centers.size):
-            for b in range(a + 1, centers.size):
-                if dmat[a, b] > params.merge_threshold:
-                    continue
-                ratio = math.exp(-abs(dens[a] - dens[b]))
-                if ratio >= params.density_ratio_threshold:
-                    uf.union(a, b)
-        root_of = np.array([uf.find(a) for a in range(centers.size)])
+        ratio = np.exp(-np.abs(dens[:, None] - dens[None, :]))
+        linked = (cdist(pts, pts) <= params.merge_threshold) & (
+            ratio >= params.density_ratio_threshold)
+        _, group = csgraph.connected_components(linked, directed=False)
+        # Every center's cluster takes the cluster of its group's first center.
+        first = np.unique(group, return_index=True)[1]
         cluster_of_center = labels[centers]
-        remap = {}
-        for a in range(centers.size):
-            remap[int(cluster_of_center[a])] = int(cluster_of_center[root_of[a]])
+        remap = np.arange(labels.max() + 1)
+        remap[cluster_of_center] = cluster_of_center[first[group]]
         mask = labels >= 0
-        labels[mask] = np.array([remap.get(int(c), int(c)) for c in labels[mask]])
+        labels[mask] = remap[labels[mask]]
     return ClusterLabeling(labels=_relabel_by_size(labels))
 
 
@@ -274,10 +268,10 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     if n <= params.min_samples:
         raise ParameterError(f"n={n} must exceed min_samples={params.min_samples}")
 
-    feat_adj = mutual_knn_graph(features, k=params.min_samples, metric="euclidean")
-    intersected = hadamard_intersect(feat_adj, geo_adj)
+    neighbors, radius = knn(features, params.min_samples)
+    intersected = hadamard_intersect(mutual_graph(neighbors), geo_adj)
     components = connected_components(intersected)
-    density = knn_density(features, params)
+    density = knn_density(radius, features.shape[1], params)
     bb = big_brother(features, density, components)
     centers = select_centers(density, bb, components, params)
     labeling = assign_clusters(bb, centers, components, params)

@@ -1,7 +1,8 @@
 """Sparse neighborhood graphs: mutual kNN construction, intersection, components.
 
-Graphs are stored as sorted undirected edge arrays over vertex indices.
-Haversine kNN is computed exactly by embedding (lat, lon) on the unit
+Graphs are stored as sorted undirected edge arrays over vertex indices;
+mutuality and components are computed on scipy.sparse matrices built from
+them. Haversine kNN is computed exactly by embedding (lat, lon) on the unit
 sphere and querying a kd-tree with chord distance, which is monotone in
 great-circle distance.
 """
@@ -10,8 +11,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
@@ -35,26 +39,8 @@ class SparseAdjacency:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Per-vertex sorted neighbor arrays."""
-        out = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-            out[v].append(u)
-        return [np.array(sorted(nb), dtype=np.int64) for nb in out]
-
     def edge_set(self) -> set:
         return {(int(u), int(v)) for u, v in self.edges}
-
-
-def _canonical_edges(pairs: np.ndarray) -> np.ndarray:
-    """Normalize to u < v, deduplicate, sort lexicographically."""
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    u = np.minimum(pairs[:, 0], pairs[:, 1])
-    v = np.maximum(pairs[:, 0], pairs[:, 1])
-    stacked = np.stack([u, v], axis=1)
-    return np.unique(stacked, axis=0)
 
 
 def haversine_m(lat1, lon1, lat2, lon2) -> float:
@@ -72,13 +58,24 @@ def _sphere_embed(latlon: np.ndarray) -> np.ndarray:
     )
 
 
-def _knn_lists(points: np.ndarray, k: int) -> list[np.ndarray]:
+def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors per point, ties broken by ascending index.
 
-    Queries k+1 (self included) for the cut distance, then widens with a
-    ball query so that equidistant candidates compete by index.
+    Returns an (n, k) int64 index array, each row ordered by (distance,
+    index), and each point's k-th-neighbor radius. Queries k+1 (self
+    included) for the cut distance, then widens with a ball query so that
+    equidistant candidates compete by index.
     """
+    points = np.asarray(points, dtype=float)
     n = points.shape[0]
+    if n < 2:
+        raise ParameterError(f"need at least 2 points, got {n}")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if k >= n:
+        raise ParameterError(f"k={k} must be < n={n}")
+    if not np.all(np.isfinite(points)):
+        raise DataError("non-finite coordinates")
     tree = cKDTree(points)
     dist, _ = tree.query(points, k=k + 1)
     cut = dist[:, -1]
@@ -91,7 +88,20 @@ def _knn_lists(points: np.ndarray, k: int) -> list[np.ndarray]:
         d = np.linalg.norm(points[cand] - points[i], axis=1)
         order = np.lexsort((cand, d))
         out.append(cand[order[:k]])
-    return out
+    return np.array(out, dtype=np.int64), cut
+
+
+def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:
+    """Mutual graph of an (n, k) neighbor index array: edge (i, j) iff j is
+    in row i and i is in row j."""
+    n, k = neighbors.shape
+    directed = sparse.csr_matrix(
+        (np.ones(n * k, dtype=np.int8), neighbors.ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, n))
+    mutual = sparse.triu(directed.multiply(directed.T), k=1, format="csr")
+    mutual.sort_indices()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mutual.indptr))
+    return SparseAdjacency(n=n, edges=np.stack([rows, mutual.indices], axis=1))
 
 
 def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -101,33 +111,14 @@ def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> S
     points. Distance ties are broken toward the lower vertex index.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if n < 2:
-        raise ParameterError(f"need at least 2 points, got {n}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if k >= n:
-        raise ParameterError(f"k={k} must be < n={n}")
-    if not np.all(np.isfinite(points)):
-        raise DataError("non-finite coordinates")
     if metric == "haversine":
         if points.shape[1] != 2:
             raise ParameterError("haversine metric requires (lat, lon) pairs")
         points = _sphere_embed(points)
     elif metric != "euclidean":
         raise ParameterError(f"unknown metric: {metric}")
-
-    neighbors = _knn_lists(points, k)
-    neighbor_sets = [set(nb.tolist()) for nb in neighbors]
-    pairs = []
-    for i, nb in enumerate(neighbors):
-        for j in nb:
-            if j > i and i in neighbor_sets[j]:
-                pairs.append((i, j))
-            elif j < i and i in neighbor_sets[j]:
-                pairs.append((j, i))
-    edges = _canonical_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    return SparseAdjacency(n=n, edges=edges)
+    neighbors, _ = knn(points, k)
+    return mutual_graph(neighbors)
 
 
 def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacency:
@@ -142,31 +133,6 @@ def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacenc
     common = np.intersect1d(key_a, key_b)
     edges = np.stack([common // a.n, common % a.n], axis=1)
     return SparseAdjacency(n=a.n, edges=edges)
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
 
 
 @dataclass(frozen=True)
@@ -184,12 +150,10 @@ class ComponentLabels:
 
 
 def connected_components(adj: SparseAdjacency) -> ComponentLabels:
-    """Union-find components; ids contiguous from 0, ordered by smallest member."""
-    uf = UnionFind(adj.n)
-    for u, v in adj.edges:
-        uf.union(int(u), int(v))
-    roots = np.array([uf.find(i) for i in range(adj.n)], dtype=np.int64)
-    # First occurrence order = smallest member order since we scan ascending.
+    """Components of the graph; ids contiguous from 0, ordered by smallest member."""
+    u, v = adj.edges.T
+    matrix = sparse.csr_matrix((np.ones(adj.n_edges), (u, v)), shape=(adj.n, adj.n))
+    _, roots = csgraph.connected_components(matrix, directed=False)
     _, first_idx, inverse = np.unique(roots, return_index=True, return_inverse=True)
     order = np.argsort(np.argsort(first_idx))
     labels = order[inverse]
@@ -198,22 +162,32 @@ def connected_components(adj: SparseAdjacency) -> ComponentLabels:
 
 
 _MAGIC = b"SADJ"
+_HEADER = struct.Struct("<4sQQ")
 
 
 def dump_adjacency(adj: SparseAdjacency, path) -> None:
     """Binary layout (little-endian): magic 'SADJ', n: u64, m: u64, then m
     (u32, u32) pairs with u < v in lexicographic order."""
+    if adj.n >= 2**32:
+        raise DataError(f"{path}: {adj.n} vertices do not fit u32 vertex indices")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", adj.n, adj.n_edges))
+        fh.write(_HEADER.pack(_MAGIC, adj.n, adj.n_edges))
         fh.write(adj.edges.astype("<u4").tobytes())
 
 
 def load_adjacency(path) -> SparseAdjacency:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise DataError(f"not an adjacency file: {path}")
-        n, m = struct.unpack("<QQ", fh.read(16))
-        edges = np.frombuffer(fh.read(8 * m), dtype="<u4").reshape(m, 2).astype(np.int64)
+    """Read a dump_adjacency file, checking its size, edge order and range."""
+    data = Path(path).read_bytes()
+    if len(data) < _HEADER.size or data[:4] != _MAGIC:
+        raise DataError(f"not an adjacency file: {path}")
+    _, n, m = _HEADER.unpack_from(data)
+    if len(data) != _HEADER.size + 8 * m:
+        raise DataError(f"{path}: {m} edges need {_HEADER.size + 8 * m} bytes, "
+                        f"file has {len(data)}")
+    edges = np.frombuffer(data, dtype="<u4", offset=_HEADER.size).reshape(m, 2).astype(np.int64)
+    u, v = edges.T
+    if not (np.all(u < v) and np.all(v < n)):
+        raise DataError(f"{path}: edge out of range (need u < v < n={n})")
+    if np.any((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))):
+        raise DataError(f"{path}: edges not in strict lexicographic order")
     return SparseAdjacency(n=int(n), edges=edges)

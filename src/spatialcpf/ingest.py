@@ -130,12 +130,16 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl", aliases: dict | None = None)
                 raise SchemaError(f"missing required column: {element}")
         idx = {name: lower[_resolve_column(header, name, alias_map).lower().strip()]
                for name in ("site_id", "easting", "northing")}
+        width = max(*idx.values(), *element_cols.values()) + 1
 
         records = []
         seen_ids = set()
         for line_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < width:
+                raise RowParseError(
+                    line_number, f"row has {len(row)} cells, header has {len(header)}")
             site_id = row[idx["site_id"]].strip()
             if site_id in seen_ids:
                 raise DataError(f"duplicate site_id: {site_id} (line {line_number})")

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,22 @@ class StageError(SpatialCpfError):
 
 GEO_METRICS = ("haversine", "euclidean_degrees", "euclidean_itm")
 FEATURE_CHOICES = ("standardized", "raw")
+SECTION_KEYS = {
+    "cpf": tuple(f.name for f in fields(cpf.CpfParams)),
+    "iforest": ("n_trees", "subsample_size", "contamination", "features"),
+    "calinski_harabasz": ("include_outliers", "features"),
+}
+
+
+def _section(raw: dict, name: str) -> dict:
+    """Pop a nested config section, rejecting non-mappings and unknown keys."""
+    section = raw.pop(name, {})
+    if not isinstance(section, dict):
+        raise ParameterError(f"config section {name} must be a mapping, got {section!r}")
+    unknown = sorted(set(section) - set(SECTION_KEYS[name]))
+    if unknown:
+        raise ParameterError(f"unknown config keys in {name}: {unknown}")
+    return section
 
 
 @dataclass
@@ -53,9 +69,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         raw = dict(raw)
-        cpf_raw = raw.pop("cpf", {})
-        if_raw = raw.pop("iforest", {})
-        ch_raw = raw.pop("calinski_harabasz", {})
+        cpf_raw = _section(raw, "cpf")
+        if_raw = _section(raw, "iforest")
+        ch_raw = _section(raw, "calinski_harabasz")
         cfg = cls(
             input=raw.pop("input"),
             output_dir=raw.pop("output_dir", "out"),
@@ -104,6 +120,8 @@ class PipelineConfig:
                 f"iforest.contamination must be in (0, 1), got {self.iforest_contamination}")
         if self.iforest_n_trees < 1 or self.iforest_subsample_size < 2:
             raise ParameterError("bad iforest tree settings")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         p = self.cpf_params

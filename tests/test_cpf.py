@@ -7,8 +7,8 @@ from conftest import two_blob_dataset
 from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
                             assign_clusters, big_brother, fit, knn_density,
                             merge_clusters, select_centers)
-from spatialcpf.errors import ParameterError
-from spatialcpf.graph import (ComponentLabels, connected_components,
+from spatialcpf.errors import DataError, ParameterError
+from spatialcpf.graph import (ComponentLabels, connected_components, knn,
                               mutual_knn_graph)
 
 
@@ -22,6 +22,11 @@ def blob_params(k=50):
                      merge_threshold=5.0, density_ratio_threshold=0.01)
 
 
+def density_of(features, params):
+    _, radius = knn(features, params.min_samples)
+    return knn_density(radius, features.shape[1], params)
+
+
 def blob_fit(seed):
     features, geo, truth = two_blob_dataset(seed)
     geo_adj = mutual_knn_graph(geo, k=50, metric="haversine")
@@ -33,7 +38,7 @@ def blob_fit(seed):
 def test_density_ranking_is_reverse_of_radius():
     rng = np.random.default_rng(0)
     features = rng.normal(size=(60, 3))
-    est = knn_density(features, CpfParams(min_samples=5))
+    est = density_of(features, CpfParams(min_samples=5))
     order_r = np.argsort(est.r_k)
     order_d = np.argsort(-est.log_density)
     np.testing.assert_array_equal(order_r, order_d)
@@ -41,7 +46,7 @@ def test_density_ranking_is_reverse_of_radius():
 
 def test_density_grid_center_beats_corners():
     pts = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
-    est = knn_density(pts, CpfParams(min_samples=3, min_component_size=1))
+    est = density_of(pts, CpfParams(min_samples=3, min_component_size=1))
     # Brute-force r_3 check: center (index 4) has r_3 = 1, corners sqrt(2).
     assert est.r_k[4] == pytest.approx(1.0)
     for corner in (0, 2, 6, 8):
@@ -54,21 +59,21 @@ def test_density_duplicate_points_warn_and_stay_finite():
     features = rng.normal(size=(10, 2))
     features[7] = features[3]
     with pytest.warns(UserWarning, match="substituting"):
-        est = knn_density(features, CpfParams(min_samples=1, min_component_size=1))
+        est = density_of(features, CpfParams(min_samples=1, min_component_size=1))
     assert np.isfinite(est.log_density).all()
     assert est.log_density[3] == est.log_density[7]
 
 
 def test_density_requires_enough_samples():
     with pytest.raises(ParameterError):
-        knn_density(np.zeros((5, 2)), CpfParams(min_samples=5))
+        knn_density(np.zeros(5), 2, CpfParams(min_samples=5))
 
 
 # --------------------------------------------------------- big brother
 
 def test_big_brother_singleton_component():
     features = np.array([[0.0], [10.0]])
-    density = knn_density(features, CpfParams(min_samples=1, min_component_size=1))
+    density = density_of(features, CpfParams(min_samples=1, min_component_size=1))
     comps = ComponentLabels(labels=np.array([0, 1]), component_sizes={0: 1, 1: 1})
     bb = big_brother(features, density, comps)
     assert bb.parent[0] == -1 and bb.parent[1] == -1
@@ -102,7 +107,7 @@ def test_big_brother_chains_acyclic_and_in_component():
     features, geo, _ = two_blob_dataset(0, n_per_blob=60)
     adj = mutual_knn_graph(features, k=10)
     comps = connected_components(adj)
-    density = knn_density(features, CpfParams(min_samples=10, min_component_size=1))
+    density = density_of(features, CpfParams(min_samples=10, min_component_size=1))
     bb = big_brother(features, density, comps)
     for i in range(len(features)):
         seen = set()
@@ -134,7 +139,7 @@ def test_centers_two_bridged_blobs_yield_two():
     # the second blob's density peak has a large omega spanning the gap.
     rng = np.random.default_rng(5)
     features = np.vstack([rng.normal(0, 0.5, (20, 2)), rng.normal(30, 0.5, (20, 2))])
-    density = knn_density(features, CpfParams(min_samples=5, min_component_size=1))
+    density = density_of(features, CpfParams(min_samples=5, min_component_size=1))
     comps = single_component(40)
     bb = big_brother(features, density, comps)
     params = CpfParams(min_samples=5, rho=0.01, alpha=0.015, min_component_size=5)
@@ -162,7 +167,7 @@ def test_small_components_give_no_centers_and_outlier_labels():
 def test_assign_single_center_single_component():
     rng = np.random.default_rng(6)
     features = rng.normal(0, 1, (30, 2))
-    density = knn_density(features, CpfParams(min_samples=5, min_component_size=1))
+    density = density_of(features, CpfParams(min_samples=5, min_component_size=1))
     comps = single_component(30)
     bb = big_brother(features, density, comps)
     center = np.array([int(np.argmax(density.log_density))])
@@ -273,6 +278,14 @@ def test_fit_rejects_small_n():
         fit(features, adj, CpfParams(min_samples=10))
 
 
+def test_fit_rejects_non_finite_features():
+    features = np.random.default_rng(0).normal(size=(10, 2))
+    features[4, 1] = np.nan
+    adj = mutual_knn_graph(np.random.default_rng(1).normal(size=(10, 2)), k=3)
+    with pytest.raises(DataError):
+        fit(features, adj, CpfParams(min_samples=3))
+
+
 def test_fit_deterministic():
     features, geo, _ = two_blob_dataset(1)
     geo_adj = mutual_knn_graph(geo, k=50, metric="haversine")
@@ -327,7 +340,6 @@ def test_fit_outlier_count_equals_small_component_mass():
 
 def test_fit_non_outliers_connected_to_center():
     result, _ = blob_fit(5)
-    neighbor = result.intersected.neighbor_lists()
     labels = result.labeling.labels
     comps = result.components.labels
     for c in result.centers:

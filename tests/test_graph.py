@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialcpf.errors import DataError, ParameterError
+from spatialcpf.errors import DataError, ParameterError, SpatialCpfError
 from spatialcpf.graph import (SparseAdjacency, connected_components,
                               dump_adjacency, hadamard_intersect,
                               load_adjacency, mutual_knn_graph)
@@ -81,6 +81,15 @@ def test_tie_breaking_on_grid():
     pts = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
     for k in (1, 2, 3, 5):
         assert mutual_knn_graph(pts, k=k).edge_set() == brute_force_mutual_knn(pts, k)
+    # Small integer lattices: ties at every distance and duplicated points.
+    rng = np.random.default_rng(7)
+    for n in range(3, 41):
+        pts = rng.integers(0, 4, (n, 2)).astype(float)
+        for k in sorted({1, int(rng.integers(1, n)), n - 1}):
+            adj = mutual_knn_graph(pts, k=k)
+            expected = brute_force_mutual_knn(pts, k)
+            assert adj.edge_set() == expected, (n, k)
+            assert list(connected_components(adj).labels) == bfs_components(n, expected)
 
 
 def test_haversine_matches_euclidean_oracle_on_sphere_embedding():
@@ -197,3 +206,36 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"nope" + b"\x00" * 16)
     with pytest.raises(DataError):
         load_adjacency(path)
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    path = tmp_path / "adj.bin"
+    dump_adjacency(make_graph(4, [(0, 1), (1, 2), (2, 3)]), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(SpatialCpfError, match="adj.bin"):
+        load_adjacency(path)
+
+
+def test_load_rejects_out_of_range_edge(tmp_path):
+    path = tmp_path / "adj.bin"
+    dump_adjacency(SparseAdjacency(n=3, edges=[[5, 1]]), path)
+    with pytest.raises(SpatialCpfError, match="adj.bin"):
+        load_adjacency(path)
+    dump_adjacency(SparseAdjacency(n=3, edges=[[1, 1]]), path)
+    with pytest.raises(SpatialCpfError, match="adj.bin"):
+        load_adjacency(path)
+
+
+def test_load_rejects_unordered_edges(tmp_path):
+    path = tmp_path / "adj.bin"
+    for edges in ([[1, 2], [0, 1]], [[0, 2], [0, 1]], [[0, 1], [0, 1]]):
+        dump_adjacency(SparseAdjacency(n=3, edges=edges), path)
+        with pytest.raises(SpatialCpfError, match="adj.bin"):
+            load_adjacency(path)
+
+
+def test_dump_rejects_vertex_count_beyond_u32(tmp_path):
+    path = tmp_path / "adj.bin"
+    with pytest.raises(SpatialCpfError, match="adj.bin"):
+        dump_adjacency(SparseAdjacency(n=2**32 + 2, edges=[[0, 2**32 + 1]]), path)
+    assert not path.exists()

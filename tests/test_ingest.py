@@ -53,6 +53,13 @@ def test_parse_non_numeric_has_line_number(tmp_path):
         parse_g5_csv(path, bdl_policy="reject")
 
 
+def test_parse_short_row_has_line_number(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, HEADER, [sample_row("A1"), sample_row("B2"), sample_row("C3")[:-1]])
+    with pytest.raises(RowParseError, match="line 4"):
+        parse_g5_csv(path)
+
+
 def test_parse_header_only_is_error(tmp_path):
     path = tmp_path / "t.csv"
     write_rows(path, HEADER, [])

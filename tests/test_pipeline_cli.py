@@ -98,6 +98,16 @@ def test_unknown_config_key_rejected(tmp_path, survey_csv):
     cfg_path = make_config(tmp_path, survey_csv, bogus=1)
     with pytest.raises(ParameterError, match="bogus"):
         PipelineConfig.from_file(cfg_path)
+    for section, value, match in (
+            ("cpf", {"min_samples": 20, "bogus": 1}, r"cpf.*bogus"),
+            ("iforest", {"n_tree": 5}, r"iforest.*n_tree"),
+            ("calinski_harabasz", {"include_outlier": True},
+             r"calinski_harabasz.*include_outlier"),
+            ("iforest", [1, 2], "iforest"),
+            ("cpf", None, "cpf")):
+        cfg_path = make_config(tmp_path, survey_csv, **{section: value})
+        with pytest.raises(ParameterError, match=match):
+            PipelineConfig.from_file(cfg_path)
 
 
 def test_config_validation_errors(tmp_path, survey_csv):
@@ -108,6 +118,9 @@ def test_config_validation_errors(tmp_path, survey_csv):
     with pytest.raises(ParameterError):
         PipelineConfig.from_dict({"input": str(survey_csv),
                                   "iforest": {"contamination": 1.5}})
+    for seed in (-1, 1.5, True, "0"):
+        with pytest.raises(ParameterError, match="seed"):
+            PipelineConfig.from_dict({"input": str(survey_csv), "seed": seed})
 
 
 def test_geojson_single_point(tmp_path):
@@ -181,6 +194,14 @@ def test_cli_error_exit_code(tmp_path, survey_csv, capsys):
     cfg_path = make_config(tmp_path, survey_csv, cpf={"min_samples": 400})
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "stage" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed_before_any_stage(tmp_path, survey_csv, capsys):
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "seed" in err
+    assert not (tmp_path / "out" / FILES["samples"]).exists()
 
 
 def test_cli_seed_override(tmp_path, survey_csv):
