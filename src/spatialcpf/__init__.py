@@ -7,7 +7,7 @@ from .geodesy import ITM, TmProjection, itm_to_wgs84, wgs84_to_itm
 from .graph import (SparseAdjacency, connected_components, hadamard_intersect,
                     mutual_knn_graph)
 from .iforest import anomaly_scores, fit_iforest, flag_outliers
-from .ingest import ELEMENTS, SampleTable, parse_g5_csv, select_features, standardize
+from .ingest import ELEMENTS, SampleTable, parse_g5_csv, standardize
 from .metrics import calinski_harabasz, cluster_summary
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -18,7 +18,7 @@ __all__ = [
     "ITM", "TmProjection", "itm_to_wgs84", "wgs84_to_itm",
     "SparseAdjacency", "connected_components", "hadamard_intersect", "mutual_knn_graph",
     "anomaly_scores", "fit_iforest", "flag_outliers",
-    "ELEMENTS", "SampleTable", "parse_g5_csv", "select_features", "standardize",
+    "ELEMENTS", "SampleTable", "parse_g5_csv", "standardize",
     "calinski_harabasz", "cluster_summary",
     "PipelineConfig", "run_pipeline",
 ]

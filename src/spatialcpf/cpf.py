@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
-from .errors import InternalConsistencyError, ParameterError
+from .errors import InternalConsistencyError, ParameterError, require_type
 from .graph import (ComponentLabels, SparseAdjacency, connected_components,
                     hadamard_intersect, knn, mutual_graph)
 
@@ -37,13 +38,18 @@ class CpfParams:
     min_component_size: int | None = None  # defaults to min_samples
 
     def __post_init__(self):
+        require_type("min_samples", self.min_samples, Integral)
+        for name in ("rho", "alpha", "merge_threshold", "density_ratio_threshold"):
+            require_type(name, getattr(self, name), Real)
+        if self.min_component_size is not None:
+            require_type("min_component_size", self.min_component_size, Integral)
         if self.min_samples < 1:
             raise ParameterError(f"min_samples must be >= 1, got {self.min_samples}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError(f"rho must be in [0, 1), got {self.rho}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.merge_threshold < 0.0:
+        if not self.merge_threshold >= 0.0:
             raise ParameterError(f"merge_threshold must be >= 0, got {self.merge_threshold}")
         if not 0.0 < self.density_ratio_threshold <= 1.0:
             raise ParameterError(

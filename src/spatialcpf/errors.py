@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the parameter type check."""
+
+from numbers import Integral, Real
 
 
 class SpatialCpfError(Exception):
@@ -35,3 +37,14 @@ class OutOfDomainError(SpatialCpfError):
 
 class InternalConsistencyError(SpatialCpfError):
     """An internal invariant was violated (indicates a bug)."""
+
+
+_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false"}
+
+
+def require_type(key: str, value, kind) -> None:
+    """Raise ParameterError naming key unless value is of kind (Integral,
+    Real or bool). A bool is never taken for a number, though Python's
+    bool is an int."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ParameterError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")

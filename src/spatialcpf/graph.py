@@ -19,6 +19,7 @@ from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
+from .fileio import atomic_open
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius
 
@@ -170,7 +171,7 @@ def dump_adjacency(adj: SparseAdjacency, path) -> None:
     (u32, u32) pairs with u < v in lexicographic order."""
     if adj.n >= 2**32:
         raise DataError(f"{path}: {adj.n} vertices do not fit u32 vertex indices")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, adj.n, adj.n_edges))
         fh.write(adj.edges.astype("<u4").tobytes())
 

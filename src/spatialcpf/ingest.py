@@ -31,28 +31,24 @@ DEFAULT_ALIASES = {
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    site_id: str
-    easting: float
-    northing: float
-    concentrations: dict[str, float]
-
-
-@dataclass(frozen=True)
 class SampleTable:
-    records: tuple[RawRecord, ...]
-    element_order: tuple[str, ...] = ELEMENTS
+    """Columnar sample table; row i of every field is site i, in file order.
+
+    itm is (n, 2) easting and northing in meters, concentrations (n, 15) in
+    mg/kg in ELEMENTS order. Both arrays are made read-only, since one table
+    is shared by every pipeline stage.
+    """
+    site_ids: tuple[str, ...]
+    itm: np.ndarray
+    concentrations: np.ndarray
+
+    def __post_init__(self):
+        self.itm.setflags(write=False)
+        self.concentrations.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.records)
-
-    def site_ids(self) -> list[str]:
-        return [r.site_id for r in self.records]
-
-    def itm_coords(self) -> np.ndarray:
-        """n x 2 array of (easting, northing)."""
-        return np.array([(r.easting, r.northing) for r in self.records], dtype=float)
+        return len(self.site_ids)
 
 
 @dataclass(frozen=True)
@@ -104,75 +100,68 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl", aliases: dict | None = None)
     if aliases:
         alias_map.update(aliases)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"empty file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _parse_rows(csv.reader(fh), path, bdl_policy, alias_map)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
-        element_cols = {}
-        lower = {h.lower().strip(): i for i, h in enumerate(header)}
-        for element in ELEMENTS:
-            key = element.lower()
-            if key in alias_map:
-                found = None
-                for candidate in alias_map[key]:
-                    if candidate.lower() in lower:
-                        found = lower[candidate.lower()]
-                        break
-                if found is None:
-                    raise SchemaError(f"missing required column: {element}")
-                element_cols[element] = found
-            elif key in lower:
-                element_cols[element] = lower[key]
-            else:
+
+def _parse_rows(reader, path, bdl_policy: str, alias_map: dict) -> SampleTable:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"empty file: {path}")
+
+    element_cols = {}
+    lower = {h.lower().strip(): i for i, h in enumerate(header)}
+    for element in ELEMENTS:
+        key = element.lower()
+        if key in alias_map:
+            found = None
+            for candidate in alias_map[key]:
+                if candidate.lower() in lower:
+                    found = lower[candidate.lower()]
+                    break
+            if found is None:
                 raise SchemaError(f"missing required column: {element}")
-        idx = {name: lower[_resolve_column(header, name, alias_map).lower().strip()]
-               for name in ("site_id", "easting", "northing")}
-        width = max(*idx.values(), *element_cols.values()) + 1
+            element_cols[element] = found
+        elif key in lower:
+            element_cols[element] = lower[key]
+        else:
+            raise SchemaError(f"missing required column: {element}")
+    idx = {name: lower[_resolve_column(header, name, alias_map).lower().strip()]
+           for name in ("site_id", "easting", "northing")}
+    width = max(*idx.values(), *element_cols.values()) + 1
 
-        records = []
-        seen_ids = set()
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < width:
-                raise RowParseError(
-                    line_number, f"row has {len(row)} cells, header has {len(header)}")
-            site_id = row[idx["site_id"]].strip()
-            if site_id in seen_ids:
-                raise DataError(f"duplicate site_id: {site_id} (line {line_number})")
-            seen_ids.add(site_id)
-            try:
-                easting = float(row[idx["easting"]])
-                northing = float(row[idx["northing"]])
-            except ValueError:
-                raise RowParseError(line_number, "non-numeric coordinate")
-            if not (np.isfinite(easting) and np.isfinite(northing)):
-                raise RowParseError(line_number, "non-finite coordinate")
-            conc = {
-                element: _parse_concentration(row[col], element, line_number, bdl_policy)
-                for element, col in element_cols.items()
-            }
-            records.append(RawRecord(site_id, easting, northing, conc))
+    site_ids, itm, concentrations = [], [], []
+    seen_ids = set()
+    for line_number, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < width:
+            raise RowParseError(
+                line_number, f"row has {len(row)} cells, header has {len(header)}")
+        site_id = row[idx["site_id"]].strip()
+        if site_id in seen_ids:
+            raise DataError(f"duplicate site_id: {site_id} (line {line_number})")
+        seen_ids.add(site_id)
+        try:
+            easting = float(row[idx["easting"]])
+            northing = float(row[idx["northing"]])
+        except ValueError:
+            raise RowParseError(line_number, "non-numeric coordinate")
+        if not (np.isfinite(easting) and np.isfinite(northing)):
+            raise RowParseError(line_number, "non-finite coordinate")
+        site_ids.append(site_id)
+        itm.append((easting, northing))
+        concentrations.append([_parse_concentration(row[col], element, line_number, bdl_policy)
+                               for element, col in element_cols.items()])
 
-    if not records:
+    if not site_ids:
         raise SchemaError(f"no records in {path}")
-    return SampleTable(records=tuple(records))
-
-
-def select_features(table: SampleTable) -> np.ndarray:
-    """Return the n x 15 concentration matrix in the table's element order."""
-    if table.n == 0:
-        raise DataError("empty sample table")
-    for element in table.element_order:
-        if element not in table.records[0].concentrations:
-            raise SchemaError(f"missing element column: {element}")
-    return np.array(
-        [[r.concentrations[e] for e in table.element_order] for r in table.records],
-        dtype=float,
-    )
+    return SampleTable(site_ids=tuple(site_ids), itm=np.array(itm, dtype=float),
+                       concentrations=np.array(concentrations, dtype=float))
 
 
 def standardize(matrix: np.ndarray, method: str = "zscore",

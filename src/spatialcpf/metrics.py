@@ -10,7 +10,7 @@ import numpy as np
 
 from .cpf import OUTLIER, ClusterLabeling
 from .errors import ParameterError
-from .ingest import SampleTable
+from .ingest import ELEMENTS, SampleTable
 
 
 def calinski_harabasz(features: np.ndarray, labeling: ClusterLabeling,
@@ -97,8 +97,7 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
     if table.n != labeling.n:
         raise ParameterError("table and labeling are not aligned")
     labels = labeling.labels
-    raw = np.array(
-        [[r.concentrations[e] for e in table.element_order] for r in table.records])
+    raw = table.concentrations
     logged = None
     if log10_export:
         safe = raw.copy()
@@ -107,7 +106,7 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
             positive = col[col > 0]
             if positive.size == 0:
                 raise ParameterError(
-                    f"no positive values for {table.element_order[j]}; cannot log-transform")
+                    f"no positive values for {ELEMENTS[j]}; cannot log-transform")
             col[col <= 0] = positive.min()
         logged = np.log10(safe)
     stats = {}
@@ -122,9 +121,9 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
             warnings.warn(f"cluster {c} is empty; excluded from summary")
             continue
         sizes[c] = members.size
-        for j, element in enumerate(table.element_order):
+        for j, element in enumerate(ELEMENTS):
             stats[(c, element)] = _box_stats(raw[members, j])
             if logged is not None:
                 log10_stats[(c, element)] = _box_stats(logged[members, j])
     return ClusterSummary(stats=stats, log10_stats=log10_stats, cluster_sizes=sizes,
-                          elements=tuple(table.element_order))
+                          elements=ELEMENTS)

@@ -1,9 +1,10 @@
-"""Pipeline orchestration: config parsing, staged execution, and exports.
+"""Pipeline orchestration: config parsing, stage computations, and exports.
 
-Every stage reads/writes plain files so that running stages one at a time
-produces byte-identical final exports to a single run_pipeline() call.
-Floats are serialized with repr() (shortest round-trip form), which makes
-the CSV intermediates lossless.
+run_pipeline parses the survey once, passes each stage's result in memory to
+the next and writes every artifact once. A stage_* function runs one stage
+alone: it reads its inputs from files, runs the same computation and writes
+its outputs, so a staged run gives byte-identical exports. Floats are written
+with repr() (shortest round-trip form), so the CSV intermediates are lossless.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ import csv
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import cpf, geodesy, graph, iforest, ingest, metrics
-from .errors import ParameterError, SpatialCpfError
+from .errors import ParameterError, SpatialCpfError, require_type
+from .fileio import atomic_open
 
 
 class StageError(SpatialCpfError):
@@ -69,6 +73,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         raw = dict(raw)
+        if "input" not in raw:
+            raise ParameterError("config is missing the required key: input")
         cpf_raw = _section(raw, "cpf")
         if_raw = _section(raw, "iforest")
         ch_raw = _section(raw, "calinski_harabasz")
@@ -96,13 +102,25 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())
+            raise ParameterError(f"config file {path} is not valid YAML: {detail}") from exc
         if not isinstance(raw, dict):
             raise ParameterError(f"config file {path} is not a mapping")
         return cls.from_dict(raw)
 
     def validate(self) -> None:
+        for key in ("input", "output_dir"):
+            if not isinstance(getattr(self, key), str):
+                raise ParameterError(f"{key} must be a path string, got {getattr(self, key)!r}")
+        require_type("iforest.n_trees", self.iforest_n_trees, Integral)
+        require_type("iforest.subsample_size", self.iforest_subsample_size, Integral)
+        require_type("iforest.contamination", self.iforest_contamination, Real)
+        require_type("calinski_harabasz.include_outliers", self.ch_include_outliers, bool)
+        require_type("log10_export", self.log10_export, bool)
         if not Path(self.input).exists():
             raise ParameterError(f"input file does not exist: {self.input}")
         if self.bdl_policy not in ("half_dl", "reject"):
@@ -177,48 +195,70 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_csv(path, header, rows) -> Path:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+    return Path(path)
 
 
-# ---------------------------------------------------------------- stages
-
-def stage_ingest(config: PipelineConfig, in_path=None, out_path=None) -> Path:
-    """Parse the raw survey CSV and write the normalized sample table."""
-    src = in_path or config.input
-    out = Path(out_path) if out_path else config.path(FILES["samples"])
-    table = ingest.parse_g5_csv(src, bdl_policy=config.bdl_policy)
-    header = ["site_id", "easting", "northing", *table.element_order]
-    rows = [
-        [r.site_id, r.easting, r.northing,
-         *(r.concentrations[e] for e in table.element_order)]
-        for r in table.records
-    ]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, header, rows)
-    return out
+def project_wgs84(table: ingest.SampleTable) -> np.ndarray:
+    """(n, 2) WGS84 latitude and longitude of each site."""
+    return np.array([geodesy.itm_to_wgs84(e, n) for e, n in table.itm.tolist()])
 
 
-def read_samples(path) -> ingest.SampleTable:
-    return ingest.parse_g5_csv(path, bdl_policy="half_dl")
+def geo_graph(config: PipelineConfig, itm, latlon) -> graph.SparseAdjacency:
+    """Geographic mutual kNN graph: over ITM meters under euclidean_itm,
+    otherwise over (lat, lon), by haversine or plain euclidean degrees."""
+    k = config.cpf_params.min_samples
+    if config.geo_metric == "euclidean_itm":
+        return graph.mutual_knn_graph(itm, k=k, metric="euclidean")
+    metric = "haversine" if config.geo_metric == "haversine" else "euclidean"
+    return graph.mutual_knn_graph(latlon, k=k, metric=metric)
 
 
-def stage_project(config: PipelineConfig, in_path=None, out_path=None) -> Path:
-    """Convert ITM coordinates to WGS84 and write site_id, lat, lon."""
-    src = in_path or config.path(FILES["samples"])
-    out = Path(out_path) if out_path else config.path(FILES["coords"])
-    table = read_samples(src)
-    rows = []
-    for r in table.records:
-        lat, lon = geodesy.itm_to_wgs84(r.easting, r.northing)
-        rows.append([r.site_id, lat, lon])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ["site_id", "latitude", "longitude"], rows)
-    return out
+def feature_matrices(config: PipelineConfig, table: ingest.SampleTable) -> dict:
+    """The (n, 15) concentrations by FEATURE_CHOICES name: "raw", and
+    "standardized" under config.scaling."""
+    raw = table.concentrations
+    return {"raw": raw, "standardized": ingest.standardize(raw, method=config.scaling)[0]}
+
+
+def refine(config: PipelineConfig, features: np.ndarray, labels: np.ndarray):
+    """Isolation Forest scores and flags for the outlier set; NaN and False
+    elsewhere, and everywhere when there are fewer than two outliers."""
+    outlier_idx = np.flatnonzero(labels == cpf.OUTLIER)
+    scores = np.full(labels.size, np.nan)
+    flags = np.zeros(labels.size, dtype=bool)
+    if outlier_idx.size >= 2:
+        subset = features[outlier_idx]
+        model = iforest.fit_iforest(
+            subset, n_trees=config.iforest_n_trees,
+            subsample_size=config.iforest_subsample_size, seed=config.seed)
+        scores[outlier_idx] = iforest.anomaly_scores(model, subset)
+        flags[outlier_idx] = iforest.flag_outliers(scores[outlier_idx],
+                                                   config.iforest_contamination)
+    return scores, flags
+
+
+def labeling_columns(site_ids, result: cpf.FitResult) -> dict:
+    """A fit's labeling.csv columns, keyed as read_labeling returns them."""
+    return {"site_ids": site_ids, "labels": result.labeling.labels,
+            "log_density": result.density.log_density, "omega": result.big_brother.omega,
+            "component_id": result.components.labels}
+
+
+def write_samples(table: ingest.SampleTable, path) -> Path:
+    rows = ([sid, *xy, *conc] for sid, xy, conc in
+            zip(table.site_ids, table.itm.tolist(), table.concentrations.tolist()))
+    return _write_csv(path, ["site_id", "easting", "northing", *ingest.ELEMENTS], rows)
+
+
+def write_coords(site_ids, latlon: np.ndarray, path) -> Path:
+    rows = ([sid, *ll] for sid, ll in zip(site_ids, latlon.tolist()))
+    return _write_csv(path, ["site_id", "latitude", "longitude"], rows)
 
 
 def _read_coords(path) -> np.ndarray:
@@ -227,46 +267,17 @@ def _read_coords(path) -> np.ndarray:
         return np.array([(float(r["latitude"]), float(r["longitude"])) for r in reader])
 
 
-def stage_graph(config: PipelineConfig, in_path=None, out_path=None,
-                samples_path=None) -> Path:
-    """Build the geographic mutual kNN graph and dump it in binary form."""
-    out = Path(out_path) if out_path else config.path(FILES["adjacency"])
-    k = config.cpf_params.min_samples
-    if config.geo_metric == "euclidean_itm":
-        table = read_samples(samples_path or config.path(FILES["samples"]))
-        adj = graph.mutual_knn_graph(table.itm_coords(), k=k, metric="euclidean")
-    else:
-        coords = _read_coords(in_path or config.path(FILES["coords"]))
-        metric = "haversine" if config.geo_metric == "haversine" else "euclidean"
-        adj = graph.mutual_knn_graph(coords, k=k, metric=metric)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    graph.dump_adjacency(adj, out)
-    return out
-
-
-def _features_for(config: PipelineConfig, table: ingest.SampleTable):
-    raw = ingest.select_features(table)
-    scaled, params = ingest.standardize(raw, method=config.scaling)
-    return raw, scaled, params
-
-
-def stage_cluster(config: PipelineConfig, samples_path=None, adjacency_path=None,
-                  out_path=None) -> Path:
-    """Run spatial-CPF and write the labeling CSV."""
-    table = read_samples(samples_path or config.path(FILES["samples"]))
-    adj = graph.load_adjacency(adjacency_path or config.path(FILES["adjacency"]))
-    _, features, _ = _features_for(config, table)
-    result = cpf.fit(features, adj, config.cpf_params)
-    out = Path(out_path) if out_path else config.path(FILES["labeling"])
-    rows = [
-        [table.records[i].site_id, int(result.labeling.labels[i]),
-         result.density.log_density[i], result.big_brother.omega[i],
-         int(result.components.labels[i])]
-        for i in range(table.n)
-    ]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ["site_id", "cluster_label", "log_density", "omega", "component_id"], rows)
-    return out
+def write_labeling(lab: dict, path) -> Path:
+    """Write labeling.csv; anomaly_score and iforest_flag are written once
+    refine has added them to lab."""
+    header = ["site_id", "cluster_label", "log_density", "omega", "component_id"]
+    columns = [lab["site_ids"], *(lab[key].tolist() for key in
+                                  ("labels", "log_density", "omega", "component_id"))]
+    if "anomaly_score" in lab:
+        header += ["anomaly_score", "iforest_flag"]
+        columns += [["" if math.isnan(s) else s for s in lab["anomaly_score"].tolist()],
+                    lab["iforest_flag"].tolist()]
+    return _write_csv(path, header, zip(*columns))
 
 
 def read_labeling(path):
@@ -290,63 +301,15 @@ def read_labeling(path):
     return out
 
 
-def stage_refine(config: PipelineConfig, samples_path=None, labeling_path=None,
-                 out_path=None) -> Path:
-    """Score the outlier set with an Isolation Forest and append columns."""
-    table = read_samples(samples_path or config.path(FILES["samples"]))
-    lab_path = labeling_path or config.path(FILES["labeling"])
-    lab = read_labeling(lab_path)
-    raw, scaled, _ = _features_for(config, table)
-    features = scaled if config.iforest_features == "standardized" else raw
-
-    outlier_idx = np.flatnonzero(lab["labels"] == cpf.OUTLIER)
-    scores = np.full(table.n, np.nan)
-    flags = np.zeros(table.n, dtype=bool)
-    if outlier_idx.size >= 2:
-        subset = features[outlier_idx]
-        model = iforest.fit_iforest(
-            subset, n_trees=config.iforest_n_trees,
-            subsample_size=config.iforest_subsample_size, seed=config.seed)
-        subset_scores = iforest.anomaly_scores(model, subset)
-        subset_flags = iforest.flag_outliers(subset_scores, config.iforest_contamination)
-        scores[outlier_idx] = subset_scores
-        flags[outlier_idx] = subset_flags
-
-    out = Path(out_path) if out_path else lab_path
-    rows = []
-    for i in range(table.n):
-        rows.append([
-            lab["site_ids"][i], int(lab["labels"][i]), lab["log_density"][i],
-            lab["omega"][i], int(lab["component_id"][i]),
-            "" if np.isnan(scores[i]) else _fmt(float(scores[i])),
-            bool(flags[i]),
-        ])
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["site_id", "cluster_label", "log_density", "omega",
-                         "component_id", "anomaly_score", "iforest_flag"])
-        for row in rows:
-            writer.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
-    return out
-
-
-def stage_summarize(config: PipelineConfig, samples_path=None, labeling_path=None,
-                    out_path=None) -> Path:
-    """Write the long-format per-cluster, per-element statistics CSV."""
-    table = read_samples(samples_path or config.path(FILES["samples"]))
-    lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
-    labeling = cpf.ClusterLabeling(labels=lab["labels"])
-    summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
-    out = Path(out_path) if out_path else config.path(FILES["summary"])
+def write_summary(summary: metrics.ClusterSummary, path) -> Path:
+    """Long-format per-cluster, per-element statistics CSV."""
     rows = []
     for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats)):
         for (c, element), s in sorted(stats.items()):
             for stat_name in ("size", "q1", "median", "q3", "iqr",
                               "whisker_low", "whisker_high"):
                 rows.append([c, element, scale, stat_name, getattr(s, stat_name)])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ["cluster", "element", "scale", "statistic", "value"], rows)
-    return out
+    return _write_csv(path, ["cluster", "element", "scale", "statistic", "value"], rows)
 
 
 def export_geojson(site_ids, labels, coords, log_density, path,
@@ -371,16 +334,13 @@ def export_geojson(site_ids, labels, coords, log_density, path,
         })
     doc = {"type": "FeatureCollection", "features": features}
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=True)
     return path
 
 
 def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
     """Box-plot reconstruction data: one row per (cluster, element, scale)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats)):
         for (c, element), s in sorted(stats.items()):
@@ -389,82 +349,150 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
                 s.whisker_low, s.whisker_high,
                 ";".join(_fmt(v) for v in s.outlier_values),
             ])
-    _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
-                      "whisker_low", "whisker_high", "beyond_whiskers"], rows)
-    return path
+    return _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
+                             "whisker_low", "whisker_high", "beyond_whiskers"], rows)
+
+
+def _export(config: PipelineConfig, lab: dict, latlon, summary) -> tuple[Path, Path]:
+    geojson = export_geojson(
+        lab["site_ids"], lab["labels"], latlon, lab["log_density"],
+        config.path(FILES["geojson"]),
+        scores=lab.get("anomaly_score"), flags=lab.get("iforest_flag"))
+    return geojson, export_plot_data(summary, config.path(FILES["plot_data"]))
+
+
+# ---------------------------------------------------------------- stages
+
+def stage_ingest(config: PipelineConfig, in_path=None, out_path=None) -> Path:
+    """Parse the raw survey CSV and write the normalized sample table."""
+    table = ingest.parse_g5_csv(in_path or config.input, bdl_policy=config.bdl_policy)
+    return write_samples(table, out_path or config.path(FILES["samples"]))
+
+
+def stage_project(config: PipelineConfig, in_path=None, out_path=None) -> Path:
+    """Convert ITM coordinates to WGS84 and write site_id, lat, lon."""
+    table = ingest.parse_g5_csv(in_path or config.path(FILES["samples"]))
+    return write_coords(table.site_ids, project_wgs84(table),
+                        out_path or config.path(FILES["coords"]))
+
+
+def stage_graph(config: PipelineConfig, in_path=None, out_path=None,
+                samples_path=None) -> Path:
+    """Build the geographic mutual kNN graph and dump it in binary form."""
+    itm = latlon = None
+    if config.geo_metric == "euclidean_itm":
+        itm = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"])).itm
+    else:
+        latlon = _read_coords(in_path or config.path(FILES["coords"]))
+    out = Path(out_path or config.path(FILES["adjacency"]))
+    graph.dump_adjacency(geo_graph(config, itm, latlon), out)
+    return out
+
+
+def stage_cluster(config: PipelineConfig, samples_path=None, adjacency_path=None,
+                  out_path=None) -> Path:
+    """Run spatial-CPF and write the labeling CSV."""
+    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
+    adj = graph.load_adjacency(adjacency_path or config.path(FILES["adjacency"]))
+    result = cpf.fit(feature_matrices(config, table)["standardized"], adj, config.cpf_params)
+    return write_labeling(labeling_columns(table.site_ids, result),
+                          out_path or config.path(FILES["labeling"]))
+
+
+def stage_refine(config: PipelineConfig, samples_path=None, labeling_path=None,
+                 out_path=None) -> Path:
+    """Score the outlier set with an Isolation Forest and append columns."""
+    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
+    lab_path = labeling_path or config.path(FILES["labeling"])
+    lab = read_labeling(lab_path)
+    features = feature_matrices(config, table)[config.iforest_features]
+    lab["anomaly_score"], lab["iforest_flag"] = refine(config, features, lab["labels"])
+    return write_labeling(lab, out_path or lab_path)
+
+
+def stage_summarize(config: PipelineConfig, samples_path=None, labeling_path=None,
+                    out_path=None) -> Path:
+    """Write the long-format per-cluster, per-element statistics CSV."""
+    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
+    lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
+    labeling = cpf.ClusterLabeling(labels=lab["labels"])
+    summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
+    return write_summary(summary, out_path or config.path(FILES["summary"]))
 
 
 def stage_export(config: PipelineConfig, samples_path=None, coords_path=None,
                  labeling_path=None) -> tuple[Path, Path]:
     """Write the GeoJSON and plot-data exports from existing intermediates."""
-    table = read_samples(samples_path or config.path(FILES["samples"]))
-    coords = _read_coords(coords_path or config.path(FILES["coords"]))
+    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
+    latlon = _read_coords(coords_path or config.path(FILES["coords"]))
     lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
-    geojson = export_geojson(
-        lab["site_ids"], lab["labels"], coords, lab["log_density"],
-        config.path(FILES["geojson"]),
-        scores=lab.get("anomaly_score"), flags=lab.get("iforest_flag"))
     labeling = cpf.ClusterLabeling(labels=lab["labels"])
     summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
-    plot = export_plot_data(summary, config.path(FILES["plot_data"]))
-    return geojson, plot
+    return _export(config, lab, latlon, summary)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute every stage in order; abort (removing partial outputs) on error.
+    """Run every stage in memory, writing each artifact once; abort (removing
+    this run's outputs) on error.
 
     Returns the run report, which is also written to report.json.
     """
-    created: list[Path] = []
+    written: list[Path] = []
     timings: dict[str, float] = {}
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
 
-    def run(stage_name, fn, *args, **kwargs):
+    @contextmanager
+    def stage(name, *outputs):
+        written.extend(config.path(FILES[key]) for key in outputs)
         start = time.perf_counter()
         try:
-            result = fn(*args, **kwargs)
+            yield
         except Exception as exc:
-            for p in created:
+            for p in written:
                 p.unlink(missing_ok=True)
-            raise StageError(stage_name, exc) from exc
-        timings[stage_name] = time.perf_counter() - start
-        if isinstance(result, Path):
-            created.append(result)
-        elif isinstance(result, tuple):
-            created.extend(result)
-        return result
+            raise StageError(name, exc) from exc
+        timings[name] = time.perf_counter() - start
 
-    run("ingest", stage_ingest, config)
-    run("project", stage_project, config)
-    run("graph", stage_graph, config)
-    run("cluster", stage_cluster, config)
-    run("refine", stage_refine, config)
-    run("summarize", stage_summarize, config)
-    run("export", stage_export, config)
+    with stage("ingest", "samples"):
+        table = ingest.parse_g5_csv(config.input, bdl_policy=config.bdl_policy)
+        write_samples(table, config.path(FILES["samples"]))
+    with stage("project", "coords"):
+        latlon = project_wgs84(table)
+        write_coords(table.site_ids, latlon, config.path(FILES["coords"]))
+    with stage("graph", "adjacency"):
+        adj = geo_graph(config, table.itm, latlon)
+        graph.dump_adjacency(adj, config.path(FILES["adjacency"]))
+    with stage("cluster"):
+        features = feature_matrices(config, table)
+        result = cpf.fit(features["standardized"], adj, config.cpf_params)
+    with stage("refine", "labeling"):
+        lab = labeling_columns(table.site_ids, result)
+        lab["anomaly_score"], lab["iforest_flag"] = refine(
+            config, features[config.iforest_features], lab["labels"])
+        write_labeling(lab, config.path(FILES["labeling"]))
+    with stage("summarize", "summary"):
+        summary = metrics.cluster_summary(table, result.labeling,
+                                          log10_export=config.log10_export)
+        write_summary(summary, config.path(FILES["summary"]))
+    with stage("export", "geojson", "plot_data"):
+        _export(config, lab, latlon, summary)
 
-    # Report metrics from the final labeling.
-    table = read_samples(config.path(FILES["samples"]))
-    lab = read_labeling(config.path(FILES["labeling"]))
-    labeling = cpf.ClusterLabeling(labels=lab["labels"])
-    raw, scaled, _ = _features_for(config, table)
-    ch_feats = scaled if config.ch_features == "standardized" else raw
+    labeling = result.labeling
     try:
-        ch = metrics.calinski_harabasz(ch_feats, labeling,
+        ch = metrics.calinski_harabasz(features[config.ch_features], labeling,
                                        include_outliers=config.ch_include_outliers)
     except ParameterError:
         ch = None
-    sizes = labeling.cluster_sizes()
     report = {
         "n_samples": table.n,
         "n_clusters": labeling.n_clusters,
-        "cluster_sizes": sizes,
+        "cluster_sizes": labeling.cluster_sizes(),
         "n_outliers": labeling.n_outliers,
         "calinski_harabasz": ch if ch is None or math.isfinite(ch) else "inf",
-        "n_flagged": int(np.sum(lab["iforest_flag"])) if "iforest_flag" in lab else 0,
+        "n_flagged": int(np.sum(lab["iforest_flag"])),
         "stage_seconds": {k: round(v, 4) for k, v in timings.items()},
         "config": config.to_dict(),
         "seed": config.seed,
     }
-    with open(config.path(FILES["report"]), "w", encoding="utf-8") as fh:
+    with atomic_open(config.path(FILES["report"]), encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return report

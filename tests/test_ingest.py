@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import surrogate_survey, write_survey_csv
 from spatialcpf.errors import (DataError, DegenerateColumnError, RowParseError,
                                SchemaError)
-from spatialcpf.ingest import (ELEMENTS, parse_g5_csv, select_features,
-                               standardize)
+from spatialcpf.ingest import ELEMENTS, parse_g5_csv, standardize
 
 
 def write_rows(path, header, rows):
@@ -28,7 +27,7 @@ def test_parse_basic_order_preserved(tmp_path):
     path = tmp_path / "t.csv"
     write_rows(path, HEADER, [sample_row("A1"), sample_row("B2"), sample_row("C3")])
     table = parse_g5_csv(path)
-    assert table.site_ids() == ["A1", "B2", "C3"]
+    assert table.site_ids == ("A1", "B2", "C3")
     assert table.n == 3
 
 
@@ -36,7 +35,7 @@ def test_parse_bdl_half_dl(tmp_path):
     path = tmp_path / "t.csv"
     write_rows(path, HEADER, [sample_row(sb="<0.5")])
     table = parse_g5_csv(path, bdl_policy="half_dl")
-    assert table.records[0].concentrations["Sb"] == pytest.approx(0.25)
+    assert table.concentrations[0, ELEMENTS.index("Sb")] == pytest.approx(0.25)
 
 
 def test_parse_bdl_reject(tmp_path):
@@ -57,6 +56,14 @@ def test_parse_short_row_has_line_number(tmp_path):
     path = tmp_path / "t.csv"
     write_rows(path, HEADER, [sample_row("A1"), sample_row("B2"), sample_row("C3")[:-1]])
     with pytest.raises(RowParseError, match="line 4"):
+        parse_g5_csv(path)
+
+
+def test_parse_non_utf8_names_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    text = "\n".join([",".join(HEADER), ",".join(sample_row("caf\xe9"))]) + "\n"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SchemaError, match="latin1.csv"):
         parse_g5_csv(path)
 
 
@@ -101,9 +108,8 @@ def test_select_features_shape_and_order(tmp_path):
     ids, e, n, conc = surrogate_survey(n=3, seed=1)
     write_survey_csv(path, ids, e, n, conc)
     table = parse_g5_csv(path)
-    matrix = select_features(table)
-    assert matrix.shape == (3, 15)
-    np.testing.assert_allclose(matrix, conc)
+    assert table.concentrations.shape == (3, 15)
+    np.testing.assert_allclose(table.concentrations, conc)
 
 
 def test_standardize_three_point_column():

@@ -6,7 +6,7 @@ import pytest
 from conftest import surrogate_survey, write_survey_csv
 from spatialcpf.cpf import ClusterLabeling
 from spatialcpf.errors import ParameterError
-from spatialcpf.ingest import parse_g5_csv
+from spatialcpf.ingest import ELEMENTS, SampleTable, parse_g5_csv
 from spatialcpf.metrics import calinski_harabasz, cluster_summary
 
 
@@ -91,7 +91,7 @@ def test_summary_single_sample_cluster(tmp_path):
     labels = ClusterLabeling(labels=np.array([0, 1, 1, 1, 1]))
     summary = cluster_summary(table, labels)
     s = summary.stats[(0, "As")]
-    value = table.records[0].concentrations["As"]
+    value = table.concentrations[0, ELEMENTS.index("As")]
     assert s.median == s.q1 == s.q3 == pytest.approx(value)
     assert s.iqr == 0.0
     assert s.whisker_low == s.whisker_high == pytest.approx(value)
@@ -133,7 +133,7 @@ def test_summary_outlier_group_and_log10(tmp_path):
     raw = summary.stats[(0, "Zn")]
     logged = summary.log10_stats[(0, "Zn")]
     assert logged.size == raw.size
-    values = np.array([table.records[i].concentrations["Zn"] for i in range(25)])
+    values = table.concentrations[:25, ELEMENTS.index("Zn")]
     assert logged.median == pytest.approx(np.quantile(np.log10(values), 0.5))
     assert np.all(np.isfinite([logged.q1, logged.q3, logged.whisker_low,
                                logged.whisker_high]))
@@ -142,13 +142,9 @@ def test_summary_outlier_group_and_log10(tmp_path):
 def test_summary_beyond_whisker_points(tmp_path):
     table = make_table(tmp_path, n=12, seed=6)
     # Force one extreme Mn value.
-    records = list(table.records)
-    conc = dict(records[0].concentrations)
-    conc["Mn"] = 1e6
-    from spatialcpf.ingest import RawRecord, SampleTable
-    records[0] = RawRecord(records[0].site_id, records[0].easting,
-                           records[0].northing, conc)
-    table = SampleTable(records=tuple(records))
+    conc = table.concentrations.copy()
+    conc[0, ELEMENTS.index("Mn")] = 1e6
+    table = SampleTable(site_ids=table.site_ids, itm=table.itm, concentrations=conc)
     labels = ClusterLabeling(labels=np.zeros(12, dtype=int))
     summary = cluster_summary(table, labels)
     s = summary.stats[(0, "Mn")]

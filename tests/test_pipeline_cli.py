@@ -1,11 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
 from conftest import surrogate_survey, write_survey_csv
-from spatialcpf import pipeline
+from spatialcpf import graph, ingest, pipeline
 from spatialcpf.cli import main
 from spatialcpf.cpf import ClusterLabeling
 from spatialcpf.errors import ParameterError
@@ -62,12 +63,12 @@ def test_pipeline_deterministic_exports(tmp_path, survey_csv):
         assert cfg1.path(name).read_bytes() == cfg2.path(name).read_bytes()
 
 
-def test_staged_run_matches_run_pipeline(tmp_path, survey_csv):
-    whole = PipelineConfig.from_file(make_config(tmp_path, survey_csv,
+def assert_staged_run_matches_run_pipeline(tmp_path, survey_csv, **overrides):
+    whole = PipelineConfig.from_file(make_config(tmp_path, survey_csv, **overrides,
                                                  output_dir=str(tmp_path / "whole")))
     run_pipeline(whole)
 
-    staged = PipelineConfig.from_file(make_config(tmp_path, survey_csv,
+    staged = PipelineConfig.from_file(make_config(tmp_path, survey_csv, **overrides,
                                                   output_dir=str(tmp_path / "staged")))
     pipeline.stage_ingest(staged)
     pipeline.stage_project(staged)
@@ -81,6 +82,62 @@ def test_staged_run_matches_run_pipeline(tmp_path, survey_csv):
         if name == "report.json":
             continue
         assert whole.path(name).read_bytes() == staged.path(name).read_bytes(), name
+
+
+def test_staged_run_matches_run_pipeline(tmp_path, survey_csv):
+    assert_staged_run_matches_run_pipeline(tmp_path, survey_csv)
+
+
+def test_staged_run_matches_run_pipeline_itm_raw_features(tmp_path, survey_csv):
+    assert_staged_run_matches_run_pipeline(
+        tmp_path, survey_csv, geo_metric="euclidean_itm",
+        iforest={"n_trees": 50, "subsample_size": 64, "contamination": 0.3,
+                 "features": "raw"},
+        calinski_harabasz={"features": "raw"})
+
+
+def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv,
+                                                           monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(ingest, "parse_g5_csv")
+    count(pipeline, "read_labeling")
+    count(pipeline, "_read_coords")
+    count(graph, "load_adjacency")
+    run_pipeline(PipelineConfig.from_file(make_config(tmp_path, survey_csv)))
+    assert calls == {"parse_g5_csv": 1, "read_labeling": 0, "_read_coords": 0,
+                     "load_adjacency": 0}
+
+
+def test_failed_rewrite_keeps_previous_file(tmp_path, survey_csv, monkeypatch):
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    for stage in (pipeline.stage_ingest, pipeline.stage_project, pipeline.stage_graph,
+                  pipeline.stage_cluster):
+        stage(config)
+    labeling = config.path(FILES["labeling"])
+    before = labeling.read_bytes()
+    fmt, cells = pipeline._fmt, []
+
+    def failing_fmt(x):
+        cells.append(x)
+        if len(cells) > 1000:
+            raise OSError("disk full")
+        return fmt(x)
+    monkeypatch.setattr(pipeline, "_fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.stage_refine(config)
+    assert labeling.read_bytes() == before
+    assert sorted(os.listdir(config.output_dir)) == sorted(
+        FILES[k] for k in ("samples", "coords", "adjacency", "labeling"))
 
 
 def test_min_samples_too_large_aborts_with_stage(tmp_path, survey_csv):
@@ -98,6 +155,14 @@ def test_unknown_config_key_rejected(tmp_path, survey_csv):
     cfg_path = make_config(tmp_path, survey_csv, bogus=1)
     with pytest.raises(ParameterError, match="bogus"):
         PipelineConfig.from_file(cfg_path)
+    for name, text, match in (
+            ("bad.yaml", "input: [unclosed\n", "bad.yaml"),
+            ("latin1.yaml", "input: caf\xe9\n", "latin1.yaml"),
+            ("no_input.yaml", "seed: 0\n", "input")):
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParameterError, match=match):
+            PipelineConfig.from_file(path)
     for section, value, match in (
             ("cpf", {"min_samples": 20, "bogus": 1}, r"cpf.*bogus"),
             ("iforest", {"n_tree": 5}, r"iforest.*n_tree"),
@@ -121,6 +186,22 @@ def test_config_validation_errors(tmp_path, survey_csv):
     for seed in (-1, 1.5, True, "0"):
         with pytest.raises(ParameterError, match="seed"):
             PipelineConfig.from_dict({"input": str(survey_csv), "seed": seed})
+    for overrides, match in (
+            ({"cpf": {"min_samples": "abc"}}, "min_samples"),
+            ({"cpf": {"min_samples": True}}, "min_samples"),
+            ({"cpf": {"rho": "0.01"}}, "rho"),
+            ({"cpf": {"merge_threshold": float("nan")}}, "merge_threshold"),
+            ({"cpf": {"min_component_size": 2.5}}, "min_component_size"),
+            ({"iforest": {"n_trees": "5"}}, "n_trees"),
+            ({"iforest": {"subsample_size": 64.0}}, "subsample_size"),
+            ({"iforest": {"contamination": "0.3"}}, "contamination"),
+            ({"log10_export": "no"}, "log10_export"),
+            ({"log10_export": 0}, "log10_export"),
+            ({"calinski_harabasz": {"include_outliers": "no"}}, "include_outliers"),
+            ({"input": 5}, "input"),
+            ({"output_dir": ["out"]}, "output_dir")):
+        with pytest.raises(ParameterError, match=match):
+            PipelineConfig.from_dict({"input": str(survey_csv), **overrides})
 
 
 def test_geojson_single_point(tmp_path):
@@ -168,10 +249,10 @@ def test_plot_data_row_count(tmp_path):
 
 
 def test_plot_data_iqr_zero_whiskers_equal_median(tmp_path):
-    from spatialcpf.ingest import RawRecord, SampleTable
-    conc = {e: 5.0 for e in __import__("spatialcpf.ingest", fromlist=["ELEMENTS"]).ELEMENTS}
-    records = tuple(RawRecord(f"S{i}", 600000.0, 750000.0, dict(conc)) for i in range(4))
-    table = SampleTable(records=records)
+    from spatialcpf.ingest import SampleTable
+    table = SampleTable(site_ids=tuple(f"S{i}" for i in range(4)),
+                        itm=np.tile([600000.0, 750000.0], (4, 1)),
+                        concentrations=np.full((4, 15), 5.0))
     summary = cluster_summary(table, ClusterLabeling(labels=np.zeros(4, dtype=int)))
     s = summary.stats[(0, "Mn")]
     assert s.iqr == 0.0
@@ -202,6 +283,26 @@ def test_cli_rejects_negative_seed_before_any_stage(tmp_path, survey_csv, capsys
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "seed" in err
     assert not (tmp_path / "out" / FILES["samples"]).exists()
+
+
+def test_cli_config_errors_exit_1_with_one_line(tmp_path, survey_csv, capsys):
+    def assert_one_line_error(path):
+        assert main(["run", "--config", str(path)]) == 1, path
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    bad_yaml = tmp_path / "bad.yaml"
+    bad_yaml.write_text("input: [unclosed\n  seed: 0\n")
+    assert_one_line_error(bad_yaml)
+    no_input = tmp_path / "no_input.yaml"
+    no_input.write_text(yaml.safe_dump({"output_dir": str(tmp_path / "out")}))
+    assert_one_line_error(no_input)
+    for overrides in ({"cpf": {"min_samples": "abc"}},
+                      {"iforest": {"n_trees": "5"}},
+                      {"log10_export": "no"},
+                      {"calinski_harabasz": {"include_outliers": "no"}}):
+        assert_one_line_error(make_config(tmp_path, survey_csv, **overrides))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override(tmp_path, survey_csv):
