@@ -22,7 +22,8 @@ STAGES = {
     "cluster": lambda cfg, a: pipeline.stage_cluster(cfg, samples_path=a.in_path, out_path=a.out_path),
     "refine": lambda cfg, a: pipeline.stage_refine(cfg, labeling_path=a.in_path, out_path=a.out_path),
     "summarize": lambda cfg, a: pipeline.stage_summarize(cfg, labeling_path=a.in_path, out_path=a.out_path),
-    "export": lambda cfg, a: pipeline.stage_export(cfg, labeling_path=a.in_path),
+    "export": lambda cfg, a: pipeline.stage_export(cfg, labeling_path=a.in_path,
+                                                   out_path=a.out_path),
 }
 
 

@@ -8,6 +8,13 @@ nearest higher-density neighbor within its component ("big brother"), pick
 cluster centers from the omega/density quantile rule, propagate labels down
 the big-brother tree, then merge near-duplicate clusters. Samples stranded in
 components smaller than min_component_size are labeled -1.
+
+The big-brother step reuses the feature kNN lists: a sample whose nearest
+denser same-component list entry lies strictly inside its k-th-neighbor
+radius takes that entry, since no sample off the list can be as close. Only
+the remaining samples (component peaks, duplicates, ties at the radius) are
+measured against their component's denser members, in bounded row blocks,
+so no component needs an m-by-m distance matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +33,11 @@ from .graph import (ComponentLabels, SparseAdjacency, connected_components,
                     hadamard_intersect, knn, mutual_graph)
 
 OUTLIER = -1
+# Relative slack between distances computed with different rounding (the
+# kd-tree's, numpy's and cdist's), far wider than their actual gap.
+_FP_MARGIN = 1e-9
+# Distance entries per fallback block in big_brother (8 MiB of float64).
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,41 +137,95 @@ def knn_density(radius: np.ndarray, d: int, params: CpfParams) -> DensityEstimat
     return DensityEstimate(r_k=r_k, log_density=log_density)
 
 
+def _pair_distances(features: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cdist value of each pair (rows[t], cols[t]), read off the diagonals of
+    64-by-64 cdist blocks; one pair's cdist value does not depend on the
+    block it is computed in."""
+    out = np.empty(rows.size)
+    for s in range(0, rows.size, 64):
+        pairs = slice(s, s + 64)
+        out[pairs] = np.diagonal(cdist(features[rows[pairs]], features[cols[pairs]]))
+    return out
+
+
 def big_brother(features: np.ndarray, density: DensityEstimate,
-                components: ComponentLabels) -> BigBrother:
+                components: ComponentLabels, neighbors: np.ndarray,
+                radius: np.ndarray) -> BigBrother:
     """Nearest strictly-denser same-component neighbor for every sample.
 
-    Density ties qualify when the candidate has the lower index; distance
-    ties resolve toward the lower index. The per-component density maximum
-    gets parent -1 and omega +inf.
+    Samples are ranked by descending density, the lower index first on
+    density ties; a candidate qualifies for sample i when it is in i's
+    component and ranks above i. The nearest qualifying candidate is i's
+    parent and its cdist distance is omega[i]; distance ties resolve toward
+    the lower index. Each component's top-ranked sample gets parent -1 and
+    omega +inf.
+
+    neighbors and radius are graph.knn's (n, k) lists over these features and
+    its raw k-th-neighbor distances. Every sample off i's list lies at least
+    radius[i] from i, so when i's nearest qualifying list entry is strictly
+    inside radius[i], every qualifying sample that close is on the list and
+    the list decides parent and omega. Distances from knn, numpy and cdist
+    differ in rounding, so the radius is shrunk by _FP_MARGIN before this
+    test and omega is always a cdist value (one pair's cdist value does not
+    depend on the block it is computed in). The rest -- samples without a
+    qualifying list entry, with radius 0 (duplicates) or with the nearest
+    entry at the radius -- are measured against all denser members of their
+    component, in row blocks of about _BLOCK_ENTRIES distances (one row at
+    the least), so memory stays O(n k + block) rather than O(m^2) for a
+    component of m samples.
     """
     features = np.asarray(features, dtype=float)
+    neighbors = np.asarray(neighbors, dtype=np.int64)
     n = features.shape[0]
     if components.n != n:
         raise ParameterError("component labeling does not match feature count")
+    if neighbors.ndim != 2 or neighbors.shape[0] != n or np.shape(radius) != (n,):
+        raise ParameterError("neighbor lists do not match feature count")
+    comp = np.asarray(components.labels)
+    order = np.lexsort((np.arange(n), -density.log_density))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     parent = np.full(n, -1, dtype=np.int64)
     omega = np.full(n, np.inf)
-    log_density = density.log_density
 
-    for comp in range(components.n_components):
-        members = np.flatnonzero(components.labels == comp)
-        m = members.size
-        if m == 1:
+    # Rank the qualifying list entries by a vectorised distance, then take
+    # cdist values for those within the rounding margin of each row's nearest.
+    qualifies = (comp[neighbors] == comp[:, None]) & (rank[neighbors] < rank[:, None])
+    approx = np.zeros(neighbors.shape)
+    for column in features.T:
+        approx += (column[neighbors] - column[:, None]) ** 2
+    approx = np.where(qualifies, np.sqrt(approx), np.inf)
+    near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + _FP_MARGIN))
+    exact = np.full(neighbors.shape, np.inf)
+    exact[near] = _pair_distances(features, np.nonzero(near)[0], neighbors[near])
+    best = exact.min(axis=1)
+    resolved = best < np.asarray(radius, dtype=float) * (1.0 - _FP_MARGIN)
+    parent[resolved] = np.where(exact == best[:, None], neighbors, n).min(axis=1)[resolved]
+    omega[resolved] = best[resolved]
+
+    # Members grouped by component, denser first: the qualifying candidates
+    # of the sample in slot s are the slots from its component's first to s.
+    grouped = order[np.argsort(comp[order], kind="stable")]
+    slot = np.empty(n, dtype=np.int64)
+    slot[grouped] = np.arange(n)
+    first = np.searchsorted(comp[grouped], comp)
+    pending = (parent < 0) & (slot > first)
+    todo = grouped[pending[grouped]]
+    for rows in np.split(todo, np.flatnonzero(np.diff(first[todo])) + 1):
+        if rows.size == 0:
             continue
-        # Sort by descending density, ascending index on ties; predecessors in
-        # this order are exactly the qualifying big-brother candidates.
-        order = np.lexsort((members, -log_density[members]))
-        ranked = members[order]
-        pts = features[ranked]
-        dmat = cdist(pts, pts)
-        for pos in range(1, m):
-            cand_d = dmat[pos, :pos]
-            best = cand_d.min()
-            tied = np.flatnonzero(cand_d == best)
-            choice = ranked[tied[np.argmin(ranked[tied])]] if tied.size > 1 else ranked[tied[0]]
-            i = ranked[pos]
-            parent[i] = choice
-            omega[i] = best
+        lo = first[rows[0]]
+        step = max(1, _BLOCK_ENTRIES // int(slot[rows[-1]] - lo))
+        for b in range(0, rows.size, step):
+            block = rows[b:b + step]
+            width = slot[block] - lo
+            cols = grouped[lo:lo + width[-1]]
+            dist = cdist(features[block], features[cols])
+            valid = np.arange(cols.size) < width[:, None]
+            dist[~valid] = np.inf
+            best = dist.min(axis=1)
+            parent[block] = np.where(valid & (dist == best[:, None]), cols, n).min(axis=1)
+            omega[block] = best
     return BigBrother(parent=parent, omega=omega)
 
 
@@ -278,7 +344,7 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     intersected = hadamard_intersect(mutual_graph(neighbors), geo_adj)
     components = connected_components(intersected)
     density = knn_density(radius, features.shape[1], params)
-    bb = big_brother(features, density, components)
+    bb = big_brother(features, density, components, neighbors, radius)
     centers = select_centers(density, bb, components, params)
     labeling = assign_clusters(bb, centers, components, params)
     labeling = merge_clusters(labeling, centers, density, features, params)

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import cpf, geodesy, graph, iforest, ingest, metrics
-from .errors import ParameterError, SpatialCpfError, require_type
+from .errors import DataError, ParameterError, SpatialCpfError, require_type
 from .fileio import atomic_open
 
 
@@ -261,10 +261,37 @@ def write_coords(site_ids, latlon: np.ndarray, path) -> Path:
     return _write_csv(path, ["site_id", "latitude", "longitude"], rows)
 
 
+def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
+    """Parse CSV columns: cells maps each output key to its (column, parser);
+    the optional cells are read too once any of their columns is present.
+    A missing column, a bad or missing cell or non-UTF-8 text raises
+    DataError naming the file and the column or line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            header = reader.fieldnames or []
+            cells = dict(cells)
+            if optional and any(col in header for col, _ in optional.values()):
+                cells.update(optional)
+            missing = [col for col, _ in cells.values() if col not in header]
+            if missing:
+                raise DataError(f"{path}: missing column {missing[0]}")
+            columns = {key: [] for key in cells}
+            for row in reader:
+                for key, (col, parse) in cells.items():
+                    try:
+                        columns[key].append(parse(row[col]))
+                    except ValueError as exc:
+                        raise DataError(f"{path}: line {reader.line_num}: "
+                                        f"bad {col} value {row[col]!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    return columns
+
+
 def _read_coords(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return np.array([(float(r["latitude"]), float(r["longitude"])) for r in reader])
+    cols = _read_columns(path, {"lat": ("latitude", float), "lon": ("longitude", float)})
+    return np.column_stack([cols["lat"], cols["lon"]])
 
 
 def write_labeling(lab: dict, path) -> Path:
@@ -280,25 +307,31 @@ def write_labeling(lab: dict, path) -> Path:
     return _write_csv(path, header, zip(*columns))
 
 
-def read_labeling(path):
-    """Returns (site_ids, labels, log_density, omega, component_id [, scores, flags])."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    labels = np.array([int(r["cluster_label"]) for r in rows])
-    out = {
-        "site_ids": [r["site_id"] for r in rows],
-        "labels": labels,
-        "log_density": np.array([float(r["log_density"]) for r in rows]),
-        "omega": np.array([float(r["omega"]) for r in rows]),
-        "component_id": np.array([int(r["component_id"]) for r in rows]),
-    }
-    if rows and "anomaly_score" in rows[0]:
-        out["anomaly_score"] = np.array(
-            [float(r["anomaly_score"]) if r["anomaly_score"] else np.nan for r in rows])
-        out["iforest_flag"] = np.array(
-            [r["iforest_flag"] == "True" for r in rows])
-    return out
+def _flag(cell: str) -> bool:
+    if cell not in ("True", "False"):
+        raise ValueError(cell)
+    return cell == "True"
+
+
+_LABELING_CELLS = {
+    "site_ids": ("site_id", str),
+    "labels": ("cluster_label", int),
+    "log_density": ("log_density", float),
+    "omega": ("omega", float),
+    "component_id": ("component_id", int),
+}
+_REFINE_CELLS = {
+    "anomaly_score": ("anomaly_score", lambda cell: float(cell) if cell else math.nan),
+    "iforest_flag": ("iforest_flag", _flag),
+}
+
+
+def read_labeling(path) -> dict:
+    """labeling.csv's columns keyed as labeling_columns returns them, plus
+    anomaly_score and iforest_flag once refine has written them."""
+    cols = _read_columns(path, _LABELING_CELLS, optional=_REFINE_CELLS)
+    return {key: values if key == "site_ids" else np.array(values)
+            for key, values in cols.items()}
 
 
 def write_summary(summary: metrics.ClusterSummary, path) -> Path:
@@ -353,10 +386,11 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
                              "whisker_low", "whisker_high", "beyond_whiskers"], rows)
 
 
-def _export(config: PipelineConfig, lab: dict, latlon, summary) -> tuple[Path, Path]:
+def _export(config: PipelineConfig, lab: dict, latlon, summary,
+            geojson_path=None) -> tuple[Path, Path]:
     geojson = export_geojson(
         lab["site_ids"], lab["labels"], latlon, lab["log_density"],
-        config.path(FILES["geojson"]),
+        geojson_path or config.path(FILES["geojson"]),
         scores=lab.get("anomaly_score"), flags=lab.get("iforest_flag"))
     return geojson, export_plot_data(summary, config.path(FILES["plot_data"]))
 
@@ -421,14 +455,15 @@ def stage_summarize(config: PipelineConfig, samples_path=None, labeling_path=Non
 
 
 def stage_export(config: PipelineConfig, samples_path=None, coords_path=None,
-                 labeling_path=None) -> tuple[Path, Path]:
-    """Write the GeoJSON and plot-data exports from existing intermediates."""
+                 labeling_path=None, out_path=None) -> tuple[Path, Path]:
+    """Write the GeoJSON (to out_path if given) and plot-data exports from
+    existing intermediates; plot_data.csv always goes under output_dir."""
     table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
     latlon = _read_coords(coords_path or config.path(FILES["coords"]))
     lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
     labeling = cpf.ClusterLabeling(labels=lab["labels"])
     summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
-    return _export(config, lab, latlon, summary)
+    return _export(config, lab, latlon, summary, out_path)
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -477,6 +512,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _export(config, lab, latlon, summary)
 
     labeling = result.labeling
+    sizes = result.components.component_sizes.values()
     try:
         ch = metrics.calinski_harabasz(features[config.ch_features], labeling,
                                        include_outliers=config.ch_include_outliers)
@@ -489,6 +525,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_outliers": labeling.n_outliers,
         "calinski_harabasz": ch if ch is None or math.isfinite(ch) else "inf",
         "n_flagged": int(np.sum(lab["iforest_flag"])),
+        "intersected_edges": result.intersected.n_edges,
+        "n_components": result.components.n_components,
+        "largest_component": max(sizes),
+        "n_stranded": sum(s for s in sizes if s < config.cpf_params.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in timings.items()},
         "config": config.to_dict(),
         "seed": config.seed,

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_cpf
 from conftest import two_blob_dataset
 from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
-                            assign_clusters, big_brother, fit, knn_density,
+                            DensityEstimate, assign_clusters, big_brother, fit, knn_density,
                             merge_clusters, select_centers)
 from spatialcpf.errors import DataError, ParameterError
 from spatialcpf.graph import (ComponentLabels, connected_components, knn,
-                              mutual_knn_graph)
+                              mutual_graph, mutual_knn_graph)
 
 
 def single_component(n):
@@ -75,7 +79,7 @@ def test_big_brother_singleton_component():
     features = np.array([[0.0], [10.0]])
     density = density_of(features, CpfParams(min_samples=1, min_component_size=1))
     comps = ComponentLabels(labels=np.array([0, 1]), component_sizes={0: 1, 1: 1})
-    bb = big_brother(features, density, comps)
+    bb = big_brother(features, density, comps, *knn(features, 1))
     assert bb.parent[0] == -1 and bb.parent[1] == -1
     assert np.isinf(bb.omega).all()
 
@@ -85,7 +89,7 @@ def test_big_brother_collinear_hand_case():
     from spatialcpf.cpf import DensityEstimate
     density = DensityEstimate(r_k=np.array([1.0, 2.0, 3.0]),
                               log_density=np.array([3.0, 2.0, 1.0]))
-    bb = big_brother(features, density, single_component(3))
+    bb = big_brother(features, density, single_component(3), *knn(features, 1))
     assert bb.parent[0] == -1 and np.isinf(bb.omega[0])
     assert bb.parent[1] == 0 and bb.omega[1] == pytest.approx(1.0)
     assert bb.parent[2] == 1 and bb.omega[2] == pytest.approx(2.0)
@@ -96,7 +100,7 @@ def test_big_brother_all_ties_follow_ascending_index():
     m = 5
     features = np.arange(m, dtype=float).reshape(-1, 1)
     density = DensityEstimate(r_k=np.ones(m), log_density=np.zeros(m))
-    bb = big_brother(features, density, single_component(m))
+    bb = big_brother(features, density, single_component(m), *knn(features, 2))
     assert bb.parent[0] == -1
     # Each sample's nearest lower-index point is its left neighbor.
     for i in range(1, m):
@@ -108,7 +112,7 @@ def test_big_brother_chains_acyclic_and_in_component():
     adj = mutual_knn_graph(features, k=10)
     comps = connected_components(adj)
     density = density_of(features, CpfParams(min_samples=10, min_component_size=1))
-    bb = big_brother(features, density, comps)
+    bb = big_brother(features, density, comps, *knn(features, 10))
     for i in range(len(features)):
         seen = set()
         j = i
@@ -117,6 +121,65 @@ def test_big_brother_chains_acyclic_and_in_component():
             assert j not in seen
             seen.add(j)
             j = int(bb.parent[j])
+
+
+def _labels_to_components(labels):
+    _, labels = np.unique(labels, return_inverse=True)
+    sizes = {int(c): int(s) for c, s in zip(*np.unique(labels, return_counts=True))}
+    return ComponentLabels(labels=labels, component_sizes=sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), k=st.integers(1, 12),
+       d=st.integers(1, 3), points=st.sampled_from(["random", "lattice"]),
+       split=st.sampled_from(["one", "random", "mutual_graph"]),
+       density_from=st.sampled_from(["radius", "noise"]))
+def test_big_brother_matches_oracle(seed, n, k, d, points, split, density_from):
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    if points == "random":
+        features = rng.normal(size=(n, d))
+    else:
+        # A small integer lattice: duplicated points and equal distances.
+        features = rng.integers(0, 4, (n, d)).astype(float)
+    neighbors, radius = knn(features, k)
+    if split == "one":
+        comps = single_component(n)
+    elif split == "random":
+        comps = _labels_to_components(rng.integers(0, 4, n))
+    else:
+        comps = connected_components(mutual_graph(neighbors))
+    # Rounded densities, so that many samples tie on density.
+    if density_from == "radius":
+        log_density = np.round(-np.log(np.maximum(radius, 1e-3)), 1)
+    else:
+        log_density = np.round(rng.normal(size=n))
+    density = DensityEstimate(r_k=radius, log_density=log_density)
+    bb = big_brother(features, density, comps, neighbors, radius)
+    want = oracle_cpf.big_brother(features, density, comps)
+    np.testing.assert_array_equal(bb.parent, want.parent)
+    np.testing.assert_array_equal(bb.omega, want.omega)
+
+
+def test_big_brother_memory_bounded_on_large_component():
+    # The quadratic oracle would need n^2 float64 (3.2 GB) here, so check
+    # the tree's shape rather than compare.
+    n = 20_000
+    features = np.random.default_rng(12).normal(size=(n, 2))
+    neighbors, radius = knn(features, 10)
+    density = knn_density(radius, 2, CpfParams(min_samples=10))
+    tracemalloc.start()
+    try:
+        bb = big_brother(features, density, single_component(n), neighbors, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    root = np.flatnonzero(bb.parent == -1)
+    assert root.tolist() == [int(np.argmax(density.log_density))]
+    child = np.flatnonzero(bb.parent >= 0)
+    assert np.all(density.log_density[bb.parent[child]] >= density.log_density[child])
+    assert np.all(np.isfinite(bb.omega[child]))
 
 
 # ------------------------------------------------------------- centers
@@ -141,7 +204,7 @@ def test_centers_two_bridged_blobs_yield_two():
     features = np.vstack([rng.normal(0, 0.5, (20, 2)), rng.normal(30, 0.5, (20, 2))])
     density = density_of(features, CpfParams(min_samples=5, min_component_size=1))
     comps = single_component(40)
-    bb = big_brother(features, density, comps)
+    bb = big_brother(features, density, comps, *knn(features, 5))
     params = CpfParams(min_samples=5, rho=0.01, alpha=0.015, min_component_size=5)
     centers = select_centers(density, bb, comps, params)
     assert len(centers) == 2
@@ -169,7 +232,7 @@ def test_assign_single_center_single_component():
     features = rng.normal(0, 1, (30, 2))
     density = density_of(features, CpfParams(min_samples=5, min_component_size=1))
     comps = single_component(30)
-    bb = big_brother(features, density, comps)
+    bb = big_brother(features, density, comps, *knn(features, 5))
     center = np.array([int(np.argmax(density.log_density))])
     labeling = assign_clusters(bb, center, comps, CpfParams(min_samples=5, min_component_size=5))
     assert np.all(labeling.labels == 0)

@@ -42,6 +42,18 @@ def test_run_pipeline_end_to_end(tmp_path, survey_csv):
         assert (config.path(name)).exists()
 
 
+def test_report_run_diagnostics(tmp_path, survey_csv):
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    report = run_pipeline(config)
+    lab = pipeline.read_labeling(config.path(FILES["labeling"]))
+    _, sizes = np.unique(lab["component_id"], return_counts=True)
+    assert report["n_components"] == sizes.size
+    assert report["largest_component"] == sizes.max()
+    assert report["n_stranded"] == sizes[sizes < 20].sum() == report["n_outliers"]
+    assert 0 < report["intersected_edges"] < 400 * 20 / 2
+    assert json.loads(config.path(FILES["report"]).read_text()) == report
+
+
 def test_report_flag_count_rule(tmp_path, survey_csv):
     config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
     report = run_pipeline(config)
@@ -311,3 +323,60 @@ def test_cli_seed_override(tmp_path, survey_csv):
     config.seed = 3
     report = run_pipeline(config)
     assert report["seed"] == 3
+
+
+def test_cli_export_out_writes_geojson_there(tmp_path, survey_csv):
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    out_dir = tmp_path / "out"
+    want = (out_dir / FILES["geojson"]).read_bytes()
+    (out_dir / FILES["geojson"]).unlink()
+    (out_dir / FILES["plot_data"]).unlink()
+    target = tmp_path / "elsewhere.geojson"
+    assert main(["export", "--config", str(cfg_path), "--out", str(target)]) == 0
+    assert target.read_bytes() == want
+    assert not (out_dir / FILES["geojson"]).exists()
+    assert (out_dir / FILES["plot_data"]).exists()
+
+
+def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, capsys):
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    lines = (out_dir / FILES["labeling"]).read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+
+    def written(name, row, header_line=lines[0], encoding="utf-8"):
+        path = tmp_path / name
+        path.write_bytes((header_line + lines[1] + row + "".join(lines[3:])).encode(encoding))
+        return path
+
+    def cell_replaced(column, value):
+        cells = lines[2].rstrip("\n").split(",")
+        cells[header.index(column)] = value
+        return ",".join(cells) + "\n"
+
+    cases = [
+        (written("oops.csv", cell_replaced("cluster_label", "oops")), "line 3"),
+        (written("flag.csv", cell_replaced("iforest_flag", "maybe")), "line 3"),
+        (written("short.csv", lines[2].split(",", 1)[0] + ",0\n"), "line 3"),
+        (written("nocol.csv", lines[2],
+                 header_line=lines[0].replace("cluster_label", "label")),
+         "missing column cluster_label"),
+        (written("latin1.csv", cell_replaced("site_id", "\u00e9"), encoding="latin-1"),
+         "not UTF-8"),
+    ]
+    for path, where in cases:
+        for stage in ("refine", "summarize"):
+            assert main([stage, "--config", str(cfg_path), "--in", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert path.name in err and where in err, err
+
+    coords = tmp_path / "coords.csv"
+    text = (out_dir / FILES["coords"]).read_text().splitlines(keepends=True)
+    coords.write_text(text[0] + "S0,north,1.0\n" + "".join(text[2:]))
+    assert main(["graph", "--config", str(cfg_path), "--in", str(coords)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "coords.csv: line 2" in err, err
