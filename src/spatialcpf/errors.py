@@ -14,9 +14,9 @@ class SchemaError(SpatialCpfError):
 class RowParseError(SpatialCpfError):
     """A single data row could not be parsed."""
 
-    def __init__(self, line_number, message):
+    def __init__(self, path, line_number, message):
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(f"{path}: line {line_number}: {message}")
 
 
 class ParameterError(SpatialCpfError):

@@ -9,6 +9,7 @@ measurements below the detection limit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ ELEMENTS = (
     "Ni", "Pb", "Sb", "Sn", "U", "V", "Zn",
 )
 
-# Header names accepted (case-insensitively) for the coordinate/id columns.
+# Header names accepted (case-insensitively) for each required column, in the
+# order the columns are looked up.
 DEFAULT_ALIASES = {
+    **{element: (element.lower(),) for element in ELEMENTS},
     "site_id": ("site_id", "sample_id", "sample", "site", "id", "sampleid"),
     "easting": ("easting", "easting_itm", "itm_e", "x_itm", "x"),
     "northing": ("northing", "northing_itm", "itm_n", "y_itm", "y"),
@@ -60,79 +63,58 @@ class ScalingParams:
         return matrix * self.scale + self.center
 
 
-def _resolve_column(header: list[str], wanted: str, aliases: dict) -> str:
-    lower = {h.lower().strip(): h for h in header}
-    for candidate in aliases.get(wanted, (wanted,)):
-        if candidate.lower() in lower:
-            return lower[candidate.lower()]
-    raise SchemaError(f"missing required column: {wanted}")
+def _column_index(header: list[str], path) -> dict[str, int]:
+    """Header position of each DEFAULT_ALIASES column, by its first alias."""
+    lower = {h.lower().strip(): i for i, h in enumerate(header)}
+    index = {}
+    for name, aliases in DEFAULT_ALIASES.items():
+        found = [lower[alias] for alias in aliases if alias in lower]
+        if not found:
+            raise SchemaError(f"{path}: missing required column: {name}")
+        index[name] = found[0]
+    return index
 
 
-def _parse_concentration(raw: str, element: str, line_number: int, bdl_policy: str) -> float:
+def _parse_concentration(raw: str, element: str, bdl_policy: str) -> float:
+    """A finite concentration, "<DL" giving DL/2; ValueError names a bad cell."""
     raw = raw.strip()
-    if raw.startswith("<"):
-        if bdl_policy == "reject":
-            raise RowParseError(line_number, f"below-detection-limit value for {element}: {raw!r}")
-        try:
-            dl = float(raw[1:])
-        except ValueError:
-            raise RowParseError(line_number, f"unparseable detection limit for {element}: {raw!r}")
-        return dl / 2.0
+    below = raw.startswith("<")
+    if below and bdl_policy == "reject":
+        raise ValueError(f"below-detection-limit value for {element}: {raw!r}")
     try:
-        value = float(raw)
+        value = float(raw[1:] if below else raw)
     except ValueError:
-        raise RowParseError(line_number, f"non-numeric concentration for {element}: {raw!r}")
-    if not np.isfinite(value):
-        raise RowParseError(line_number, f"non-finite concentration for {element}: {raw!r}")
-    return value
+        what = "unparseable detection limit" if below else "non-numeric concentration"
+        raise ValueError(f"{what} for {element}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite concentration for {element}: {raw!r}")
+    return value / 2.0 if below else value
 
 
-def parse_g5_csv(path, bdl_policy: str = "half_dl", aliases: dict | None = None) -> SampleTable:
+def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
     """Parse a G5-style CSV into a SampleTable, preserving file row order.
 
     bdl_policy "half_dl" substitutes "<DL" markers with DL/2; "reject" raises
-    a row-level error instead. Column names are matched case-insensitively,
-    with extra aliases merged over DEFAULT_ALIASES.
+    a row-level error instead. Column names are matched case-insensitively
+    against DEFAULT_ALIASES.
     """
     if bdl_policy not in ("half_dl", "reject"):
         raise ValueError(f"unknown bdl_policy: {bdl_policy}")
-    alias_map = dict(DEFAULT_ALIASES)
-    if aliases:
-        alias_map.update(aliases)
-
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _parse_rows(csv.reader(fh), path, bdl_policy, alias_map)
+            return _parse_rows(csv.reader(fh), path, bdl_policy)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _parse_rows(reader, path, bdl_policy: str, alias_map: dict) -> SampleTable:
+def _parse_rows(reader, path, bdl_policy: str) -> SampleTable:
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"empty file: {path}")
-
-    element_cols = {}
-    lower = {h.lower().strip(): i for i, h in enumerate(header)}
-    for element in ELEMENTS:
-        key = element.lower()
-        if key in alias_map:
-            found = None
-            for candidate in alias_map[key]:
-                if candidate.lower() in lower:
-                    found = lower[candidate.lower()]
-                    break
-            if found is None:
-                raise SchemaError(f"missing required column: {element}")
-            element_cols[element] = found
-        elif key in lower:
-            element_cols[element] = lower[key]
-        else:
-            raise SchemaError(f"missing required column: {element}")
-    idx = {name: lower[_resolve_column(header, name, alias_map).lower().strip()]
-           for name in ("site_id", "easting", "northing")}
-    width = max(*idx.values(), *element_cols.values()) + 1
+    idx = _column_index(header, path)
+    element_cols = [(element, idx[element]) for element in ELEMENTS]
+    width = max(idx.values()) + 1
 
     site_ids, itm, concentrations = [], [], []
     seen_ids = set()
@@ -141,22 +123,25 @@ def _parse_rows(reader, path, bdl_policy: str, alias_map: dict) -> SampleTable:
             continue
         if len(row) < width:
             raise RowParseError(
-                line_number, f"row has {len(row)} cells, header has {len(header)}")
+                path, line_number, f"row has {len(row)} cells, header has {len(header)}")
         site_id = row[idx["site_id"]].strip()
         if site_id in seen_ids:
-            raise DataError(f"duplicate site_id: {site_id} (line {line_number})")
+            raise DataError(f"{path}: line {line_number}: duplicate site_id {site_id!r}")
         seen_ids.add(site_id)
         try:
             easting = float(row[idx["easting"]])
             northing = float(row[idx["northing"]])
         except ValueError:
-            raise RowParseError(line_number, "non-numeric coordinate")
-        if not (np.isfinite(easting) and np.isfinite(northing)):
-            raise RowParseError(line_number, "non-finite coordinate")
+            raise RowParseError(path, line_number, "non-numeric coordinate")
+        if not (math.isfinite(easting) and math.isfinite(northing)):
+            raise RowParseError(path, line_number, "non-finite coordinate")
+        try:
+            concentrations.append([_parse_concentration(row[col], element, bdl_policy)
+                                   for element, col in element_cols])
+        except ValueError as exc:
+            raise RowParseError(path, line_number, str(exc)) from None
         site_ids.append(site_id)
         itm.append((easting, northing))
-        concentrations.append([_parse_concentration(row[col], element, line_number, bdl_policy)
-                               for element, col in element_cols.items()])
 
     if not site_ids:
         raise SchemaError(f"no records in {path}")

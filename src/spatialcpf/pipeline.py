@@ -14,7 +14,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from . import cpf, geodesy, graph, iforest, ingest, metrics
+from .cpf import CpfParams
 from .errors import DataError, ParameterError, SpatialCpfError, require_type
 from .fileio import atomic_open
 
@@ -35,38 +36,51 @@ class StageError(SpatialCpfError):
 
 GEO_METRICS = ("haversine", "euclidean_degrees", "euclidean_itm")
 FEATURE_CHOICES = ("standardized", "raw")
-SECTION_KEYS = {
-    "cpf": tuple(f.name for f in fields(cpf.CpfParams)),
-    "iforest": ("n_trees", "subsample_size", "contamination", "features"),
-    "calinski_harabasz": ("include_outliers", "features"),
-}
 
 
-def _section(raw: dict, name: str) -> dict:
-    """Pop a nested config section, rejecting non-mappings and unknown keys."""
-    section = raw.pop(name, {})
-    if not isinstance(section, dict):
-        raise ParameterError(f"config section {name} must be a mapping, got {section!r}")
-    unknown = sorted(set(section) - set(SECTION_KEYS[name]))
-    if unknown:
-        raise ParameterError(f"unknown config keys in {name}: {unknown}")
-    return section
+@dataclass(frozen=True)
+class IforestParams:
+    n_trees: int = 100
+    subsample_size: int = 256
+    contamination: float = 0.30
+    features: str = "standardized"
+
+    def __post_init__(self):
+        require_type("iforest.n_trees", self.n_trees, Integral)
+        require_type("iforest.subsample_size", self.subsample_size, Integral)
+        require_type("iforest.contamination", self.contamination, Real)
+        if self.features not in FEATURE_CHOICES:
+            raise ParameterError(f"bad iforest.features: {self.features!r}")
+        if not 0.0 < self.contamination < 1.0:
+            raise ParameterError(
+                f"iforest.contamination must be in (0, 1), got {self.contamination}")
+        if self.n_trees < 1 or self.subsample_size < 2:
+            raise ParameterError("bad iforest tree settings")
+
+
+@dataclass(frozen=True)
+class ChParams:
+    include_outliers: bool = False
+    features: str = "standardized"
+
+    def __post_init__(self):
+        require_type("calinski_harabasz.include_outliers", self.include_outliers, bool)
+        if self.features not in FEATURE_CHOICES:
+            raise ParameterError(f"bad calinski_harabasz.features: {self.features!r}")
 
 
 @dataclass
 class PipelineConfig:
+    """The YAML config: one field per top-level key, and one params class
+    per nested section (cpf, iforest, calinski_harabasz)."""
     input: str
     output_dir: str = "out"
     bdl_policy: str = "half_dl"
     scaling: str = "zscore"
     geo_metric: str = "haversine"
-    cpf_params: cpf.CpfParams = field(default_factory=cpf.CpfParams)
-    iforest_n_trees: int = 100
-    iforest_subsample_size: int = 256
-    iforest_contamination: float = 0.30
-    iforest_features: str = "standardized"
-    ch_include_outliers: bool = False
-    ch_features: str = "standardized"
+    cpf: CpfParams = field(default_factory=CpfParams)
+    iforest: IforestParams = field(default_factory=IforestParams)
+    calinski_harabasz: ChParams = field(default_factory=ChParams)
     log10_export: bool = True
     seed: int = 0
 
@@ -75,28 +89,20 @@ class PipelineConfig:
         raw = dict(raw)
         if "input" not in raw:
             raise ParameterError("config is missing the required key: input")
-        cpf_raw = _section(raw, "cpf")
-        if_raw = _section(raw, "iforest")
-        ch_raw = _section(raw, "calinski_harabasz")
-        cfg = cls(
-            input=raw.pop("input"),
-            output_dir=raw.pop("output_dir", "out"),
-            bdl_policy=raw.pop("bdl_policy", "half_dl"),
-            scaling=raw.pop("scaling", "zscore"),
-            geo_metric=raw.pop("geo_metric", "haversine"),
-            cpf_params=cpf.CpfParams(**cpf_raw),
-            iforest_n_trees=if_raw.get("n_trees", 100),
-            iforest_subsample_size=if_raw.get("subsample_size", 256),
-            iforest_contamination=if_raw.get("contamination", 0.30),
-            iforest_features=if_raw.get("features", "standardized"),
-            ch_include_outliers=ch_raw.get("include_outliers", False),
-            ch_features=ch_raw.get("features", "standardized"),
-            log10_export=raw.pop("log10_export", True),
-            seed=raw.pop("seed", 0),
-        )
-        unknown = set(raw)
+        sections = {f.name: f.default_factory for f in fields(cls)
+                    if f.default_factory is not MISSING}
+        for name, params in sections.items():
+            section = raw.setdefault(name, {})
+            if not isinstance(section, dict):
+                raise ParameterError(f"config section {name} must be a mapping, got {section!r}")
+            unknown = sorted(set(section) - {f.name for f in fields(params)}, key=str)
+            if unknown:
+                raise ParameterError(f"unknown config keys in {name}: {unknown}")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)}, key=str)
         if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+            raise ParameterError(f"unknown config keys: {unknown}")
+        raw.update((name, params(**raw[name])) for name, params in sections.items())
+        cfg = cls(**raw)
         cfg.validate()
         return cfg
 
@@ -113,61 +119,27 @@ class PipelineConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
+        """Check the top-level settings; each section checks itself."""
         for key in ("input", "output_dir"):
             if not isinstance(getattr(self, key), str):
                 raise ParameterError(f"{key} must be a path string, got {getattr(self, key)!r}")
-        require_type("iforest.n_trees", self.iforest_n_trees, Integral)
-        require_type("iforest.subsample_size", self.iforest_subsample_size, Integral)
-        require_type("iforest.contamination", self.iforest_contamination, Real)
-        require_type("calinski_harabasz.include_outliers", self.ch_include_outliers, bool)
         require_type("log10_export", self.log10_export, bool)
         if not Path(self.input).exists():
-            raise ParameterError(f"input file does not exist: {self.input}")
+            raise ParameterError(f"input file does not exist: {self.input!r}")
         if self.bdl_policy not in ("half_dl", "reject"):
-            raise ParameterError(f"bad bdl_policy: {self.bdl_policy}")
+            raise ParameterError(f"bad bdl_policy: {self.bdl_policy!r}")
         if self.scaling not in ("zscore", "none"):
-            raise ParameterError(f"bad scaling: {self.scaling}")
+            raise ParameterError(f"bad scaling: {self.scaling!r}")
         if self.geo_metric not in GEO_METRICS:
-            raise ParameterError(f"bad geo_metric: {self.geo_metric}")
-        if self.iforest_features not in FEATURE_CHOICES:
-            raise ParameterError(f"bad iforest.features: {self.iforest_features}")
-        if self.ch_features not in FEATURE_CHOICES:
-            raise ParameterError(f"bad calinski_harabasz.features: {self.ch_features}")
-        if not 0.0 < self.iforest_contamination < 1.0:
-            raise ParameterError(
-                f"iforest.contamination must be in (0, 1), got {self.iforest_contamination}")
-        if self.iforest_n_trees < 1 or self.iforest_subsample_size < 2:
-            raise ParameterError("bad iforest tree settings")
+            raise ParameterError(f"bad geo_metric: {self.geo_metric!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
-        p = self.cpf_params
-        return {
-            "input": self.input,
-            "output_dir": self.output_dir,
-            "bdl_policy": self.bdl_policy,
-            "scaling": self.scaling,
-            "geo_metric": self.geo_metric,
-            "cpf": {
-                "min_samples": p.min_samples, "rho": p.rho, "alpha": p.alpha,
-                "merge_threshold": p.merge_threshold,
-                "density_ratio_threshold": p.density_ratio_threshold,
-                "min_component_size": p.component_size_floor,
-            },
-            "iforest": {
-                "n_trees": self.iforest_n_trees,
-                "subsample_size": self.iforest_subsample_size,
-                "contamination": self.iforest_contamination,
-                "features": self.iforest_features,
-            },
-            "calinski_harabasz": {
-                "include_outliers": self.ch_include_outliers,
-                "features": self.ch_features,
-            },
-            "log10_export": self.log10_export,
-            "seed": self.seed,
-        }
+        """The config as from_dict reads it, cpf.min_component_size resolved."""
+        raw = asdict(self)
+        raw["cpf"]["min_component_size"] = self.cpf.component_size_floor
+        return raw
 
     # Default intermediate/export file locations under output_dir.
     def path(self, name: str) -> Path:
@@ -212,7 +184,7 @@ def project_wgs84(table: ingest.SampleTable) -> np.ndarray:
 def geo_graph(config: PipelineConfig, itm, latlon) -> graph.SparseAdjacency:
     """Geographic mutual kNN graph: over ITM meters under euclidean_itm,
     otherwise over (lat, lon), by haversine or plain euclidean degrees."""
-    k = config.cpf_params.min_samples
+    k = config.cpf.min_samples
     if config.geo_metric == "euclidean_itm":
         return graph.mutual_knn_graph(itm, k=k, metric="euclidean")
     metric = "haversine" if config.geo_metric == "haversine" else "euclidean"
@@ -235,11 +207,11 @@ def refine(config: PipelineConfig, features: np.ndarray, labels: np.ndarray):
     if outlier_idx.size >= 2:
         subset = features[outlier_idx]
         model = iforest.fit_iforest(
-            subset, n_trees=config.iforest_n_trees,
-            subsample_size=config.iforest_subsample_size, seed=config.seed)
+            subset, n_trees=config.iforest.n_trees,
+            subsample_size=config.iforest.subsample_size, seed=config.seed)
         scores[outlier_idx] = iforest.anomaly_scores(model, subset)
         flags[outlier_idx] = iforest.flag_outliers(scores[outlier_idx],
-                                                   config.iforest_contamination)
+                                                   config.iforest.contamination)
     return scores, flags
 
 
@@ -410,12 +382,12 @@ def stage_project(config: PipelineConfig, in_path=None, out_path=None) -> Path:
                         out_path or config.path(FILES["coords"]))
 
 
-def stage_graph(config: PipelineConfig, in_path=None, out_path=None,
-                samples_path=None) -> Path:
-    """Build the geographic mutual kNN graph and dump it in binary form."""
+def stage_graph(config: PipelineConfig, in_path=None, out_path=None) -> Path:
+    """Build the geographic mutual kNN graph and dump it in binary form. The
+    input is the sample table under euclidean_itm, otherwise coords.csv."""
     itm = latlon = None
     if config.geo_metric == "euclidean_itm":
-        itm = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"])).itm
+        itm = ingest.parse_g5_csv(in_path or config.path(FILES["samples"])).itm
     else:
         latlon = _read_coords(in_path or config.path(FILES["coords"]))
     out = Path(out_path or config.path(FILES["adjacency"]))
@@ -428,7 +400,7 @@ def stage_cluster(config: PipelineConfig, samples_path=None, adjacency_path=None
     """Run spatial-CPF and write the labeling CSV."""
     table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
     adj = graph.load_adjacency(adjacency_path or config.path(FILES["adjacency"]))
-    result = cpf.fit(feature_matrices(config, table)["standardized"], adj, config.cpf_params)
+    result = cpf.fit(feature_matrices(config, table)["standardized"], adj, config.cpf)
     return write_labeling(labeling_columns(table.site_ids, result),
                           out_path or config.path(FILES["labeling"]))
 
@@ -439,7 +411,7 @@ def stage_refine(config: PipelineConfig, samples_path=None, labeling_path=None,
     table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
     lab_path = labeling_path or config.path(FILES["labeling"])
     lab = read_labeling(lab_path)
-    features = feature_matrices(config, table)[config.iforest_features]
+    features = feature_matrices(config, table)[config.iforest.features]
     lab["anomaly_score"], lab["iforest_flag"] = refine(config, features, lab["labels"])
     return write_labeling(lab, out_path or lab_path)
 
@@ -498,11 +470,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         graph.dump_adjacency(adj, config.path(FILES["adjacency"]))
     with stage("cluster"):
         features = feature_matrices(config, table)
-        result = cpf.fit(features["standardized"], adj, config.cpf_params)
+        result = cpf.fit(features["standardized"], adj, config.cpf)
     with stage("refine", "labeling"):
         lab = labeling_columns(table.site_ids, result)
         lab["anomaly_score"], lab["iforest_flag"] = refine(
-            config, features[config.iforest_features], lab["labels"])
+            config, features[config.iforest.features], lab["labels"])
         write_labeling(lab, config.path(FILES["labeling"]))
     with stage("summarize", "summary"):
         summary = metrics.cluster_summary(table, result.labeling,
@@ -514,8 +486,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     labeling = result.labeling
     sizes = result.components.component_sizes.values()
     try:
-        ch = metrics.calinski_harabasz(features[config.ch_features], labeling,
-                                       include_outliers=config.ch_include_outliers)
+        ch = metrics.calinski_harabasz(features[config.calinski_harabasz.features], labeling,
+                                       include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
     report = {
@@ -528,7 +500,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "intersected_edges": result.intersected.n_edges,
         "n_components": result.components.n_components,
         "largest_component": max(sizes),
-        "n_stranded": sum(s for s in sizes if s < config.cpf_params.component_size_floor),
+        "n_stranded": sum(s for s in sizes if s < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in timings.items()},
         "config": config.to_dict(),
         "seed": config.seed,

@@ -152,3 +152,11 @@ def test_standardize_round_trip_and_idempotence(matrix):
     np.testing.assert_allclose(params.inverse(out), matrix, atol=1e-9 * max(1, np.abs(matrix).max()))
     again, _ = standardize(out, element_order=("A", "B", "C"))
     np.testing.assert_allclose(again, out, atol=1e-9)
+
+
+def test_parse_non_finite_detection_limit_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    for cell in ("<nan", "<inf", "<-inf"):
+        write_rows(path, HEADER, [sample_row(), sample_row("B2", sb=cell)])
+        with pytest.raises(RowParseError, match=r"t\.csv: line 3: non-finite .*Sb"):
+            parse_g5_csv(path)

@@ -187,6 +187,31 @@ def test_unknown_config_key_rejected(tmp_path, survey_csv):
             PipelineConfig.from_file(cfg_path)
 
 
+def test_config_round_trip(tmp_path, survey_csv):
+    default = PipelineConfig(input=str(survey_csv))
+    custom = PipelineConfig.from_dict({
+        "input": str(survey_csv), "output_dir": str(tmp_path / "o"), "bdl_policy": "reject",
+        "scaling": "none", "geo_metric": "euclidean_itm",
+        "cpf": {"min_samples": 7, "rho": 0.2, "alpha": 0.5, "merge_threshold": 2.0,
+                "density_ratio_threshold": 0.3, "min_component_size": 3},
+        "iforest": {"n_trees": 9, "subsample_size": 16, "contamination": 0.1,
+                    "features": "raw"},
+        "calinski_harabasz": {"include_outliers": True, "features": "raw"},
+        "log10_export": False, "seed": 5})
+    assert custom.to_dict() != default.to_dict()
+    for cfg in (default, custom):
+        assert PipelineConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def test_example_config_matches_defaults(tmp_path, survey_csv):
+    example = os.path.join(os.path.dirname(__file__), os.pardir, "config.example.yaml")
+    with open(example, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["input"] = str(survey_csv)
+    loaded = PipelineConfig.from_dict(raw)
+    assert loaded.to_dict() == PipelineConfig(input=str(survey_csv)).to_dict()
+
+
 def test_config_validation_errors(tmp_path, survey_csv):
     with pytest.raises(ParameterError):
         PipelineConfig.from_dict({"input": str(survey_csv), "geo_metric": "nope"})
@@ -309,10 +334,17 @@ def test_cli_config_errors_exit_1_with_one_line(tmp_path, survey_csv, capsys):
     no_input = tmp_path / "no_input.yaml"
     no_input.write_text(yaml.safe_dump({"output_dir": str(tmp_path / "out")}))
     assert_one_line_error(no_input)
+    mixed_keys = tmp_path / "mixed_keys.yaml"
+    mixed_keys.write_text(f"input: {survey_csv}\n5: 1\nbogus: 2\n")
+    assert_one_line_error(mixed_keys)
     for overrides in ({"cpf": {"min_samples": "abc"}},
                       {"iforest": {"n_trees": "5"}},
                       {"log10_export": "no"},
-                      {"calinski_harabasz": {"include_outliers": "no"}}):
+                      {"calinski_harabasz": {"include_outliers": "no"}},
+                      {"cpf": {5: 1, "bogus": 2}},
+                      {"bdl_policy": "a\nb"},
+                      {"geo_metric": "a\u2028b"},
+                      {"input": "no\nfile"}):
         assert_one_line_error(make_config(tmp_path, survey_csv, **overrides))
     assert not (tmp_path / "out").exists()
 
@@ -337,6 +369,30 @@ def test_cli_export_out_writes_geojson_there(tmp_path, survey_csv):
     assert target.read_bytes() == want
     assert not (out_dir / FILES["geojson"]).exists()
     assert (out_dir / FILES["plot_data"]).exists()
+
+
+def test_cli_graph_in_is_samples_table_under_euclidean_itm(tmp_path, survey_csv, capsys):
+    cfg_path = make_config(tmp_path, survey_csv, geo_metric="euclidean_itm")
+    assert main(["ingest", "--config", str(cfg_path)]) == 0
+    assert main(["graph", "--config", str(cfg_path)]) == 0
+    out_dir = tmp_path / "out"
+    want = (out_dir / FILES["adjacency"]).read_bytes()
+    capsys.readouterr()
+
+    missing = tmp_path / "no_such_file.csv"
+    assert main(["graph", "--config", str(cfg_path), "--in", str(missing),
+                 "--out", str(tmp_path / "never.bin")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "no_such_file.csv" in err, err
+    assert not (tmp_path / "never.bin").exists()
+
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes((out_dir / FILES["samples"]).read_bytes())
+    (out_dir / FILES["samples"]).unlink()
+    target = tmp_path / "copy.bin"
+    assert main(["graph", "--config", str(cfg_path), "--in", str(copy),
+                 "--out", str(target)]) == 0
+    assert target.read_bytes() == want
 
 
 def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, capsys):
