@@ -29,13 +29,10 @@ from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
 from .errors import InternalConsistencyError, ParameterError, require_type
-from .graph import (ComponentLabels, SparseAdjacency, connected_components,
-                    hadamard_intersect, knn, mutual_graph)
+from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency,
+                    connected_components, hadamard_intersect, knn, mutual_graph)
 
 OUTLIER = -1
-# Relative slack between distances computed with different rounding (the
-# kd-tree's, numpy's and cdist's), far wider than their actual gap.
-_FP_MARGIN = 1e-9
 # Distance entries per fallback block in big_brother (8 MiB of float64).
 _BLOCK_ENTRIES = 1 << 20
 
@@ -165,7 +162,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     radius[i] from i, so when i's nearest qualifying list entry is strictly
     inside radius[i], every qualifying sample that close is on the list and
     the list decides parent and omega. Distances from knn, numpy and cdist
-    differ in rounding, so the radius is shrunk by _FP_MARGIN before this
+    differ in rounding, so the radius is shrunk by FP_MARGIN before this
     test and omega is always a cdist value (one pair's cdist value does not
     depend on the block it is computed in). The rest -- samples without a
     qualifying list entry, with radius 0 (duplicates) or with the nearest
@@ -195,11 +192,11 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     for column in features.T:
         approx += (column[neighbors] - column[:, None]) ** 2
     approx = np.where(qualifies, np.sqrt(approx), np.inf)
-    near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + _FP_MARGIN))
+    near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + FP_MARGIN))
     exact = np.full(neighbors.shape, np.inf)
     exact[near] = _pair_distances(features, np.nonzero(near)[0], neighbors[near])
     best = exact.min(axis=1)
-    resolved = best < np.asarray(radius, dtype=float) * (1.0 - _FP_MARGIN)
+    resolved = best < np.asarray(radius, dtype=float) * (1.0 - FP_MARGIN)
     parent[resolved] = np.where(exact == best[:, None], neighbors, n).min(axis=1)[resolved]
     omega[resolved] = best[resolved]
 

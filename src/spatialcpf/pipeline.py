@@ -339,8 +339,9 @@ def export_geojson(site_ids, labels, coords, log_density, path,
         })
     doc = {"type": "FeatureCollection", "features": features}
     path = Path(path)
+    # json.dumps runs the C encoder; json.dump to a file never does.
     with atomic_open(path, encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=True)
+        fh.write(json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True))
     return path
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
                             DensityEstimate, assign_clusters, big_brother, fit, knn_density,
                             merge_clusters, select_centers)
 from spatialcpf.errors import DataError, ParameterError
-from spatialcpf.graph import (ComponentLabels, connected_components, knn,
-                              mutual_graph, mutual_knn_graph)
+from spatialcpf.graph import (ComponentLabels, SparseAdjacency, connected_components,
+                              knn, mutual_graph, mutual_knn_graph)
 
 
 def single_component(n):
@@ -332,6 +333,45 @@ def test_fit_identical_points_single_cluster():
         result = fit(features, geo_adj, params)
     assert result.labeling.n_clusters == 1
     assert result.labeling.n_outliers == n - (k + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), k=st.integers(1, 6),
+       d=st.integers(1, 3), points=st.sampled_from(["random", "lattice"]),
+       floor=st.integers(1, 10), rho=st.sampled_from([0.0, 0.01, 0.3]),
+       alpha=st.sampled_from([0.015, 0.2, 0.5]),
+       merge_threshold=st.sampled_from([0.0, 1.0, 2.0, 7.5]))
+def test_fit_matches_oracle(seed, n, k, d, points, floor, rho, alpha, merge_threshold):
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    if points == "random":
+        features = rng.normal(size=(n, d))
+        geo = rng.uniform(size=(n, 2))
+    else:
+        # Small integer lattices: duplicated points, ties in distance and
+        # density, and every distance the correctly rounded sqrt of an integer.
+        features = rng.integers(0, 4, (n, d)).astype(float)
+        geo = rng.integers(0, 5, (n, 2)).astype(float)
+    geo_lists, _ = oracle_cpf.knn_lists(geo, k)
+    geo_adj = SparseAdjacency(n=n, edges=sorted(oracle_cpf.mutual_edges(geo_lists)))
+    params = CpfParams(min_samples=k, rho=rho, alpha=alpha, merge_threshold=merge_threshold,
+                       min_component_size=floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = fit(features, geo_adj, params)
+        want = oracle_cpf.fit(features, geo_adj, params)
+    np.testing.assert_array_equal(got.intersected.edges, want.intersected.edges)
+    np.testing.assert_array_equal(got.components.labels, want.components.labels)
+    assert got.components.component_sizes == want.components.component_sizes
+    np.testing.assert_array_equal(got.big_brother.parent, want.big_brother.parent)
+    np.testing.assert_array_equal(got.centers, want.centers)
+    np.testing.assert_array_equal(got.labeling.labels, want.labeling.labels)
+    for ours, theirs in ((got.big_brother.omega, want.big_brother.omega),
+                         (got.density.log_density, want.density.log_density)):
+        if points == "lattice":
+            np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+        else:
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0.0)
 
 
 def test_fit_rejects_small_n():

@@ -1,13 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from oracle_graph import knn_loop
+from spatialcpf import graph
 from spatialcpf.errors import DataError, ParameterError, SpatialCpfError
 from spatialcpf.graph import (SparseAdjacency, connected_components,
-                              dump_adjacency, hadamard_intersect,
+                              dump_adjacency, hadamard_intersect, knn,
                               load_adjacency, mutual_knn_graph)
 
 
@@ -90,6 +94,123 @@ def test_tie_breaking_on_grid():
             expected = brute_force_mutual_knn(pts, k)
             assert adj.edge_set() == expected, (n, k)
             assert list(connected_components(adj).labels) == bfs_components(n, expected)
+
+
+def _tied_at_cut(points, k):
+    """Rows whose k-th and (k+1)-th nearest non-self distances are equal
+    (always empty when k + 2 >= n, where knn sees every point)."""
+    n = len(points)
+    if k + 2 >= n:
+        return set()
+    dist = np.sort(np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2), axis=1)
+    # Column 0 is a zero: self, or a duplicate standing in for it.
+    return set(np.flatnonzero(dist[:, k] == dist[:, k + 1]).tolist())
+
+
+def _spy_on_ties(mp):
+    """Record the rows knn sends to its per-point fallback."""
+    seen = []
+    resolve = graph._resolve_ties
+
+    def spy(tree, points, rows, cut, neighbors):
+        seen.extend(rows.tolist())
+        return resolve(tree, points, rows, cut, neighbors)
+
+    mp.setattr(graph, "_resolve_ties", spy)
+    return seen
+
+
+@pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.sampled_from([1, 2, 3, 15]),
+       points=st.sampled_from(["random", "tenths", "lattice"]),
+       k_pick=st.sampled_from(["one", "random", "n-1"]))
+def test_knn_matches_loop_oracle(block, seed, n, d, points, k_pick):
+    rng = np.random.default_rng(seed)
+    k = {"one": 1, "random": int(rng.integers(1, n)), "n-1": n - 1}[k_pick]
+    if points == "random":
+        pts = rng.normal(size=(n, d))
+    elif points == "tenths":
+        # Ties in exact arithmetic that rounding may split by an ulp.
+        pts = rng.integers(0, 3, (n, d)) * 0.1
+    else:
+        # A small integer lattice: duplicated points and exactly equal distances.
+        pts = rng.integers(0, 4, (n, d)).astype(float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_ROWS", block)
+        fallback = _spy_on_ties(mp)
+        neighbors, radius = knn(pts, k)
+    want_neighbors, want_radius = knn_loop(pts, k)
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    np.testing.assert_array_equal(radius, want_radius)
+    # Every row tied at the cut goes to the fallback; on a lattice, where
+    # distinct distances are far apart, no other row does.
+    tied = _tied_at_cut(pts, k)
+    assert tied <= set(fallback)
+    if points == "lattice":
+        assert sorted(fallback) == sorted(tied)
+
+
+@pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
+def test_knn_fallback_resolves_lattice_ties(block):
+    rng = np.random.default_rng(11)
+    sent = 0
+    for n in range(3, 41):
+        for d in (1, 2, 3):
+            pts = rng.integers(0, 4, (n, d)).astype(float)
+            for k in sorted({1, int(rng.integers(1, n)), n - 1}):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(graph, "_BLOCK_ROWS", block)
+                    fallback = _spy_on_ties(mp)
+                    got = knn(pts, k)
+                want = knn_loop(pts, k)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert sorted(fallback) == sorted(_tied_at_cut(pts, k))
+                sent += len(fallback)
+    assert sent > 1000
+
+
+def test_knn_margin_covers_kd_tree_rounding():
+    # A lattice of tenths in 15-D: the kd-tree and numpy sum the squares in
+    # different orders, so the two disagree in the last bits on near-ties.
+    rng = np.random.default_rng(3)
+    disagree = 0
+    for _ in range(50):
+        pts = rng.integers(0, 3, (40, 15)) * 0.1
+        k = int(rng.integers(1, 39))
+        got = knn(pts, k)
+        want = knn_loop(pts, k)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        tree_dist, idx = cKDTree(pts).query(pts, k=k + 2)
+        disagree += np.sum(tree_dist != np.linalg.norm(pts[idx] - pts[:, None, :], axis=2))
+    assert disagree > 0
+
+
+def test_knn_memory_bounded_on_feature_matrix():
+    # Survey-sized features on a smooth field; the per-point loop peaks at
+    # about 43 MiB here; an unblocked (n, k+2, d) difference array alone is 70 MiB.
+    rng = np.random.default_rng(5)
+    n, d, k = 8000, 15, 75
+    unit = rng.uniform(size=(n, 2))
+    field = rng.uniform(0.5, 3.0, d) + unit @ rng.uniform(-1.0, 1.0, (2, d))
+    features = field + rng.normal(0, 0.05, (n, d))
+    features = (features - features.mean(axis=0)) / features.std(axis=0)
+    tracemalloc.start()
+    try:
+        neighbors, radius = knn(features, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert neighbors.shape == (n, k) and radius.shape == (n,)
+    assert np.all(neighbors != np.arange(n)[:, None])
+    # Spot-check a few rows against a brute-force ordering.
+    for i in (0, 4321, n - 1):
+        dist = np.linalg.norm(features - features[i], axis=1)
+        dist[i] = np.inf
+        np.testing.assert_array_equal(neighbors[i], np.lexsort((np.arange(n), dist))[:k])
 
 
 def test_haversine_matches_euclidean_oracle_on_sphere_embedding():
