@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (ingest, project, graph, cluster,
-refine, summarize, export) plus `run` for the whole chain. All behavior is
+One subcommand per stage declared in pipeline.STAGES (ingest, project,
+graph, cluster, refine, summarize, export) plus `run` for the whole chain. All behavior is
 driven by one YAML config file; --seed overrides the config's seed.
 """
 
@@ -12,19 +12,7 @@ import json
 import sys
 
 from .errors import SpatialCpfError
-from .pipeline import PipelineConfig, StageError, run_pipeline
-from . import pipeline
-
-STAGES = {
-    "ingest": lambda cfg, a: pipeline.stage_ingest(cfg, in_path=a.in_path, out_path=a.out_path),
-    "project": lambda cfg, a: pipeline.stage_project(cfg, in_path=a.in_path, out_path=a.out_path),
-    "graph": lambda cfg, a: pipeline.stage_graph(cfg, in_path=a.in_path, out_path=a.out_path),
-    "cluster": lambda cfg, a: pipeline.stage_cluster(cfg, samples_path=a.in_path, out_path=a.out_path),
-    "refine": lambda cfg, a: pipeline.stage_refine(cfg, labeling_path=a.in_path, out_path=a.out_path),
-    "summarize": lambda cfg, a: pipeline.stage_summarize(cfg, labeling_path=a.in_path, out_path=a.out_path),
-    "export": lambda cfg, a: pipeline.stage_export(cfg, labeling_path=a.in_path,
-                                                   out_path=a.out_path),
-}
+from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,8 +42,10 @@ def main(argv=None) -> int:
             report = run_pipeline(config)
             json.dump(report, sys.stdout, indent=2, sort_keys=True)
             print()
+            for warning in report["warnings"]:
+                print(f"warning: {warning}", file=sys.stderr)
         else:
-            result = STAGES[args.command](config, args)
+            result = run_stage(args.command, config, args.in_path, args.out_path)
             if isinstance(result, tuple):
                 for p in result:
                     print(p)

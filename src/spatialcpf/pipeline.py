@@ -1,10 +1,14 @@
-"""Pipeline orchestration: config parsing, stage computations, and exports.
+"""Pipeline orchestration: config parsing, the stage chain, and exports.
 
-run_pipeline parses the survey once, passes each stage's result in memory to
-the next and writes every artifact once. A stage_* function runs one stage
-alone: it reads its inputs from files, runs the same computation and writes
-its outputs, so a staged run gives byte-identical exports. Floats are written
-with repr() (shortest round-trip form), so the CSV intermediates are lossless.
+STAGES declares each stage of ingest -> project -> graph -> cluster ->
+refine -> summarize -> export once: the artifacts --in overrides, the
+artifacts it writes and its function on a run's store of artifacts. One
+runner serves both entries. run_pipeline runs every stage on one store, so
+each result passes to the next in memory and each artifact is written once.
+run_stage runs a single stage; the store reads its inputs from their files
+through each artifact's one reader, so running the stages one at a time
+gives byte-identical exports. Floats are written with repr() (shortest
+round-trip form), so the CSV intermediates are lossless.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import csv
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -157,6 +162,9 @@ FILES = {
     "report": "report.json",
 }
 
+# A run whose share of outlier samples exceeds this warns of a degenerate result.
+DEGENERATE_OUTLIER_FRACTION = 0.5
+
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
@@ -174,63 +182,6 @@ def _write_csv(path, header, rows) -> Path:
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
     return Path(path)
-
-
-def project_wgs84(table: ingest.SampleTable) -> np.ndarray:
-    """(n, 2) WGS84 latitude and longitude of each site."""
-    return np.array([geodesy.itm_to_wgs84(e, n) for e, n in table.itm.tolist()])
-
-
-def geo_graph(config: PipelineConfig, itm, latlon) -> graph.SparseAdjacency:
-    """Geographic mutual kNN graph: over ITM meters under euclidean_itm,
-    otherwise over (lat, lon), by haversine or plain euclidean degrees."""
-    k = config.cpf.min_samples
-    if config.geo_metric == "euclidean_itm":
-        return graph.mutual_knn_graph(itm, k=k, metric="euclidean")
-    metric = "haversine" if config.geo_metric == "haversine" else "euclidean"
-    return graph.mutual_knn_graph(latlon, k=k, metric=metric)
-
-
-def feature_matrices(config: PipelineConfig, table: ingest.SampleTable) -> dict:
-    """The (n, 15) concentrations by FEATURE_CHOICES name: "raw", and
-    "standardized" under config.scaling."""
-    raw = table.concentrations
-    return {"raw": raw, "standardized": ingest.standardize(raw, method=config.scaling)[0]}
-
-
-def refine(config: PipelineConfig, features: np.ndarray, labels: np.ndarray):
-    """Isolation Forest scores and flags for the outlier set; NaN and False
-    elsewhere, and everywhere when there are fewer than two outliers."""
-    outlier_idx = np.flatnonzero(labels == cpf.OUTLIER)
-    scores = np.full(labels.size, np.nan)
-    flags = np.zeros(labels.size, dtype=bool)
-    if outlier_idx.size >= 2:
-        subset = features[outlier_idx]
-        model = iforest.fit_iforest(
-            subset, n_trees=config.iforest.n_trees,
-            subsample_size=config.iforest.subsample_size, seed=config.seed)
-        scores[outlier_idx] = iforest.anomaly_scores(model, subset)
-        flags[outlier_idx] = iforest.flag_outliers(scores[outlier_idx],
-                                                   config.iforest.contamination)
-    return scores, flags
-
-
-def labeling_columns(site_ids, result: cpf.FitResult) -> dict:
-    """A fit's labeling.csv columns, keyed as read_labeling returns them."""
-    return {"site_ids": site_ids, "labels": result.labeling.labels,
-            "log_density": result.density.log_density, "omega": result.big_brother.omega,
-            "component_id": result.components.labels}
-
-
-def write_samples(table: ingest.SampleTable, path) -> Path:
-    rows = ([sid, *xy, *conc] for sid, xy, conc in
-            zip(table.site_ids, table.itm.tolist(), table.concentrations.tolist()))
-    return _write_csv(path, ["site_id", "easting", "northing", *ingest.ELEMENTS], rows)
-
-
-def write_coords(site_ids, latlon: np.ndarray, path) -> Path:
-    rows = ([sid, *ll] for sid, ll in zip(site_ids, latlon.tolist()))
-    return _write_csv(path, ["site_id", "latitude", "longitude"], rows)
 
 
 def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
@@ -299,7 +250,7 @@ _REFINE_CELLS = {
 
 
 def read_labeling(path) -> dict:
-    """labeling.csv's columns keyed as labeling_columns returns them, plus
+    """labeling.csv's columns keyed as the cluster stage stores them, plus
     anomaly_score and iforest_flag once refine has written them."""
     cols = _read_columns(path, _LABELING_CELLS, optional=_REFINE_CELLS)
     return {key: values if key == "site_ids" else np.array(values)
@@ -359,150 +310,205 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
                              "whisker_low", "whisker_high", "beyond_whiskers"], rows)
 
 
-def _export(config: PipelineConfig, lab: dict, latlon, summary,
-            geojson_path=None) -> tuple[Path, Path]:
-    geojson = export_geojson(
-        lab["site_ids"], lab["labels"], latlon, lab["log_density"],
-        geojson_path or config.path(FILES["geojson"]),
-        scores=lab.get("anomaly_score"), flags=lab.get("iforest_flag"))
-    return geojson, export_plot_data(summary, config.path(FILES["plot_data"]))
-
-
 # ---------------------------------------------------------------- stages
 
-def stage_ingest(config: PipelineConfig, in_path=None, out_path=None) -> Path:
-    """Parse the raw survey CSV and write the normalized sample table."""
-    table = ingest.parse_g5_csv(in_path or config.input, bdl_policy=config.bdl_policy)
-    return write_samples(table, out_path or config.path(FILES["samples"]))
+class _Store(dict):
+    """One run's artifacts by FILES key, plus "features" and "fit". A value
+    no stage of the run has produced comes from _SOURCES on first use: an
+    artifact is read from the path passed for it, else from output_dir."""
+
+    def __init__(self, config: PipelineConfig, paths=None, out=None):
+        super().__init__()
+        self.config, self.paths, self.out = config, paths or {}, out or {}
+
+    def path(self, key) -> Path:
+        return Path(self.paths.get(key) or self.config.path(FILES[key]))
+
+    def __missing__(self, key):
+        value = self[key] = _SOURCES[key](self)
+        return value
 
 
-def stage_project(config: PipelineConfig, in_path=None, out_path=None) -> Path:
-    """Convert ITM coordinates to WGS84 and write site_id, lat, lon."""
-    table = ingest.parse_g5_csv(in_path or config.path(FILES["samples"]))
-    return write_coords(table.site_ids, project_wgs84(table),
-                        out_path or config.path(FILES["coords"]))
+# How the store gets a value that no stage of the run has produced.
+_SOURCES = {
+    "samples": lambda s: ingest.parse_g5_csv(s.path("samples")),
+    "coords": lambda s: _read_coords(s.path("coords")),
+    "adjacency": lambda s: graph.load_adjacency(s.path("adjacency")),
+    "labeling": lambda s: read_labeling(s.path("labeling")),
+    # The (n, 15) concentrations by FEATURE_CHOICES name.
+    "features": lambda s: {"raw": s["samples"].concentrations,
+                           "standardized": ingest.standardize(s["samples"].concentrations,
+                                                              method=s.config.scaling)[0]},
+    "summary": lambda s: metrics.cluster_summary(
+        s["samples"], cpf.ClusterLabeling(labels=s["labeling"]["labels"]),
+        log10_export=s.config.log10_export),
+}
+
+# Each artifact's one writer, called with the store and the path.
+_WRITERS = {
+    "samples": lambda s, path: _write_csv(
+        path, ["site_id", "easting", "northing", *ingest.ELEMENTS],
+        zip(s["samples"].site_ids, *s["samples"].itm.T.tolist(),
+            *s["samples"].concentrations.T.tolist())),
+    "coords": lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
+                                         zip(s["samples"].site_ids, *s["coords"].T.tolist())),
+    "adjacency": lambda s, path: graph.dump_adjacency(s["adjacency"], path),
+    "labeling": lambda s, path: write_labeling(s["labeling"], path),
+    "summary": lambda s, path: write_summary(s["summary"], path),
+    "geojson": lambda s, path: export_geojson(
+        s["labeling"]["site_ids"], s["labeling"]["labels"], s["coords"],
+        s["labeling"]["log_density"], path, scores=s["labeling"].get("anomaly_score"),
+        flags=s["labeling"].get("iforest_flag")),
+    "plot_data": lambda s, path: export_plot_data(s["summary"], path),
+}
 
 
-def stage_graph(config: PipelineConfig, in_path=None, out_path=None) -> Path:
-    """Build the geographic mutual kNN graph and dump it in binary form. The
-    input is the sample table under euclidean_itm, otherwise coords.csv."""
-    itm = latlon = None
-    if config.geo_metric == "euclidean_itm":
-        itm = ingest.parse_g5_csv(in_path or config.path(FILES["samples"])).itm
-    else:
-        latlon = _read_coords(in_path or config.path(FILES["coords"]))
-    out = Path(out_path or config.path(FILES["adjacency"]))
-    graph.dump_adjacency(geo_graph(config, itm, latlon), out)
-    return out
+def _ingest(s: _Store) -> None:
+    s["samples"] = ingest.parse_g5_csv(s.paths.get("input") or s.config.input,
+                                       bdl_policy=s.config.bdl_policy)
 
 
-def stage_cluster(config: PipelineConfig, samples_path=None, adjacency_path=None,
-                  out_path=None) -> Path:
-    """Run spatial-CPF and write the labeling CSV."""
-    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
-    adj = graph.load_adjacency(adjacency_path or config.path(FILES["adjacency"]))
-    result = cpf.fit(feature_matrices(config, table)["standardized"], adj, config.cpf)
-    return write_labeling(labeling_columns(table.site_ids, result),
-                          out_path or config.path(FILES["labeling"]))
+def _project(s: _Store) -> None:
+    """WGS84 (latitude, longitude) of each site."""
+    s["coords"] = np.array([geodesy.itm_to_wgs84(e, n) for e, n in s["samples"].itm.tolist()])
 
 
-def stage_refine(config: PipelineConfig, samples_path=None, labeling_path=None,
-                 out_path=None) -> Path:
-    """Score the outlier set with an Isolation Forest and append columns."""
-    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
-    lab_path = labeling_path or config.path(FILES["labeling"])
-    lab = read_labeling(lab_path)
-    features = feature_matrices(config, table)[config.iforest.features]
-    lab["anomaly_score"], lab["iforest_flag"] = refine(config, features, lab["labels"])
-    return write_labeling(lab, out_path or lab_path)
+def _graph(s: _Store) -> None:
+    """Geographic mutual kNN graph: over ITM meters under euclidean_itm,
+    otherwise over (lat, lon), by haversine or plain euclidean degrees."""
+    points = s["samples"].itm if s.config.geo_metric == "euclidean_itm" else s["coords"]
+    metric = "haversine" if s.config.geo_metric == "haversine" else "euclidean"
+    s["adjacency"] = graph.mutual_knn_graph(points, k=s.config.cpf.min_samples, metric=metric)
 
 
-def stage_summarize(config: PipelineConfig, samples_path=None, labeling_path=None,
-                    out_path=None) -> Path:
-    """Write the long-format per-cluster, per-element statistics CSV."""
-    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
-    lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
-    labeling = cpf.ClusterLabeling(labels=lab["labels"])
-    summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
-    return write_summary(summary, out_path or config.path(FILES["summary"]))
+def _cluster(s: _Store) -> None:
+    fit = s["fit"] = cpf.fit(s["features"]["standardized"], s["adjacency"], s.config.cpf)
+    s["labeling"] = {"site_ids": s["samples"].site_ids, "labels": fit.labeling.labels,
+                     "log_density": fit.density.log_density, "omega": fit.big_brother.omega,
+                     "component_id": fit.components.labels}
 
 
-def stage_export(config: PipelineConfig, samples_path=None, coords_path=None,
-                 labeling_path=None, out_path=None) -> tuple[Path, Path]:
-    """Write the GeoJSON (to out_path if given) and plot-data exports from
-    existing intermediates; plot_data.csv always goes under output_dir."""
-    table = ingest.parse_g5_csv(samples_path or config.path(FILES["samples"]))
-    latlon = _read_coords(coords_path or config.path(FILES["coords"]))
-    lab = read_labeling(labeling_path or config.path(FILES["labeling"]))
-    labeling = cpf.ClusterLabeling(labels=lab["labels"])
-    summary = metrics.cluster_summary(table, labeling, log10_export=config.log10_export)
-    return _export(config, lab, latlon, summary, out_path)
+def _refine(s: _Store) -> None:
+    """Isolation Forest scores and flags for the outlier set; NaN and False
+    elsewhere, and everywhere when there are fewer than two outliers."""
+    params = s.config.iforest
+    features, lab = s["features"][params.features], s["labeling"]
+    outlier_idx = np.flatnonzero(lab["labels"] == cpf.OUTLIER)
+    scores = lab["anomaly_score"] = np.full(lab["labels"].size, np.nan)
+    flags = lab["iforest_flag"] = np.zeros(lab["labels"].size, dtype=bool)
+    if outlier_idx.size >= 2:
+        subset = features[outlier_idx]
+        model = iforest.fit_iforest(subset, n_trees=params.n_trees,
+                                    subsample_size=params.subsample_size, seed=s.config.seed)
+        scores[outlier_idx] = iforest.anomaly_scores(model, subset)
+        flags[outlier_idx] = iforest.flag_outliers(scores[outlier_idx], params.contamination)
+
+
+class Stage(NamedTuple):
+    """One step of the chain: the artifacts --in overrides, the artifacts it
+    writes (--out overrides the first) and its function on the store. A
+    stage without one writes values the store derives (the summary)."""
+    inputs: tuple
+    outputs: tuple
+    run: Callable[[_Store], None] | None = None
+
+
+STAGES = {
+    # "input" is the raw survey CSV, the config's input by default.
+    "ingest": Stage(("input",), ("samples",), _ingest),
+    "project": Stage(("samples",), ("coords",), _project),
+    # --in is whichever one geo_metric reads: samples under euclidean_itm, else coords.
+    "graph": Stage(("samples", "coords"), ("adjacency",), _graph),
+    "cluster": Stage(("samples",), ("labeling",), _cluster),
+    "refine": Stage(("labeling",), ("labeling",), _refine),
+    "summarize": Stage(("labeling",), ("summary",)),
+    "export": Stage(("labeling",), ("geojson", "plot_data")),
+}
+
+
+def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], list[Path]]:
+    """Run the named stages in order on s; return each one's seconds and the
+    files written. A stage writes the outputs that no later stage in names
+    rewrites, to the --out path if given, else where they are read. On an
+    error the files this run wrote are removed, and StageError names the stage."""
+    written, seconds = [], {}
+    for i, name in enumerate(names):
+        stage, start = STAGES[name], time.perf_counter()
+        rewritten = {key for later in names[i + 1:] for key in STAGES[later].outputs}
+        try:
+            if stage.run:
+                stage.run(s)
+            for key in stage.outputs:
+                if key not in rewritten:
+                    path = Path(s.out.get(key) or s.path(key))
+                    _WRITERS[key](s, path)
+                    written.append(path)
+        except Exception as exc:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise StageError(name, exc) from exc
+        seconds[name] = time.perf_counter() - start
+    return seconds, written
+
+
+def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, **paths):
+    """Run one stage alone and return the path it wrote (a tuple for export).
+    in_path overrides the stage's inputs, out_path its first output, and an
+    <artifact>_path keyword that artifact's file; refine rewrites the labeling
+    file it read. An error is raised as is, after this stage's writes are removed."""
+    stage = STAGES[name]
+    paths = {key.removesuffix("_path"): p for key, p in paths.items() if p}
+    if in_path:
+        paths.update(dict.fromkeys(stage.inputs, in_path))
+    try:
+        written = _run(_Store(config, paths, out={stage.outputs[0]: out_path}), [name])[1]
+    except StageError as exc:
+        raise exc.cause
+    return tuple(written) if len(written) > 1 else written[0]
+
+
+stage_ingest = partial(run_stage, "ingest")
+stage_project = partial(run_stage, "project")
+stage_graph = partial(run_stage, "graph")
+stage_cluster = partial(run_stage, "cluster")
+stage_refine = partial(run_stage, "refine")
+stage_summarize = partial(run_stage, "summarize")
+stage_export = partial(run_stage, "export")
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage in memory, writing each artifact once; abort (removing
-    this run's outputs) on error.
+    """Run every stage on one store, writing each artifact once; abort
+    (removing this run's outputs) on error.
 
     Returns the run report, which is also written to report.json.
     """
-    written: list[Path] = []
-    timings: dict[str, float] = {}
-
-    @contextmanager
-    def stage(name, *outputs):
-        written.extend(config.path(FILES[key]) for key in outputs)
-        start = time.perf_counter()
-        try:
-            yield
-        except Exception as exc:
-            for p in written:
-                p.unlink(missing_ok=True)
-            raise StageError(name, exc) from exc
-        timings[name] = time.perf_counter() - start
-
-    with stage("ingest", "samples"):
-        table = ingest.parse_g5_csv(config.input, bdl_policy=config.bdl_policy)
-        write_samples(table, config.path(FILES["samples"]))
-    with stage("project", "coords"):
-        latlon = project_wgs84(table)
-        write_coords(table.site_ids, latlon, config.path(FILES["coords"]))
-    with stage("graph", "adjacency"):
-        adj = geo_graph(config, table.itm, latlon)
-        graph.dump_adjacency(adj, config.path(FILES["adjacency"]))
-    with stage("cluster"):
-        features = feature_matrices(config, table)
-        result = cpf.fit(features["standardized"], adj, config.cpf)
-    with stage("refine", "labeling"):
-        lab = labeling_columns(table.site_ids, result)
-        lab["anomaly_score"], lab["iforest_flag"] = refine(
-            config, features[config.iforest.features], lab["labels"])
-        write_labeling(lab, config.path(FILES["labeling"]))
-    with stage("summarize", "summary"):
-        summary = metrics.cluster_summary(table, result.labeling,
-                                          log10_export=config.log10_export)
-        write_summary(summary, config.path(FILES["summary"]))
-    with stage("export", "geojson", "plot_data"):
-        _export(config, lab, latlon, summary)
-
-    labeling = result.labeling
-    sizes = result.components.component_sizes.values()
+    s = _Store(config)
+    seconds = _run(s, list(STAGES))[0]
+    n, fit = s["samples"].n, s["fit"]
+    labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
-        ch = metrics.calinski_harabasz(features[config.calinski_harabasz.features], labeling,
+        ch = metrics.calinski_harabasz(s["features"][config.calinski_harabasz.features], labeling,
                                        include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
+    warnings = []
+    if labeling.n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
+        warnings.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
+                        f"are outliers, above the degenerate-result threshold of "
+                        f"{DEGENERATE_OUTLIER_FRACTION:.0%}")
     report = {
-        "n_samples": table.n,
+        "n_samples": n,
         "n_clusters": labeling.n_clusters,
         "cluster_sizes": labeling.cluster_sizes(),
         "n_outliers": labeling.n_outliers,
         "calinski_harabasz": ch if ch is None or math.isfinite(ch) else "inf",
-        "n_flagged": int(np.sum(lab["iforest_flag"])),
-        "intersected_edges": result.intersected.n_edges,
-        "n_components": result.components.n_components,
+        "n_flagged": int(np.sum(s["labeling"]["iforest_flag"])),
+        "intersected_edges": fit.intersected.n_edges,
+        "n_components": fit.components.n_components,
         "largest_component": max(sizes),
-        "n_stranded": sum(s for s in sizes if s < config.cpf.component_size_floor),
-        "stage_seconds": {k: round(v, 4) for k, v in timings.items()},
+        "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
+        "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
+        "warnings": warnings,
         "config": config.to_dict(),
         "seed": config.seed,
     }

@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,9 +128,17 @@ def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv
     count(pipeline, "read_labeling")
     count(pipeline, "_read_coords")
     count(graph, "load_adjacency")
-    run_pipeline(PipelineConfig.from_file(make_config(tmp_path, survey_csv)))
+    writes = Counter()
+    for module in (pipeline, graph):
+        def counted_open(path, *args, open_=module.atomic_open, **kwargs):
+            writes[Path(path)] += 1
+            return open_(path, *args, **kwargs)
+        monkeypatch.setattr(module, "atomic_open", counted_open)
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    run_pipeline(config)
     assert calls == {"parse_g5_csv": 1, "read_labeling": 0, "_read_coords": 0,
                      "load_adjacency": 0}
+    assert writes == {config.path(name): 1 for name in FILES.values()}
 
 
 def test_failed_rewrite_keeps_previous_file(tmp_path, survey_csv, monkeypatch):
@@ -436,3 +447,86 @@ def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, 
     assert main(["graph", "--config", str(cfg_path), "--in", str(coords)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "coords.csv: line 2" in err, err
+
+
+# Each stage's main input, and the file it writes (--out), by FILES key.
+STAGE_IN_OUT = {
+    "ingest": (None, "samples"),
+    "project": ("samples", "coords"),
+    "graph": ("coords", "adjacency"),
+    "cluster": ("samples", "labeling"),
+    "refine": ("labeling", "labeling"),
+    "summarize": ("labeling", "summary"),
+    "export": ("labeling", "geojson"),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_IN_OUT))
+def test_cli_stage_honours_in_and_out(tmp_path, survey_csv, stage):
+    cfg_path = make_config(tmp_path, survey_csv)
+    out_dir = tmp_path / "out"
+    names = list(STAGE_IN_OUT)
+    for name in names[:names.index(stage)]:
+        assert main([name, "--config", str(cfg_path)]) == 0
+    in_key, out_key = STAGE_IN_OUT[stage]
+    original = survey_csv if in_key is None else out_dir / FILES[in_key]
+    copy = tmp_path / "moved" / original.name
+    copy.parent.mkdir()
+    shutil.copyfile(original, copy)
+    assert main([stage, "--config", str(cfg_path)]) == 0
+    default_out = out_dir / FILES[out_key]
+    want = default_out.read_bytes()
+    default_out.unlink(missing_ok=True)
+    if in_key is None:
+        original.write_text("")  # the config's input must exist; an empty one fails to parse
+    else:
+        original.unlink(missing_ok=True)
+
+    target = tmp_path / f"new_{FILES[out_key]}"
+    assert main([stage, "--config", str(cfg_path), "--in", str(copy),
+                 "--out", str(target)]) == 0
+    assert target.read_bytes() == want
+    assert not default_out.exists()
+
+
+def test_cli_refine_in_without_out_rewrites_its_input(tmp_path, survey_csv):
+    cfg_path = make_config(tmp_path, survey_csv)
+    for name in ("ingest", "project", "graph", "cluster"):
+        assert main([name, "--config", str(cfg_path)]) == 0
+    labeling = tmp_path / "out" / FILES["labeling"]
+    clustered = labeling.read_bytes()
+    copy = tmp_path / "x.csv"
+    copy.write_bytes(clustered)
+    assert main(["refine", "--config", str(cfg_path), "--in", str(copy)]) == 0
+    assert labeling.read_bytes() == clustered
+    assert main(["refine", "--config", str(cfg_path)]) == 0
+    assert copy.read_bytes() == labeling.read_bytes() != clustered
+
+
+def run_cli_on_default_config(tmp_path, survey_csv, capsys, **cpf):
+    """spatialcpf run on the config defaults, cpf keys overridden; returns
+    the printed report and stderr."""
+    cfg_path = tmp_path / "defaults.yaml"
+    cfg_path.write_text(yaml.safe_dump({"input": str(survey_csv),
+                                        "output_dir": str(tmp_path / "out"), "cpf": cpf}))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    return json.loads(captured.out), captured.err
+
+
+def test_degenerate_result_warns(tmp_path, survey_csv, capsys):
+    # Components below 100 samples are stranded as outliers: 295 of 400.
+    report, err = run_cli_on_default_config(tmp_path, survey_csv, capsys,
+                                            min_component_size=100)
+    assert report["n_outliers"] > pipeline.DEGENERATE_OUTLIER_FRACTION * 400
+    percent = f"{report['n_outliers'] / 400:.0%}"
+    assert len(report["warnings"]) == 1 and percent in report["warnings"][0]
+    assert err == f"warning: {report['warnings'][0]}\n"
+    written = json.loads((tmp_path / "out" / FILES["report"]).read_text())
+    assert written["warnings"] == report["warnings"]
+
+
+def test_normal_result_does_not_warn(tmp_path, survey_csv, capsys):
+    report, err = run_cli_on_default_config(tmp_path, survey_csv, capsys)
+    assert 0 < report["n_outliers"] <= pipeline.DEGENERATE_OUTLIER_FRACTION * 400
+    assert report["warnings"] == [] and err == ""
