@@ -8,11 +8,11 @@ great-circle distance.
 
 knn is exact with ties broken by ascending index. It asks the kd-tree for
 each point's k+2 nearest, in row blocks, and orders them by (numpy distance,
-index). A row is settled when the gap after its k-th neighbor exceeds the
-rounding margin FP_MARGIN: every point the tree did not return is at least
-as far as the ones it did, so none can come before the k-th. Only rows tied
-at the cut, or inside a run of k+2 or more duplicate points, go through a
-per-point ball query.
+index). A row is settled when the farthest candidate lies beyond the k-th by
+the rounding margin FP_MARGIN: every point the tree did not return is at
+least as far as the ones it did, so none can come before the k-th. Rows tied
+at the cut, or inside a run of duplicate points, are queried again at double
+the width until they settle; at width n every row does.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ EARTH_RADIUS_M = 6371008.8  # mean Earth radius
 # Relative slack between distances computed with different rounding (the
 # kd-tree's, numpy's and cdist's), far wider than their actual gap.
 FP_MARGIN = 1e-9
-# Rows per kd-tree query block in knn; bounds its (rows, k+2, d) temporaries.
+# Rows per kd-tree query block in knn at width k+2, scaled down as the width
+# grows; bounds its (rows, width, d) temporaries.
 _BLOCK_ROWS = 512
 
 
@@ -79,16 +80,17 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     index), and each point's k-th-neighbor radius: the kd-tree's (k+1)-th
     distance, self included.
 
-    Points are queried in blocks of _BLOCK_ROWS rows for their k+2 nearest,
-    self included. The candidates' distances are recomputed with numpy, and
-    each row is ordered by (distance, index) with self last. A row is settled
-    when self was returned and either every point was returned or the
-    (k+1)-th non-self candidate lies beyond the k-th by the relative margin
-    FP_MARGIN. That is exact: a point the tree did not return is at least as
-    far as every one it did, so it is strictly beyond the k-th candidate, and
-    the margin covers the rounding difference between the kd-tree's and
-    numpy's distances. The rest -- ties at the cut, runs of k+2 or more
-    duplicate points -- go to _resolve_ties.
+    Points are queried for their k+2 nearest, self included, in blocks of
+    _BLOCK_ROWS rows. The candidates' distances are recomputed with numpy,
+    and each row is ordered by (distance, index) with self last. A row is
+    settled when self was returned and either every point was returned or
+    the farthest non-self candidate lies beyond the k-th by the relative
+    margin FP_MARGIN. That is exact: a point the tree did not return is at
+    least as far as every one it did, so it is strictly beyond the k-th
+    candidate, and the margin covers the rounding difference between the
+    kd-tree's and numpy's distances. Rows left unsettled -- ties at the cut,
+    runs of duplicate points -- are queried again at double the width, with
+    proportionally fewer rows per block, until none is left.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -101,44 +103,28 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(points)):
         raise DataError("non-finite coordinates")
     tree = cKDTree(points)
-    width = min(k + 2, n)
     neighbors = np.empty((n, k), dtype=np.int64)
     cut = np.empty(n)
-    unsettled = []
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, n))
-        dist, idx = tree.query(points[rows], k=width)
-        cut[rows] = dist[:, k]
-        # The same per-row reduction as in _resolve_ties, so the same bits.
-        d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
-        is_self = idx == rows[:, None]
-        order = np.lexsort((idx, d, is_self), axis=-1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        d = np.take_along_axis(d, order, axis=1)
-        neighbors[rows] = idx[:, :k]
-        settled = is_self.any(axis=1)
-        if width < n:
-            settled &= d[:, k] > d[:, k - 1] * (1 + FP_MARGIN)
-        unsettled.append(rows[~settled])
-    _resolve_ties(tree, points, np.concatenate(unsettled), cut, neighbors)
+    unsettled, width = np.arange(n), min(k + 2, n)
+    while unsettled.size:
+        block, retry = max(1, _BLOCK_ROWS * (k + 2) // width), []
+        for start in range(0, unsettled.size, block):
+            rows = unsettled[start:start + block]
+            dist, idx = tree.query(points[rows], k=width)
+            cut[rows] = dist[:, k]
+            # The same per-row reduction as tests/oracle_graph.knn_loop, so the same bits.
+            d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
+            is_self = idx == rows[:, None]
+            order = np.lexsort((idx, d, is_self), axis=-1)
+            idx = np.take_along_axis(idx, order, axis=1)
+            d = np.take_along_axis(d, order, axis=1)
+            neighbors[rows] = idx[:, :k]
+            settled = is_self.any(axis=1)
+            if width < n:
+                settled &= d[:, width - 2] > d[:, k - 1] * (1 + FP_MARGIN)
+            retry.append(rows[~settled])
+        unsettled, width = np.concatenate(retry), min(2 * width, n)
     return neighbors, cut
-
-
-def _resolve_ties(tree: cKDTree, points: np.ndarray, rows: np.ndarray,
-                  cut: np.ndarray, neighbors: np.ndarray) -> None:
-    """Fill neighbors[rows] from a ball query to just beyond each row's cut,
-    so that equidistant candidates compete by index."""
-    if rows.size == 0:
-        return
-    k = neighbors.shape[1]
-    # Relative slack keeps exact ties inside the ball despite fp round-off.
-    radii = cut[rows] * (1 + 1e-12) + 1e-300
-    candidates = tree.query_ball_point(points[rows], radii)
-    for i, found in zip(rows.tolist(), candidates):
-        cand = np.array([j for j in found if j != i], dtype=np.int64)
-        d = np.linalg.norm(points[cand] - points[i], axis=1)
-        order = np.lexsort((cand, d))
-        neighbors[i] = cand[order[:k]]
 
 
 def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:

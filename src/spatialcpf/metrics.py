@@ -66,8 +66,6 @@ class ClusterSummary:
     (for plotting against log-scaled axes); otherwise it is empty."""
     stats: dict
     log10_stats: dict
-    cluster_sizes: dict
-    elements: tuple
 
 
 def _box_stats(values: np.ndarray) -> BoxStats:
@@ -111,7 +109,6 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
         logged = np.log10(safe)
     stats = {}
     log10_stats = {}
-    sizes = {}
     groups = [c for c in range(labeling.n_clusters)]
     if np.any(labels == OUTLIER):
         groups.append(OUTLIER)
@@ -120,10 +117,8 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
         if members.size == 0:
             warnings.warn(f"cluster {c} is empty; excluded from summary")
             continue
-        sizes[c] = members.size
         for j, element in enumerate(ELEMENTS):
             stats[(c, element)] = _box_stats(raw[members, j])
             if logged is not None:
                 log10_stats[(c, element)] = _box_stats(logged[members, j])
-    return ClusterSummary(stats=stats, log10_stats=log10_stats, cluster_sizes=sizes,
-                          elements=ELEMENTS)
+    return ClusterSummary(stats=stats, log10_stats=log10_stats)

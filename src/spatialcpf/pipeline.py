@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from numbers import Integral, Real
@@ -166,21 +167,12 @@ FILES = {
 DEGENERATE_OUTLIER_FRACTION = 0.5
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf"
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path, header, rows) -> Path:
+    """Write rows of Python scalars; csv writes a float as its repr()."""
     with atomic_open(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
     return Path(path)
 
 
@@ -304,7 +296,7 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
             rows.append([
                 c, element, scale, s.size, s.q1, s.median, s.q3,
                 s.whisker_low, s.whisker_high,
-                ";".join(_fmt(v) for v in s.outlier_values),
+                ";".join(map(repr, s.outlier_values)),
             ])
     return _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
                              "whisker_low", "whisker_high", "beyond_whiskers"], rows)
@@ -480,10 +472,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage on one store, writing each artifact once; abort
     (removing this run's outputs) on error.
 
-    Returns the run report, which is also written to report.json.
+    Returns the run report, which is also written to report.json. Its
+    warnings are those the stages raised, each once, then a degenerate result's.
     """
     s = _Store(config)
-    seconds = _run(s, list(STAGES))[0]
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        seconds = _run(s, list(STAGES))[0]
+    messages = list(dict.fromkeys(str(w.message) for w in raised))
     n, fit = s["samples"].n, s["fit"]
     labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
@@ -491,9 +487,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                        include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
-    warnings = []
     if labeling.n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
-        warnings.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
+        messages.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
                         f"are outliers, above the degenerate-result threshold of "
                         f"{DEGENERATE_OUTLIER_FRACTION:.0%}")
     report = {
@@ -508,7 +503,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "largest_component": max(sizes),
         "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
-        "warnings": warnings,
+        "warnings": messages,
         "config": config.to_dict(),
         "seed": config.seed,
     }

@@ -107,23 +107,10 @@ def _tied_at_cut(points, k):
     return set(np.flatnonzero(dist[:, k] == dist[:, k + 1]).tolist())
 
 
-def _spy_on_ties(mp):
-    """Record the rows knn sends to its per-point fallback."""
-    seen = []
-    resolve = graph._resolve_ties
-
-    def spy(tree, points, rows, cut, neighbors):
-        seen.extend(rows.tolist())
-        return resolve(tree, points, rows, cut, neighbors)
-
-    mp.setattr(graph, "_resolve_ties", spy)
-    return seen
-
-
 @pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.sampled_from([1, 2, 3, 15]),
-       points=st.sampled_from(["random", "tenths", "lattice"]),
+       points=st.sampled_from(["random", "tenths", "lattice", "runs"]),
        k_pick=st.sampled_from(["one", "random", "n-1"]))
 def test_knn_matches_loop_oracle(block, seed, n, d, points, k_pick):
     rng = np.random.default_rng(seed)
@@ -133,42 +120,69 @@ def test_knn_matches_loop_oracle(block, seed, n, d, points, k_pick):
     elif points == "tenths":
         # Ties in exact arithmetic that rounding may split by an ulp.
         pts = rng.integers(0, 3, (n, d)) * 0.1
-    else:
+    elif points == "lattice":
         # A small integer lattice: duplicated points and exactly equal distances.
         pts = rng.integers(0, 4, (n, d)).astype(float)
+    else:
+        # Interleaved copies of one to three points: runs of k+2 or more
+        # duplicates, which widen the query up to every point.
+        pts = rng.normal(size=(3, d))[rng.integers(0, rng.integers(1, 4), n)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_ROWS", block)
-        fallback = _spy_on_ties(mp)
         neighbors, radius = knn(pts, k)
     want_neighbors, want_radius = knn_loop(pts, k)
     np.testing.assert_array_equal(neighbors, want_neighbors)
     np.testing.assert_array_equal(radius, want_radius)
-    # Every row tied at the cut goes to the fallback; on a lattice, where
-    # distinct distances are far apart, no other row does.
-    tied = _tied_at_cut(pts, k)
-    assert tied <= set(fallback)
-    if points == "lattice":
-        assert sorted(fallback) == sorted(tied)
 
 
 @pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
 def test_knn_fallback_resolves_lattice_ties(block):
     rng = np.random.default_rng(11)
-    sent = 0
+    tied = 0
     for n in range(3, 41):
         for d in (1, 2, 3):
             pts = rng.integers(0, 4, (n, d)).astype(float)
             for k in sorted({1, int(rng.integers(1, n)), n - 1}):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(graph, "_BLOCK_ROWS", block)
-                    fallback = _spy_on_ties(mp)
                     got = knn(pts, k)
                 want = knn_loop(pts, k)
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
-                assert sorted(fallback) == sorted(_tied_at_cut(pts, k))
-                sent += len(fallback)
-    assert sent > 1000
+                tied += len(_tied_at_cut(pts, k))
+    # Rows tied at the cut cannot settle at width k+2, so the widening ran.
+    assert tied > 1000
+
+
+def test_knn_duplicate_run_memory_bounded():
+    # Every point at one location: each row's candidates are all at distance
+    # zero, so the query widens to every point. A per-point ball query holds
+    # n candidate lists of n Python ints, about 31 MiB here.
+    n, k = 1000, 5
+    tracemalloc.start()
+    try:
+        neighbors, radius = knn(np.zeros((n, 2)), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    lowest = np.arange(k + 1)
+    want = np.array([lowest[lowest != i][:k] for i in range(n)])
+    np.testing.assert_array_equal(neighbors, want)
+    np.testing.assert_array_equal(radius, np.zeros(n))
+
+
+def test_knn_matches_loop_oracle_on_itm_grid():
+    # The survey's regular 2 km sampling grid in ITM meters: every point has
+    # many equidistant neighbors, so most rows are tied at the cut.
+    easting, northing = np.meshgrid(480000.0 + 2000.0 * np.arange(62),
+                                    600000.0 + 2000.0 * np.arange(69), indexing="ij")
+    pts = np.column_stack([easting.ravel(), northing.ravel()])
+    assert len(pts) == 4278
+    got = knn(pts, 75)
+    want = knn_loop(pts, 75)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_knn_margin_covers_kd_tree_rounding():

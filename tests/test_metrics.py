@@ -110,7 +110,8 @@ def test_summary_quartile_ordering_and_sizes(tmp_path):
     rng = np.random.default_rng(0)
     labels = ClusterLabeling(labels=rng.integers(0, 3, 60))
     summary = cluster_summary(table, labels)
-    assert sum(summary.cluster_sizes.values()) == 60
+    for element in ELEMENTS:
+        assert sum(stats.size for (_, e), stats in summary.stats.items() if e == element) == 60
     for stats in summary.stats.values():
         assert stats.q1 <= stats.median <= stats.q3
         assert stats.whisker_low <= stats.median <= stats.whisker_high

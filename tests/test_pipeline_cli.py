@@ -97,10 +97,18 @@ def assert_staged_run_matches_run_pipeline(tmp_path, survey_csv, **overrides):
         if name == "report.json":
             continue
         assert whole.path(name).read_bytes() == staged.path(name).read_bytes(), name
+    return json.loads(whole.path(FILES["report"]).read_text())
 
 
 def test_staged_run_matches_run_pipeline(tmp_path, survey_csv):
     assert_staged_run_matches_run_pipeline(tmp_path, survey_csv)
+
+
+def test_staged_run_matches_run_pipeline_cpf_defaults(tmp_path, survey_csv):
+    # make_config's cpf settings leave most of the fixture as outliers; the
+    # defaults give several clusters and no degenerate-result warning.
+    report = assert_staged_run_matches_run_pipeline(tmp_path, survey_csv, cpf={})
+    assert report["n_clusters"] > 2 and report["warnings"] == []
 
 
 def test_staged_run_matches_run_pipeline_itm_raw_features(tmp_path, survey_csv):
@@ -141,6 +149,15 @@ def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv
     assert writes == {config.path(name): 1 for name in FILES.values()}
 
 
+def test_run_writes_no_numpy_scalar_repr(tmp_path, survey_csv):
+    # Under numpy 2 a numpy scalar reaching csv would be written as np.float64(...).
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    run_pipeline(config)
+    for name in FILES.values():
+        if name.endswith(".csv"):
+            assert "np." not in config.path(name).read_text(), name
+
+
 def test_failed_rewrite_keeps_previous_file(tmp_path, survey_csv, monkeypatch):
     config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
     for stage in (pipeline.stage_ingest, pipeline.stage_project, pipeline.stage_graph,
@@ -148,14 +165,16 @@ def test_failed_rewrite_keeps_previous_file(tmp_path, survey_csv, monkeypatch):
         stage(config)
     labeling = config.path(FILES["labeling"])
     before = labeling.read_bytes()
-    fmt, cells = pipeline._fmt, []
+    write = pipeline._write_csv
 
-    def failing_fmt(x):
-        cells.append(x)
-        if len(cells) > 1000:
-            raise OSError("disk full")
-        return fmt(x)
-    monkeypatch.setattr(pipeline, "_fmt", failing_fmt)
+    def failing_write(path, header, rows):
+        def failing_rows():
+            for i, row in enumerate(rows):
+                if i == 150:
+                    raise OSError("disk full")
+                yield row
+        return write(path, header, failing_rows())
+    monkeypatch.setattr(pipeline, "_write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
         pipeline.stage_refine(config)
     assert labeling.read_bytes() == before
@@ -530,3 +549,21 @@ def test_normal_result_does_not_warn(tmp_path, survey_csv, capsys):
     report, err = run_cli_on_default_config(tmp_path, survey_csv, capsys)
     assert 0 < report["n_outliers"] <= pipeline.DEGENERATE_OUTLIER_FRACTION * 400
     assert report["warnings"] == [] and err == ""
+
+
+def test_run_records_raised_warnings(tmp_path, capsys):
+    # 21 sites with one concentration vector: with min_samples 20 each has
+    # k-th-neighbor radius 0, and knn_density warns.
+    ids, easting, northing, conc = surrogate_survey(n=400, seed=7)
+    conc[:21] = conc[0]
+    survey_csv = tmp_path / "survey.csv"
+    write_survey_csv(survey_csv, ids, easting, northing, conc)
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    duplicate = [w for w in report["warnings"] if "duplicate-point kNN radius 0" in w]
+    assert len(duplicate) == 1 and duplicate[0].startswith("21 sample(s)")
+    assert captured.err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
+    written = json.loads((tmp_path / "out" / FILES["report"]).read_text())
+    assert written["warnings"] == report["warnings"]
