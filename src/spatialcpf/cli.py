@@ -2,7 +2,8 @@
 
 One subcommand per stage declared in pipeline.STAGES (ingest, project,
 graph, cluster, refine, summarize, export) plus `run` for the whole chain. All behavior is
-driven by one YAML config file; --seed overrides the config's seed.
+driven by one YAML config file; --seed overrides the config's seed. Each warning
+of a run or stage is printed once to stderr as `warning: ...`; the exit code stays 0.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ def main(argv=None) -> int:
             report = run_pipeline(config)
             json.dump(report, sys.stdout, indent=2, sort_keys=True)
             print()
-            for warning in report["warnings"]:
-                print(f"warning: {warning}", file=sys.stderr)
+            messages = report["warnings"]
         else:
-            result = run_stage(args.command, config, args.in_path, args.out_path)
-            if isinstance(result, tuple):
-                for p in result:
-                    print(p)
-            else:
-                print(result)
+            messages = []
+            result = run_stage(args.command, config, args.in_path, args.out_path,
+                               messages=messages)
+            for p in result if isinstance(result, tuple) else (result,):
+                print(p)
+        for warning in messages:
+            print(f"warning: {warning}", file=sys.stderr)
     except StageError as exc:
         print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)
         return 1

@@ -20,8 +20,9 @@ so no component needs an m-by-m distance matrix.
 from __future__ import annotations
 
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -320,16 +321,28 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
 
 @dataclass(frozen=True)
 class FitResult:
+    """fit's outputs; seconds holds the wall time of each phase, by name."""
     labeling: ClusterLabeling
     components: ComponentLabels
     density: DensityEstimate
     big_brother: BigBrother
     centers: np.ndarray
     intersected: SparseAdjacency
+    seconds: dict[str, float] = field(default_factory=dict)
+
+
+def _timed(seconds: dict, phase: str, func, *args):
+    """func(*args), its wall time recorded in seconds[phase]."""
+    start = time.perf_counter()
+    result = func(*args)
+    seconds[phase] = time.perf_counter() - start
+    return result
 
 
 def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> FitResult:
-    """Full spatially-constrained CPF run; see module docstring for the phases."""
+    """Full spatially-constrained CPF run; see module docstring for the phases.
+    Each phase is timed under its name in FitResult.seconds: knn, mutual,
+    intersect, components, density, big_brother, centers, assign, merge."""
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
     if geo_adj.n != n:
@@ -337,13 +350,18 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     if n <= params.min_samples:
         raise ParameterError(f"n={n} must exceed min_samples={params.min_samples}")
 
-    neighbors, radius = knn(features, params.min_samples)
-    intersected = hadamard_intersect(mutual_graph(neighbors), geo_adj)
-    components = connected_components(intersected)
-    density = knn_density(radius, features.shape[1], params)
-    bb = big_brother(features, density, components, neighbors, radius)
-    centers = select_centers(density, bb, components, params)
-    labeling = assign_clusters(bb, centers, components, params)
-    labeling = merge_clusters(labeling, centers, density, features, params)
+    seconds = {}
+    neighbors, radius = _timed(seconds, "knn", knn, features, params.min_samples)
+    feature_graph = _timed(seconds, "mutual", mutual_graph, neighbors)
+    intersected = _timed(seconds, "intersect", hadamard_intersect, feature_graph, geo_adj)
+    components = _timed(seconds, "components", connected_components, intersected)
+    density = _timed(seconds, "density", knn_density, radius, features.shape[1], params)
+    bb = _timed(seconds, "big_brother", big_brother, features, density, components,
+                neighbors, radius)
+    centers = _timed(seconds, "centers", select_centers, density, bb, components, params)
+    labeling = _timed(seconds, "assign", assign_clusters, bb, centers, components, params)
+    labeling = _timed(seconds, "merge", merge_clusters, labeling, centers, density, features,
+                      params)
     return FitResult(labeling=labeling, components=components, density=density,
-                     big_brother=bb, centers=centers, intersected=intersected)
+                     big_brother=bb, centers=centers, intersected=intersected,
+                     seconds=seconds)

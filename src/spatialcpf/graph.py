@@ -7,12 +7,16 @@ sphere and querying a kd-tree with chord distance, which is monotone in
 great-circle distance.
 
 knn is exact with ties broken by ascending index. It asks the kd-tree for
-each point's k+2 nearest, in row blocks, and orders them by (numpy distance,
-index). A row is settled when the farthest candidate lies beyond the k-th by
-the rounding margin FP_MARGIN: every point the tree did not return is at
-least as far as the ones it did, so none can come before the k-th. Rows tied
-at the cut, or inside a run of duplicate points, are queried again at double
-the width until they settle; at width n every row does.
+each point's k+2 nearest, in row blocks. Every point the tree did not return
+is at least as far as the ones it did, so a row is settled once its k-th
+neighbor is clear of the candidates beyond it by the rounding margin
+FP_MARGIN. A row whose self is alone at distance 0 and whose tree distances
+each exceed the one before by FP_MARGIN keeps the tree's order as it is:
+the margin is far wider than the tree-vs-numpy rounding gap, so numpy's
+distances have the same strict order. The other rows are ordered by (numpy
+distance, index); rows tied at the cut, or inside a run of duplicate points,
+are queried again at double the width until they settle; at width n every
+row does.
 """
 
 from __future__ import annotations
@@ -81,14 +85,18 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     distance, self included.
 
     Points are queried for their k+2 nearest, self included, in blocks of
-    _BLOCK_ROWS rows. The candidates' distances are recomputed with numpy,
-    and each row is ordered by (distance, index) with self last. A row is
-    settled when self was returned and either every point was returned or
-    the farthest non-self candidate lies beyond the k-th by the relative
-    margin FP_MARGIN. That is exact: a point the tree did not return is at
-    least as far as every one it did, so it is strictly beyond the k-th
-    candidate, and the margin covers the rounding difference between the
-    kd-tree's and numpy's distances. Rows left unsettled -- ties at the cut,
+    _BLOCK_ROWS rows; the tree returns each row sorted by its distance. A
+    row takes the tree's k non-self entries as they are when self is alone
+    at distance 0 and each of the k+1 non-self tree distances exceeds the one
+    before by the relative margin FP_MARGIN. That is exact: the margin is
+    far wider than the rounding gap between the kd-tree's and numpy's
+    distances, so numpy orders those entries the same way, strictly, and a
+    point the tree did not return is at least as far as the (k+1)-th
+    candidate, so beyond the k-th. Every other row has its candidates'
+    distances recomputed with numpy and is ordered by (distance, index) with
+    self last. It is settled when self was returned and either every point
+    was returned or the farthest non-self candidate lies beyond the k-th by
+    FP_MARGIN, by the same argument. Rows left unsettled -- ties at the cut,
     runs of duplicate points -- are queried again at double the width, with
     proportionally fewer rows per block, until none is left.
     """
@@ -112,6 +120,12 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             rows = unsettled[start:start + block]
             dist, idx = tree.query(points[rows], k=width)
             cut[rows] = dist[:, k]
+            if width <= k + 2:
+                # First width: rows clear of near-ties keep the tree's order.
+                clear = (dist[:, 1] > 0) & np.all(
+                    dist[:, 2:] > dist[:, 1:-1] * (1 + FP_MARGIN), axis=1)
+                neighbors[rows[clear]] = idx[clear, 1:k + 1]
+                rows, idx = rows[~clear], idx[~clear]
             # The same per-row reduction as tests/oracle_graph.knn_loop, so the same bits.
             d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
             is_self = idx == rows[:, None]
@@ -163,10 +177,11 @@ def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacenc
         raise ParameterError(f"vertex count mismatch: {a.n} != {b.n}")
     if a.n_edges == 0 or b.n_edges == 0:
         return SparseAdjacency(n=a.n, edges=np.empty((0, 2), dtype=np.int64))
-    # Encode (u, v) pairs as scalars for a fast set intersection.
-    key_a = a.edges[:, 0] * a.n + a.edges[:, 1]
-    key_b = b.edges[:, 0] * b.n + b.edges[:, 1]
-    common = np.intersect1d(key_a, key_b)
+    # Encode (u, v) pairs as sorted scalars and look the smaller set up in the
+    # larger by binary search (sorting is cheap: edge arrays come sorted).
+    small, large = sorted((np.sort(g.edges[:, 0] * g.n + g.edges[:, 1]) for g in (a, b)),
+                          key=len)
+    common = small[large[np.searchsorted(large, small).clip(max=large.size - 1)] == small]
     edges = np.stack([common // a.n, common % a.n], axis=1)
     return SparseAdjacency(n=a.n, edges=edges)
 

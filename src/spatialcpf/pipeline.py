@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import resource
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -418,44 +419,56 @@ STAGES = {
 }
 
 
-def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], list[Path]]:
-    """Run the named stages in order on s; return each one's seconds and the
-    files written. A stage writes the outputs that no later stage in names
-    rewrites, to the --out path if given, else where they are read. On an
-    error the files this run wrote are removed, and StageError names the stage."""
+def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], list[Path], list[str]]:
+    """Run the named stages in order on s; return each one's seconds, the
+    files written and the Python warnings the stages raised, each message
+    once. A stage writes the outputs that no later stage in names rewrites,
+    to the --out path if given, else where they are read. On an error the
+    files this run wrote are removed, and StageError names the stage."""
     written, seconds = [], {}
-    for i, name in enumerate(names):
-        stage, start = STAGES[name], time.perf_counter()
-        rewritten = {key for later in names[i + 1:] for key in STAGES[later].outputs}
-        try:
-            if stage.run:
-                stage.run(s)
-            for key in stage.outputs:
-                if key not in rewritten:
-                    path = Path(s.out.get(key) or s.path(key))
-                    _WRITERS[key](s, path)
-                    written.append(path)
-        except Exception as exc:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise StageError(name, exc) from exc
-        seconds[name] = time.perf_counter() - start
-    return seconds, written
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        for i, name in enumerate(names):
+            stage, start = STAGES[name], time.perf_counter()
+            rewritten = {key for later in names[i + 1:] for key in STAGES[later].outputs}
+            try:
+                if stage.run:
+                    stage.run(s)
+                for key in stage.outputs:
+                    if key not in rewritten:
+                        path = Path(s.out.get(key) or s.path(key))
+                        _WRITERS[key](s, path)
+                        written.append(path)
+            except Exception as exc:
+                for path in written:
+                    path.unlink(missing_ok=True)
+                raise StageError(name, exc) from exc
+            seconds[name] = time.perf_counter() - start
+    return seconds, written, list(dict.fromkeys(str(w.message) for w in raised))
 
 
-def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, **paths):
+def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
+              messages: list | None = None, **paths):
     """Run one stage alone and return the path it wrote (a tuple for export).
     in_path overrides the stage's inputs, out_path its first output, and an
     <artifact>_path keyword that artifact's file; refine rewrites the labeling
-    file it read. An error is raised as is, after this stage's writes are removed."""
+    file it read. The Python warnings the stage raises, each message once, are
+    appended to messages when it is given, else issued again. An error is
+    raised as is, after this stage's writes are removed."""
     stage = STAGES[name]
     paths = {key.removesuffix("_path"): p for key, p in paths.items() if p}
     if in_path:
         paths.update(dict.fromkeys(stage.inputs, in_path))
     try:
-        written = _run(_Store(config, paths, out={stage.outputs[0]: out_path}), [name])[1]
+        _, written, raised = _run(_Store(config, paths, out={stage.outputs[0]: out_path}),
+                                  [name])
     except StageError as exc:
         raise exc.cause
+    if messages is None:
+        for message in raised:
+            warnings.warn(message, stacklevel=2)
+    else:
+        messages.extend(raised)
     return tuple(written) if len(written) > 1 else written[0]
 
 
@@ -473,13 +486,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     (removing this run's outputs) on error.
 
     Returns the run report, which is also written to report.json. Its
-    warnings are those the stages raised, each once, then a degenerate result's.
+    warnings are those the stages raised, each once, then a degenerate
+    result's; fit_seconds times each phase of cpf.fit, and peak_rss_mib is
+    the process's peak resident set size so far.
     """
     s = _Store(config)
-    with warnings.catch_warnings(record=True) as raised:
-        warnings.simplefilter("always")
-        seconds = _run(s, list(STAGES))[0]
-    messages = list(dict.fromkeys(str(w.message) for w in raised))
+    seconds, _, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
     labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
@@ -503,6 +515,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "largest_component": max(sizes),
         "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
+        "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "warnings": messages,
         "config": config.to_dict(),
         "seed": config.seed,

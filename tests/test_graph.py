@@ -135,6 +135,42 @@ def test_knn_matches_loop_oracle(block, seed, n, d, points, k_pick):
     np.testing.assert_array_equal(radius, want_radius)
 
 
+def _near_tied(points, k):
+    """Rows with two of their k+2 nearest distances, self included, within
+    the relative margin FP_MARGIN of each other (brute force)."""
+    dist = np.sort(np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2), axis=1)
+    head = dist[:, :k + 2]
+    return np.any(head[:, 1:] <= head[:, :-1] * (1 + graph.FP_MARGIN), axis=1)
+
+
+@pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 15]),
+       tied=st.sampled_from(["tenths", "duplicates"]))
+def test_knn_mixed_tied_and_clear_rows_match_loop_oracle(block, seed, d, tied):
+    # Near-tied rows interleaved with clear ones, so one block holds both:
+    # the clear rows keep the kd-tree's order, the tied ones are recomputed.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 20))
+    clean = rng.normal(size=(int(rng.integers(k + 2, 60)), d)) + 100.0
+    if tied == "tenths":
+        group = rng.integers(0, 3, (int(rng.integers(k + 2, 60)), d)) * 0.1
+        group = np.concatenate([group, group[:1]])
+    else:
+        # Like 21 identical concentration rows among distinct ones.
+        group = np.repeat(rng.normal(size=(1, d)), int(rng.integers(2, 2 * k + 4)), axis=0)
+    pts = np.concatenate([clean, group])
+    pts = pts[rng.permutation(len(pts))]
+    near = _near_tied(pts, k)
+    assert near.any() and not near.all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_ROWS", block)
+        neighbors, radius = knn(pts, k)
+    want_neighbors, want_radius = knn_loop(pts, k)
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    np.testing.assert_array_equal(radius, want_radius)
+
+
 @pytest.mark.parametrize("block", [1, 7, graph._BLOCK_ROWS])
 def test_knn_fallback_resolves_lattice_ties(block):
     rng = np.random.default_rng(11)
@@ -227,6 +263,25 @@ def test_knn_memory_bounded_on_feature_matrix():
         np.testing.assert_array_equal(neighbors[i], np.lexsort((np.arange(n), dist))[:k])
 
 
+def test_knn_memory_bounded_when_rows_keep_tree_order():
+    # The input of the test above: every row is clear of near-ties, so none
+    # needs its candidates' distances recomputed, and the peak stays near the
+    # kd-tree's own (one recomputed block of 512 rows alone is 4.5 MiB).
+    rng = np.random.default_rng(5)
+    n, d, k = 8000, 15, 75
+    unit = rng.uniform(size=(n, 2))
+    field = rng.uniform(0.5, 3.0, d) + unit @ rng.uniform(-1.0, 1.0, (2, d))
+    features = field + rng.normal(0, 0.05, (n, d))
+    features = (features - features.mean(axis=0)) / features.std(axis=0)
+    tracemalloc.start()
+    try:
+        knn(features, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_haversine_matches_euclidean_oracle_on_sphere_embedding():
     rng = np.random.default_rng(1)
     latlon = np.stack([rng.uniform(51, 55, 100), rng.uniform(-10, -6, 100)], axis=1)
@@ -294,6 +349,23 @@ def test_hadamard_commutative_idempotent_subset(pairs_a, pairs_b):
     assert ab == hadamard_intersect(b, a).edge_set()
     assert hadamard_intersect(a, a).edge_set() == ea
     assert ab <= ea and ab <= eb
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), relation=st.sampled_from(["drawn", "empty", "disjoint", "identical"]),
+       data=st.data())
+def test_hadamard_matches_set_intersection(n, relation, data):
+    pairs = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda p: p[0] < p[1]))
+    ea, eb = data.draw(pairs), data.draw(pairs)
+    eb = {"drawn": eb, "empty": set(), "disjoint": eb - ea, "identical": set(ea)}[relation]
+    # Edge arrays in any order, not only the lexicographic one.
+    a, b = (SparseAdjacency(n=n, edges=np.array(data.draw(st.permutations(sorted(e))),
+                                                dtype=np.int64).reshape(-1, 2))
+            for e in (ea, eb))
+    want = np.array(sorted(ea & eb), dtype=np.int64).reshape(-1, 2)
+    np.testing.assert_array_equal(hadamard_intersect(a, b).edges, want)
+    np.testing.assert_array_equal(hadamard_intersect(b, a).edges, want)
 
 
 def test_components_edgeless():

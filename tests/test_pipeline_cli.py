@@ -54,6 +54,11 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert report["largest_component"] == sizes.max()
     assert report["n_stranded"] == sizes[sizes < 20].sum() == report["n_outliers"]
     assert 0 < report["intersected_edges"] < 400 * 20 / 2
+    assert list(report["fit_seconds"]) == ["knn", "mutual", "intersect", "components", "density",
+                                           "big_brother", "centers", "assign", "merge"]
+    assert all(t >= 0 for t in report["fit_seconds"].values())
+    assert sum(report["fit_seconds"].values()) <= report["stage_seconds"]["cluster"]
+    assert report["peak_rss_mib"] > 0
     assert json.loads(config.path(FILES["report"]).read_text()) == report
 
 
@@ -551,14 +556,18 @@ def test_normal_result_does_not_warn(tmp_path, survey_csv, capsys):
     assert report["warnings"] == [] and err == ""
 
 
-def test_run_records_raised_warnings(tmp_path, capsys):
-    # 21 sites with one concentration vector: with min_samples 20 each has
-    # k-th-neighbor radius 0, and knn_density warns.
+def make_duplicate_rows_config(tmp_path):
+    """A config whose input has 21 sites with one concentration vector: with
+    min_samples 20 each has k-th-neighbor radius 0, and knn_density warns."""
     ids, easting, northing, conc = surrogate_survey(n=400, seed=7)
     conc[:21] = conc[0]
     survey_csv = tmp_path / "survey.csv"
     write_survey_csv(survey_csv, ids, easting, northing, conc)
-    cfg_path = make_config(tmp_path, survey_csv)
+    return make_config(tmp_path, survey_csv)
+
+
+def test_run_records_raised_warnings(tmp_path, capsys):
+    cfg_path = make_duplicate_rows_config(tmp_path)
     assert main(["run", "--config", str(cfg_path)]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
@@ -567,3 +576,22 @@ def test_run_records_raised_warnings(tmp_path, capsys):
     assert captured.err.splitlines() == [f"warning: {w}" for w in report["warnings"]]
     written = json.loads((tmp_path / "out" / FILES["report"]).read_text())
     assert written["warnings"] == report["warnings"]
+
+
+def test_cli_stage_prints_raised_warnings(tmp_path, capsys):
+    cfg_path = make_duplicate_rows_config(tmp_path)
+    for stage in ("ingest", "project", "graph"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--config", str(cfg_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: 21 sample(s) have duplicate-point kNN")
+
+
+def test_run_stage_issues_raised_warnings_again(tmp_path):
+    config = PipelineConfig.from_file(make_duplicate_rows_config(tmp_path))
+    for stage in ("ingest", "project", "graph"):
+        pipeline.run_stage(stage, config)
+    with pytest.warns(UserWarning, match="duplicate-point kNN radius 0") as raised:
+        pipeline.stage_cluster(config)
+    assert len(raised) == 1
