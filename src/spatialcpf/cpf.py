@@ -321,13 +321,16 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
 
 @dataclass(frozen=True)
 class FitResult:
-    """fit's outputs; seconds holds the wall time of each phase, by name."""
+    """fit's outputs; centers are the picks before merging, feature_edges
+    counts the feature-space mutual kNN graph's edges, and seconds holds the
+    wall time of each phase, by name."""
     labeling: ClusterLabeling
     components: ComponentLabels
     density: DensityEstimate
     big_brother: BigBrother
     centers: np.ndarray
     intersected: SparseAdjacency
+    feature_edges: int
     seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -364,4 +367,4 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
                       params)
     return FitResult(labeling=labeling, components=components, density=density,
                      big_brother=bb, centers=centers, intersected=intersected,
-                     seconds=seconds)
+                     feature_edges=feature_graph.n_edges, seconds=seconds)

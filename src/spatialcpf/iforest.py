@@ -3,13 +3,15 @@
 Standard formulation: random axis-aligned splits on subsamples, path-length
 averaging, scores s(x) = 2^(-E[h(x)] / c(psi)). The flag rule is a
 contamination quantile with half-up rounding of the flag count.
+
+The forest is stored as flat node arrays, each tree's nodes in preorder,
+and scored one tree at a time, all samples stepping down a level together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -17,28 +19,23 @@ from .errors import ParameterError
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Internal node splits on (feature, value); leaves carry the routed size."""
-    feature: int = -1
-    value: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    size: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass(frozen=True)
 class IsolationForestModel:
-    trees: tuple[TreeNode, ...]
+    """Every tree's nodes, tree after tree, each in preorder (left subtree
+    before right); roots[t] indexes tree t's root. Node i sends a sample
+    with x[feature[i]] < threshold[i] to left[i], any other to right[i]. A
+    leaf has feature, left and right -1, threshold 0 and size the number of
+    subsample rows it holds; an internal node has size 0."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    size: np.ndarray
+    roots: np.ndarray
     subsample_size: int
     n_features: int
     seed: int
 
 
-@lru_cache(maxsize=None)
 def average_path_length(m: int) -> float:
     """c(m) = 2*H(m-1) - 2*(m-1)/m, the BST average unsuccessful search depth;
     c(1) = 0, c(2) = 1. Exact harmonic numbers."""
@@ -48,23 +45,25 @@ def average_path_length(m: int) -> float:
     return 2.0 * harmonic - 2.0 * (m - 1) / m
 
 
-def _build_tree(x: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator) -> TreeNode:
-    m = x.shape[0]
+def _grow(x: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator,
+          nodes: list) -> int:
+    """Append the tree over the rows of x to nodes in preorder, one
+    [feature, threshold, left, right, size] row per node; return its root."""
+    at, m = len(nodes), x.shape[0]
+    nodes.append([-1, 0.0, -1, -1, m])
     if depth >= max_depth or m <= 1:
-        return TreeNode(size=m)
+        return at
     feature = int(rng.integers(0, x.shape[1]))
     col = x[:, feature]
     lo, hi = col.min(), col.max()
     if lo == hi:
-        return TreeNode(size=m)
+        return at
     value = float(rng.uniform(lo, hi))
     mask = col < value
-    return TreeNode(
-        feature=feature,
-        value=value,
-        left=_build_tree(x[mask], depth + 1, max_depth, rng),
-        right=_build_tree(x[~mask], depth + 1, max_depth, rng),
-    )
+    nodes[at] = [feature, value, -1, -1, 0]
+    nodes[at][2] = _grow(x[mask], depth + 1, max_depth, rng, nodes)
+    nodes[at][3] = _grow(x[~mask], depth + 1, max_depth, rng, nodes)
+    return at
 
 
 def fit_iforest(features: np.ndarray, n_trees: int = 100, subsample_size: int = 256,
@@ -82,47 +81,44 @@ def fit_iforest(features: np.ndarray, n_trees: int = 100, subsample_size: int = 
     if n < 2 or subsample_size < 2:
         raise ParameterError("need n >= 2 and subsample_size >= 2")
     max_depth = math.ceil(math.log2(subsample_size))
-    trees = []
+    nodes, roots = [], []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         if subsample_size <= n:
             idx = rng.choice(n, size=subsample_size, replace=False)
         else:
             idx = rng.choice(n, size=subsample_size, replace=True)
-        trees.append(_build_tree(features[idx], 0, max_depth, rng))
-    return IsolationForestModel(trees=tuple(trees), subsample_size=subsample_size,
-                                n_features=features.shape[1], seed=seed)
-
-
-def _path_lengths(tree: TreeNode, features: np.ndarray) -> np.ndarray:
-    """Leaf depth plus the unsplit-leaf adjustment, for all samples at once."""
-    out = np.zeros(features.shape[0])
-    stack = [(tree, np.arange(features.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = depth + average_path_length(node.size)
-            continue
-        mask = features[idx, node.feature] < node.value
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
-    return out
+        roots.append(_grow(features[idx], 0, max_depth, rng, nodes))
+    # The node rows' columns are the model's first five fields, in order.
+    return IsolationForestModel(*map(np.array, zip(*nodes)), roots=np.array(roots),
+                                subsample_size=subsample_size, n_features=features.shape[1],
+                                seed=seed)
 
 
 def anomaly_scores(model: IsolationForestModel, features: np.ndarray) -> np.ndarray:
-    """Per-sample anomaly score in (0, 1); higher means more isolated."""
+    """Per-sample anomaly score in (0, 1); higher means more isolated.
+
+    A sample's path length in a tree is its leaf's depth plus c(leaf size),
+    the adjustment for the unsplit rows left there."""
     features = np.asarray(features, dtype=float)
     if features.shape[1] != model.n_features:
         raise ParameterError(
             f"feature dimension {features.shape[1]} does not match model ({model.n_features})")
-    c_psi = average_path_length(model.subsample_size)
+    adjust = np.array([average_path_length(m) for m in range(model.size.max() + 1)])
     total = np.zeros(features.shape[0])
-    for tree in model.trees:
-        total += _path_lengths(tree, features)
-    mean_path = total / len(model.trees)
-    return np.power(2.0, -mean_path / c_psi)
+    for root in model.roots:
+        rows = np.arange(features.shape[0])
+        node = np.full(rows.size, root)
+        depth = 0
+        while rows.size:
+            leaf = model.feature[node] < 0
+            total[rows[leaf]] += depth + adjust[model.size[node[leaf]]]
+            rows, node = rows[~leaf], node[~leaf]
+            go_left = features[rows, model.feature[node]] < model.threshold[node]
+            node = np.where(go_left, model.left[node], model.right[node])
+            depth += 1
+    mean_path = total / model.roots.size
+    return np.power(2.0, -mean_path / average_path_length(model.subsample_size))
 
 
 def flag_outliers(scores: np.ndarray, contamination: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """CSV ingestion of geochemical soil-sample tables and feature standardization.
 
 The input is a comma-delimited UTF-8 file with one header row. Each data row
-carries a site identifier, planar ITM coordinates in meters, and concentrations
-in mg/kg for the 15 elements in ELEMENTS. Values prefixed with "<" mark
-measurements below the detection limit.
+carries a site identifier, planar ITM coordinates in meters within
+geodesy.EASTING_RANGE and NORTHING_RANGE, and concentrations in mg/kg for
+the 15 elements in ELEMENTS. Values prefixed with "<" mark measurements
+below the detection limit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateColumnError, RowParseError, SchemaError
+from .geodesy import itm_in_range
 
 # Fixed alphabetical element order; serialization and feature-matrix columns
 # always follow this sequence.
@@ -135,6 +137,9 @@ def _parse_rows(reader, path, bdl_policy: str) -> SampleTable:
             raise RowParseError(path, line_number, "non-numeric coordinate")
         if not (math.isfinite(easting) and math.isfinite(northing)):
             raise RowParseError(path, line_number, "non-finite coordinate")
+        if not itm_in_range(easting, northing):
+            raise RowParseError(path, line_number, f"ITM coordinate out of range: "
+                                                   f"easting={easting}, northing={northing}")
         try:
             concentrations.append([_parse_concentration(row[col], element, bdl_policy)
                                    for element, col in element_cols])

@@ -19,6 +19,7 @@ import math
 import resource
 import time
 import warnings
+from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from numbers import Integral, Real
@@ -363,7 +364,7 @@ def _ingest(s: _Store) -> None:
 
 def _project(s: _Store) -> None:
     """WGS84 (latitude, longitude) of each site."""
-    s["coords"] = np.array([geodesy.itm_to_wgs84(e, n) for e, n in s["samples"].itm.tolist()])
+    s["coords"] = np.column_stack(geodesy.itm_to_wgs84(*s["samples"].itm.T))
 
 
 def _graph(s: _Store) -> None:
@@ -485,10 +486,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage on one store, writing each artifact once; abort
     (removing this run's outputs) on error.
 
-    Returns the run report, which is also written to report.json. Its
-    warnings are those the stages raised, each once, then a degenerate
-    result's; fit_seconds times each phase of cpf.fit, and peak_rss_mib is
-    the process's peak resident set size so far.
+    Returns the run report, which is also written to report.json. It counts
+    the edges of the geographic, feature and intersected graphs, maps each
+    component size to its number of components, and gives the number of
+    centers before merging (n_centers) beside the clusters after it
+    (n_clusters). Its warnings are those the stages raised, each once, then
+    a degenerate result's; fit_seconds times each phase of cpf.fit, and
+    peak_rss_mib is the process's peak resident set size so far.
     """
     s = _Store(config)
     seconds, _, messages = _run(s, list(STAGES))
@@ -510,9 +514,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_outliers": labeling.n_outliers,
         "calinski_harabasz": ch if ch is None or math.isfinite(ch) else "inf",
         "n_flagged": int(np.sum(s["labeling"]["iforest_flag"])),
+        "geo_edges": s["adjacency"].n_edges,
+        "feature_edges": fit.feature_edges,
         "intersected_edges": fit.intersected.n_edges,
         "n_components": fit.components.n_components,
         "largest_component": max(sizes),
+        # JSON object keys are strings.
+        "component_size_histogram": {str(size): count
+                                     for size, count in sorted(Counter(sizes).items())},
+        "n_centers": int(fit.centers.size),
         "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},

@@ -104,7 +104,8 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     n, d = features.shape
     k = params.min_samples
     lists, r_k = knn_lists(features, k)
-    intersected = mutual_edges(lists) & geo_adj.edge_set()
+    feature_edges = mutual_edges(lists)
+    intersected = feature_edges & geo_adj.edge_set()
     components = bfs_components(n, intersected)
 
     if np.any(r_k == 0.0):
@@ -171,4 +172,5 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
 
     return FitResult(labeling=ClusterLabeling(labels=labels), components=components,
                      density=density, big_brother=bb, centers=centers,
-                     intersected=SparseAdjacency(n=n, edges=sorted(intersected)))
+                     intersected=SparseAdjacency(n=n, edges=sorted(intersected)),
+                     feature_edges=len(feature_edges))

@@ -360,6 +360,7 @@ def test_fit_matches_oracle(seed, n, k, d, points, floor, rho, alpha, merge_thre
         warnings.simplefilter("ignore")
         got = fit(features, geo_adj, params)
         want = oracle_cpf.fit(features, geo_adj, params)
+    assert got.feature_edges == want.feature_edges
     np.testing.assert_array_equal(got.intersected.edges, want.intersected.edges)
     np.testing.assert_array_equal(got.components.labels, want.components.labels)
     assert got.components.component_sizes == want.components.component_sizes

@@ -93,6 +93,35 @@ def test_out_of_domain_errors():
         wgs84_to_itm(53.5, 3.0)
 
 
+def test_array_call_matches_scalar_calls():
+    rng = np.random.default_rng(0)
+    easting = rng.uniform(420000, 770000, 500)
+    northing = rng.uniform(520000, 970000, 500)
+    lat, lon = itm_to_wgs84(easting, northing)
+    assert lat.shape == lon.shape == (500,)
+    scalar = np.array([itm_to_wgs84(e, n) for e, n in zip(easting.tolist(), northing.tolist())])
+    assert all(type(v) is float for v in itm_to_wgs84(easting[0], northing[0]))
+    np.testing.assert_allclose(lat, scalar[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lon, scalar[:, 1], rtol=0, atol=1e-12)
+    e, n = wgs84_to_itm(lat, lon)
+    scalar = np.array([wgs84_to_itm(a, b) for a, b in zip(lat.tolist(), lon.tolist())])
+    assert all(type(v) is float for v in wgs84_to_itm(lat[0], lon[0]))
+    np.testing.assert_allclose(e, scalar[:, 0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(n, scalar[:, 1], rtol=0, atol=1e-6)
+
+
+def test_out_of_range_array_names_first_bad_pair():
+    easting = np.array([600000.0, 2_000_000.0, 600000.0, -1.0])
+    northing = np.array([750000.0, 750000.0, 2e6, 750000.0])
+    with pytest.raises(OutOfDomainError,
+                       match=r"out of range: easting=2000000\.0, northing=750000\.0$"):
+        itm_to_wgs84(easting, northing)
+    with pytest.raises(OutOfDomainError, match="non-finite"):
+        itm_to_wgs84(np.array([600000.0, np.nan, 2e6]), np.full(3, 750000.0))
+    with pytest.raises(OutOfDomainError, match=r"window: \(53\.5, 3\.0\)$"):
+        wgs84_to_itm(np.array([53.0, 53.5, 40.0]), np.array([-8.0, 3.0, -8.0]))
+
+
 def test_haversine_identity_and_symmetry():
     assert haversine_m(53.0, -8.0, 53.0, -8.0) == 0.0
     d1 = haversine_m(53.0, -8.0, 54.0, -7.0)

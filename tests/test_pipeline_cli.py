@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -54,12 +56,38 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert report["largest_component"] == sizes.max()
     assert report["n_stranded"] == sizes[sizes < 20].sum() == report["n_outliers"]
     assert 0 < report["intersected_edges"] < 400 * 20 / 2
+    assert report["geo_edges"] == graph.load_adjacency(config.path(FILES["adjacency"])).n_edges
+    samples = ingest.parse_g5_csv(config.path(FILES["samples"]))
+    features = ingest.standardize(samples.concentrations)[0]
+    assert report["feature_edges"] == graph.mutual_knn_graph(features, k=20).n_edges
+    assert report["intersected_edges"] <= min(report["geo_edges"], report["feature_edges"])
+    histogram = report["component_size_histogram"]
+    assert histogram == {str(size): count for size, count in Counter(sizes.tolist()).items()}
+    assert sum(int(size) * count for size, count in histogram.items()) == report["n_samples"]
+    assert report["n_centers"] >= report["n_clusters"]
     assert list(report["fit_seconds"]) == ["knn", "mutual", "intersect", "components", "density",
                                            "big_brother", "centers", "assign", "merge"]
     assert all(t >= 0 for t in report["fit_seconds"].values())
     assert sum(report["fit_seconds"].values()) <= report["stage_seconds"]["cluster"]
     assert report["peak_rss_mib"] > 0
     assert json.loads(config.path(FILES["report"]).read_text()) == report
+
+
+def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
+    # A fresh interpreter, so that the ru_maxrss high-water mark behind the
+    # report's peak_rss_mib belongs to this one run.
+    csv_path = tmp_path / "surrogate.csv"
+    write_survey_csv(csv_path, *surrogate_survey(n=4278, seed=0, n_regions=5))
+    # The default cpf and iforest settings, which are the paper's.
+    cfg_path = make_config(tmp_path, csv_path, cpf={}, iforest={})
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-m", "spatialcpf.cli", "run",
+                             "--config", str(cfg_path)],
+                            capture_output=True, text=True, env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["n_samples"] == 4278
+    assert 0 < report["peak_rss_mib"] < 256
 
 
 def test_report_flag_count_rule(tmp_path, survey_csv):
@@ -341,6 +369,20 @@ def test_cli_run_and_stage_chain(tmp_path, survey_csv, capsys):
     cfg2 = make_config(tmp_path, survey_csv, output_dir=str(tmp_path / "cli_out"))
     assert main(["ingest", "--config", str(cfg2)]) == 0
     assert (tmp_path / "cli_out" / "samples.csv").exists()
+
+
+def test_cli_out_of_range_itm_coordinate_names_file_and_line(tmp_path, capsys):
+    site_ids, easting, northing, conc = surrogate_survey(n=40, seed=0)
+    easting[5] = 2_000_000.0
+    csv_path = tmp_path / "survey.csv"
+    write_survey_csv(csv_path, site_ids, easting, northing, conc)
+    cfg_path = make_config(tmp_path, csv_path)
+    for command in ("ingest", "run"):
+        assert main([command, "--config", str(cfg_path)]) == 1, command
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"{csv_path}: line 7: ITM coordinate out of range: easting=2000000.0" in err, err
+    assert not (tmp_path / "out" / FILES["samples"]).exists()
 
 
 def test_cli_error_exit_code(tmp_path, survey_csv, capsys):
