@@ -5,9 +5,10 @@ geographic graph yields both the feature mutual kNN graph and the kNN
 density radii; intersect the feature graph with the geographic graph, split
 into connected components, estimate kNN densities, link each sample to its
 nearest higher-density neighbor within its component ("big brother"), pick
-cluster centers from the omega/density quantile rule, propagate labels down
-the big-brother tree, then merge near-duplicate clusters. Samples stranded in
-components smaller than min_component_size are labeled -1.
+cluster centers from the omega/density quantile rule, follow the big-brother
+chains to the centers by pointer jumping, then merge near-duplicate clusters.
+Samples in components smaller than min_component_size are labeled -1. Each
+per-component or per-cluster pass takes its samples from group_by_label.
 
 The big-brother step reuses the feature kNN lists: a sample whose nearest
 denser same-component list entry lies strictly inside its k-th-neighbor
@@ -106,7 +107,7 @@ class ClusterLabeling:
         return int(np.sum(self.labels == OUTLIER))
 
     def cluster_sizes(self) -> list[int]:
-        return [int(np.sum(self.labels == c)) for c in range(self.n_clusters)]
+        return np.bincount(self.labels[self.labels >= 0]).tolist()
 
 
 def _log_unit_ball_volume(d: int) -> float:
@@ -227,56 +228,60 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     return BigBrother(parent=parent, omega=omega)
 
 
+def group_by_label(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each distinct label, ascending, with its members in ascending index
+    order (one stable argsort): the grouping of every per-label pass."""
+    order = np.argsort(labels, kind="stable")
+    ids, starts = np.unique(labels[order], return_index=True)
+    return list(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
 def select_centers(density: DensityEstimate, bb: BigBrother,
                    components: ComponentLabels, params: CpfParams) -> np.ndarray:
     """Centers per qualifying component: omega above the (1 - alpha)-quantile
     of finite omegas (or +inf) and density at or above the rho-quantile."""
     centers = []
-    floor = params.component_size_floor
-    for comp, size in components.component_sizes.items():
-        if size < floor:
+    for _, members in group_by_label(components.labels):
+        if members.size < params.component_size_floor:
             continue
-        members = np.flatnonzero(components.labels == comp)
         omegas = bb.omega[members]
-        finite = omegas[np.isfinite(omegas)]
         dens = density.log_density[members]
-        rho_cut = np.quantile(dens, params.rho)
-        if finite.size:
-            omega_cut = np.quantile(finite, 1.0 - params.alpha)
-            picked = members[((omegas > omega_cut) | np.isinf(omegas)) & (dens >= rho_cut)]
-        else:
-            picked = members[np.isinf(omegas) & (dens >= rho_cut)]
-        centers.extend(picked.tolist())
+        far = np.isinf(omegas)
+        if not far.all():
+            far |= omegas > np.quantile(omegas[~far], 1.0 - params.alpha)
+        centers.extend(members[far & (dens >= np.quantile(dens, params.rho))].tolist())
     return np.array(sorted(centers), dtype=np.int64)
 
 
 def assign_clusters(bb: BigBrother, centers: np.ndarray,
                     components: ComponentLabels, params: CpfParams) -> ClusterLabeling:
-    """Propagate labels down big-brother chains; small components become -1.
+    """Label each sample with the cluster of the center its big-brother chain
+    reaches; small components hold no center, so their samples stay -1.
 
-    Cluster ids at this stage follow ascending center index; merge_clusters
-    re-indexes by size afterwards.
+    Pointer jumping (up = up[up]) follows every chain at once: a sample points
+    at its parent, a center at itself and a chain's end at a sink. It stops
+    after a round with no change, or after n.bit_length() + 1 rounds, so a
+    parent cycle cannot hang it; a qualifying sample left off every center
+    raises InternalConsistencyError. Cluster ids here follow ascending center
+    index; merge_clusters re-indexes by size afterwards.
     """
     n = components.n
-    labels = np.full(n, OUTLIER, dtype=np.int64)
-    center_ids = {int(c): idx for idx, c in enumerate(centers)}
-    floor = params.component_size_floor
-    qualifying = {c for c, s in components.component_sizes.items() if s >= floor}
-    for i, cid in center_ids.items():
-        labels[i] = cid
-
-    for i in range(n):
-        if labels[i] != OUTLIER or components.labels[i] not in qualifying:
-            continue
-        chain = []
-        j = i
-        while labels[j] == OUTLIER:
-            chain.append(j)
-            j = int(bb.parent[j])
-            if j < 0 or len(chain) > n:
-                raise InternalConsistencyError(
-                    f"big-brother chain from sample {i} does not reach a center")
-        labels[chain] = labels[j]
+    # Slot n is the sink: the cluster of every chain that misses all centers.
+    cluster = np.full(n + 1, OUTLIER, dtype=np.int64)
+    cluster[centers] = np.arange(centers.size)
+    up = np.append(np.where(bb.parent < 0, n, bb.parent), n)
+    up[centers] = centers
+    for _ in range(n.bit_length() + 1):
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
+        up = jumped
+    labels = cluster[up[:n]]
+    qualifying = np.bincount(components.labels)[components.labels] >= params.component_size_floor
+    stranded = np.flatnonzero(qualifying & (labels == OUTLIER))
+    if stranded.size:
+        raise InternalConsistencyError(
+            f"big-brother chain from sample {stranded[0]} does not reach a center")
     return ClusterLabeling(labels=labels)
 
 
@@ -284,14 +289,12 @@ def _relabel_by_size(labels: np.ndarray) -> np.ndarray:
     """Re-index non-negative labels to 0..K-1 by descending size; ties break
     toward the cluster containing the smallest sample index."""
     out = np.full_like(labels, OUTLIER)
-    ids = np.unique(labels[labels >= 0])
-    if ids.size == 0:
-        return out
-    sizes = np.array([np.sum(labels == c) for c in ids])
-    first_member = np.array([np.flatnonzero(labels == c)[0] for c in ids])
-    order = np.lexsort((first_member, -sizes))
-    for new, pos in enumerate(order):
-        out[labels == ids[pos]] = new
+    clustered = labels >= 0
+    _, first, inverse, sizes = np.unique(labels[clustered], return_index=True,
+                                         return_inverse=True, return_counts=True)
+    rank = np.empty_like(sizes)
+    rank[np.lexsort((first, -sizes))] = np.arange(sizes.size)
+    out[clustered] = rank[inverse]
     return out
 
 

@@ -33,7 +33,6 @@ from scipy.spatial import cKDTree
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
 
-EARTH_RADIUS_M = 6371008.8  # mean Earth radius
 # Relative slack between distances computed with different rounding (the
 # kd-tree's, numpy's and cdist's), far wider than their actual gap.
 FP_MARGIN = 1e-9
@@ -60,13 +59,6 @@ class SparseAdjacency:
 
     def edge_set(self) -> set:
         return {(int(u), int(v)) for u, v in self.edges}
-
-
-def haversine_m(lat1, lon1, lat2, lon2) -> float:
-    """Great-circle distance in meters between two (degree) coordinates."""
-    p1, l1, p2, l2 = map(np.radians, (lat1, lon1, lat2, lon2))
-    h = np.sin((p2 - p1) / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2) ** 2
-    return float(2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)))
 
 
 def _sphere_embed(latlon: np.ndarray) -> np.ndarray:

@@ -61,9 +61,6 @@ class ScalingParams:
     center: np.ndarray
     scale: np.ndarray
 
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix * self.scale + self.center
-
 
 def _column_index(header: list[str], path) -> dict[str, int]:
     """Header position of each DEFAULT_ALIASES column, by its first alias."""

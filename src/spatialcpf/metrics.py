@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpf import OUTLIER, ClusterLabeling
+from .cpf import OUTLIER, ClusterLabeling, group_by_label
 from .errors import ParameterError
 from .ingest import ELEMENTS, SampleTable
 
@@ -27,16 +27,16 @@ def calinski_harabasz(features: np.ndarray, labeling: ClusterLabeling,
         mask = labels != OUTLIER
         features = features[mask]
         labels = labels[mask]
-    ids = np.unique(labels)
-    k = ids.size
+    groups = group_by_label(labels)
+    k = len(groups)
     n = features.shape[0]
     if k < 2:
         raise ParameterError(f"need at least 2 clusters, got {k}")
     overall_mean = features.mean(axis=0)
     between = 0.0
     within = 0.0
-    for c in ids:
-        grp = features[labels == c]
+    for _, members in groups:
+        grp = features[members]
         mu = grp.mean(axis=0)
         between += grp.shape[0] * float(np.sum((mu - overall_mean) ** 2))
         within += float(np.sum((grp - mu) ** 2))
@@ -94,7 +94,6 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
     """
     if table.n != labeling.n:
         raise ParameterError("table and labeling are not aligned")
-    labels = labeling.labels
     raw = table.concentrations
     logged = None
     if log10_export:
@@ -109,14 +108,11 @@ def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
         logged = np.log10(safe)
     stats = {}
     log10_stats = {}
-    groups = [c for c in range(labeling.n_clusters)]
-    if np.any(labels == OUTLIER):
-        groups.append(OUTLIER)
-    for c in groups:
-        members = np.flatnonzero(labels == c)
-        if members.size == 0:
+    groups = dict(group_by_label(labeling.labels))
+    for c in range(labeling.n_clusters):
+        if c not in groups:
             warnings.warn(f"cluster {c} is empty; excluded from summary")
-            continue
+    for c, members in groups.items():
         for j, element in enumerate(ELEMENTS):
             stats[(c, element)] = _box_stats(raw[members, j])
             if logged is not None:

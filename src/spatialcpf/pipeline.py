@@ -206,9 +206,19 @@ def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
     return columns
 
 
-def _read_coords(path) -> np.ndarray:
-    cols = _read_columns(path, {"lat": ("latitude", float), "lon": ("longitude", float)})
-    return np.column_stack([cols["lat"], cols["lon"]])
+def _finite(cell: str) -> float:
+    """A float cell that must be finite: GeoJSON has no NaN or infinity."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
+def _read_coords(path) -> tuple[np.ndarray, list[str]]:
+    """coords.csv's (latitude, longitude) rows and its site_id column."""
+    cols = _read_columns(path, {"site_ids": ("site_id", str), "lat": ("latitude", _finite),
+                                "lon": ("longitude", _finite)})
+    return np.column_stack([cols["lat"], cols["lon"]]), cols["site_ids"]
 
 
 def write_labeling(lab: dict, path) -> Path:
@@ -233,7 +243,7 @@ def _flag(cell: str) -> bool:
 _LABELING_CELLS = {
     "site_ids": ("site_id", str),
     "labels": ("cluster_label", int),
-    "log_density": ("log_density", float),
+    "log_density": ("log_density", _finite),
     "omega": ("omega", float),
     "component_id": ("component_id", int),
 }
@@ -245,8 +255,16 @@ _REFINE_CELLS = {
 
 def read_labeling(path) -> dict:
     """labeling.csv's columns keyed as the cluster stage stores them, plus
-    anomaly_score and iforest_flag once refine has written them."""
+    anomaly_score and iforest_flag once refine has written them. A cluster
+    label or component id out of range for the row count raises DataError
+    naming the row."""
     cols = _read_columns(path, _LABELING_CELLS, optional=_REFINE_CELLS)
+    n = len(cols["site_ids"])
+    for key, low in (("labels", cpf.OUTLIER), ("component_id", 0)):
+        for row, value in enumerate(cols[key], start=1):
+            if not low <= value < n:
+                raise DataError(f"{path}: row {row}: {_LABELING_CELLS[key][0]} {value} "
+                                f"is outside [{low}, {n})")
     return {key: values if key == "site_ids" else np.array(values)
             for key, values in cols.items()}
 
@@ -309,7 +327,9 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
 class _Store(dict):
     """One run's artifacts by FILES key, plus "features" and "fit". A value
     no stage of the run has produced comes from _SOURCES on first use: an
-    artifact is read from the path passed for it, else from output_dir."""
+    artifact is read from the path passed for it, else from output_dir. An
+    artifact read back through _READERS must cover the sites of samples, row
+    for row (a graph: as many vertices), or DataError names both files."""
 
     def __init__(self, config: PipelineConfig, paths=None, out=None):
         super().__init__()
@@ -319,16 +339,35 @@ class _Store(dict):
         return Path(self.paths.get(key) or self.config.path(FILES[key]))
 
     def __missing__(self, key):
-        value = self[key] = _SOURCES[key](self)
+        if key not in _READERS:
+            value = self[key] = _SOURCES[key](self)
+            return value
+        path, where = self.path(key), self.path("samples")
+        value, sites = _READERS[key](path)
+        samples = self["samples"]
+        size, ids = (sites, ()) if isinstance(sites, int) else (len(sites), sites)
+        if size != samples.n:
+            raise DataError(f"{path} has {size} sites, but {where} has {samples.n}")
+        for row, (site, want) in enumerate(zip(ids, samples.site_ids), start=1):
+            if site != want:
+                raise DataError(f"{path}: row {row} is site {site!r}, "
+                                f"but row {row} of {where} is {want!r}")
+        self[key] = value
         return value
 
 
-# How the store gets a value that no stage of the run has produced.
+# The artifacts a stage may read back from a file. Each reader returns the
+# artifact and the site_id column of its rows, or a graph's vertex count.
+_READERS = {
+    # Looked up when called, so a wrapper set on the module is called instead.
+    "coords": lambda path: _read_coords(path),
+    "adjacency": lambda path: (adj := graph.load_adjacency(path), adj.n),
+    "labeling": lambda path: (lab := read_labeling(path), lab["site_ids"]),
+}
+
+# How the store gets any other value that no stage of the run has produced.
 _SOURCES = {
     "samples": lambda s: ingest.parse_g5_csv(s.path("samples")),
-    "coords": lambda s: _read_coords(s.path("coords")),
-    "adjacency": lambda s: graph.load_adjacency(s.path("adjacency")),
-    "labeling": lambda s: read_labeling(s.path("labeling")),
     # The (n, 15) concentrations by FEATURE_CHOICES name.
     "features": lambda s: {"raw": s["samples"].concentrations,
                            "standardized": ingest.standardize(s["samples"].concentrations,
@@ -399,10 +438,11 @@ def _refine(s: _Store) -> None:
 
 
 class Stage(NamedTuple):
-    """One step of the chain: the artifacts --in overrides, the artifacts it
-    writes (--out overrides the first) and its function on the store. A
-    stage without one writes values the store derives (the summary)."""
-    inputs: tuple
+    """One step of the chain: the artifacts --in overrides (or a function of
+    the config giving them), the artifacts it writes (--out overrides the
+    first) and its function on the store. A stage without one writes values
+    the store derives (the summary)."""
+    inputs: tuple | Callable[[PipelineConfig], tuple]
     outputs: tuple
     run: Callable[[_Store], None] | None = None
 
@@ -411,8 +451,9 @@ STAGES = {
     # "input" is the raw survey CSV, the config's input by default.
     "ingest": Stage(("input",), ("samples",), _ingest),
     "project": Stage(("samples",), ("coords",), _project),
-    # --in is whichever one geo_metric reads: samples under euclidean_itm, else coords.
-    "graph": Stage(("samples", "coords"), ("adjacency",), _graph),
+    # --in is the one geo_metric reads: samples under euclidean_itm, else coords.
+    "graph": Stage(lambda config: ("samples" if config.geo_metric == "euclidean_itm"
+                                   else "coords",), ("adjacency",), _graph),
     "cluster": Stage(("samples",), ("labeling",), _cluster),
     "refine": Stage(("labeling",), ("labeling",), _refine),
     "summarize": Stage(("labeling",), ("summary",)),
@@ -459,7 +500,8 @@ def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
     stage = STAGES[name]
     paths = {key.removesuffix("_path"): p for key, p in paths.items() if p}
     if in_path:
-        paths.update(dict.fromkeys(stage.inputs, in_path))
+        inputs = stage.inputs(config) if callable(stage.inputs) else stage.inputs
+        paths.update(dict.fromkeys(inputs, in_path))
     try:
         _, written, raised = _run(_Store(config, paths, out={stage.outputs[0]: out_path}),
                                   [name])

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 import oracle_cpf
 from conftest import two_blob_dataset
 from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
-                            DensityEstimate, assign_clusters, big_brother, fit, knn_density,
-                            merge_clusters, select_centers)
-from spatialcpf.errors import DataError, ParameterError
+                            DensityEstimate, assign_clusters, big_brother, fit,
+                            group_by_label, knn_density, merge_clusters, select_centers)
+from spatialcpf.errors import DataError, InternalConsistencyError, ParameterError
 from spatialcpf.graph import (ComponentLabels, SparseAdjacency, connected_components,
                               knn, mutual_graph, mutual_knn_graph)
 
@@ -237,6 +238,47 @@ def test_assign_single_center_single_component():
     center = np.array([int(np.argmax(density.log_density))])
     labeling = assign_clusters(bb, center, comps, CpfParams(min_samples=5, min_component_size=5))
     assert np.all(labeling.labels == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-1, 5), max_size=200))
+def test_group_by_label_matches_per_label_scan(values):
+    labels = np.array(values, dtype=np.int64)
+    groups = group_by_label(labels)
+    assert [c for c, _ in groups] == sorted(set(values))
+    for c, members in groups:
+        np.testing.assert_array_equal(members, np.flatnonzero(labels == c))
+
+
+def test_assign_component_without_center_names_first_stranded_sample():
+    # Both components qualify, but only component 0 has a center.
+    comps = ComponentLabels(labels=np.array([0, 1, 0, 1]), component_sizes={0: 2, 1: 2})
+    bb = BigBrother(parent=np.array([-1, 3, 0, -1]), omega=np.array([np.inf, 1.0, 1.0, np.inf]))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^big-brother chain from sample 1 does not reach a center$"):
+        assign_clusters(bb, np.array([0]), comps, CpfParams(min_samples=1, min_component_size=2))
+
+
+@pytest.mark.parametrize("parent", [[1, 0], [1, 2, 3, 0], [1, 2, 0, 1, 3]],
+                         ids=["two_cycle", "four_cycle", "three_cycle_with_tails"])
+def test_assign_parent_cycle_raises_promptly(parent):
+    n = len(parent)
+    bb = BigBrother(parent=np.array(parent), omega=np.ones(n))
+    raised = []
+
+    def call():
+        try:
+            assign_clusters(bb, np.array([], dtype=np.int64), single_component(n),
+                            CpfParams(min_samples=1, min_component_size=1))
+        except InternalConsistencyError as exc:
+            raised.append(str(exc))
+
+    # A daemon thread, so a hang fails this test instead of stalling the run.
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "assign_clusters loops on a parent cycle"
+    assert raised == ["big-brother chain from sample 0 does not reach a center"]
 
 
 # --------------------------------------------------------------- merge

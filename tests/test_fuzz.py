@@ -1,9 +1,10 @@
 """Fuzz the CLI with mutated input files.
 
-A small valid survey CSV, config YAML and geo_adjacency.bin are mutated by
-byte flips, deletions, insertions and truncation, then read by the stage
-that reads them. Each command must exit 0, or exit 1 with exactly one line
-on stderr; any other exception escaping the CLI fails the test.
+A small valid survey CSV, config YAML, geo_adjacency.bin, coords.csv and
+labeling.csv are mutated by byte flips, deletions, insertions and
+truncation, then read by a stage that reads them. Each command must exit 0,
+or exit 1 with exactly one line on stderr; any other exception escaping the
+CLI fails the test.
 """
 
 import pytest
@@ -39,13 +40,14 @@ def mutations(draw, data: bytes) -> bytes:
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    """A valid survey, config and graph under tmp_path, the working directory."""
+    """A valid survey, config, coordinates, graph and labeling under
+    tmp_path, the working directory."""
     monkeypatch.chdir(tmp_path)
     write_survey_csv("survey.csv", *surrogate_survey(n=40, seed=3))
     config = {"input": "survey.csv", "output_dir": "out", "cpf": {"min_samples": 5},
               "iforest": {"n_trees": 10, "subsample_size": 16}}
     (tmp_path / "c.yaml").write_text(yaml.safe_dump(config))
-    for stage in ("ingest", "project", "graph"):
+    for stage in ("ingest", "project", "graph", "cluster"):
         assert main([stage, "--config", "c.yaml"]) == 0
     return tmp_path
 
@@ -65,7 +67,9 @@ FUZZ = settings(max_examples=120, deadline=None,
     ("fuzz.csv", ["ingest", "--config", "c.yaml", "--in", "fuzz.csv", "--out", "fuzz_out.csv"]),
     ("fuzz.yaml", ["ingest", "--config", "fuzz.yaml", "--out", "fuzz_out.csv"]),
     ("out/geo_adjacency.bin", ["cluster", "--config", "c.yaml", "--out", "fuzz_out.csv"]),
-], ids=["csv", "yaml", "sadj"])
+    ("out/coords.csv", ["export", "--config", "c.yaml", "--out", "fuzz_out.geojson"]),
+    ("out/labeling.csv", ["summarize", "--config", "c.yaml", "--out", "fuzz_out.csv"]),
+], ids=["csv", "yaml", "sadj", "coords", "labeling"])
 def test_mutated_input_exits_cleanly(workdir, capsys, name, argv):
     source = {"fuzz.csv": "survey.csv", "fuzz.yaml": "c.yaml"}.get(name, name)
     valid = (workdir / source).read_bytes()

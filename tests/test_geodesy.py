@@ -6,7 +6,6 @@ import pytest
 from oracle_tm import itm_oracle
 from spatialcpf.errors import OutOfDomainError
 from spatialcpf.geodesy import ITM, itm_to_wgs84, wgs84_to_itm
-from spatialcpf.graph import haversine_m
 
 # Frozen oracle values (Redfearn + quadrature, see oracle_tm.py):
 #   forward(53.349805, -6.260310) and inverse(715000, 734000)
@@ -14,6 +13,15 @@ CONTROL_GEO = (53.349805, -6.260310)
 CONTROL_ITM = (715825.827311, 734698.132703)
 CONTROL_ITM_IN = (715000.0, 734000.0)
 CONTROL_GEO_OUT = (53.343713908446, -6.272961149071)
+
+EARTH_RADIUS_M = 6371008.8  # mean Earth radius
+
+
+def haversine_m(lat1, lon1, lat2, lon2) -> float:
+    """Great-circle distance in meters between two (degree) coordinates."""
+    p1, l1, p2, l2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    h = np.sin((p2 - p1) / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2) ** 2
+    return float(2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h)))
 
 
 def test_false_origin_maps_to_projection_origin():

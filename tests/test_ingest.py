@@ -149,7 +149,8 @@ def test_standardize_round_trip_and_idempotence(matrix):
     if np.any(matrix.std(axis=0, ddof=1) < 1e-9):
         return
     out, params = standardize(matrix, element_order=("A", "B", "C"))
-    np.testing.assert_allclose(params.inverse(out), matrix, atol=1e-9 * max(1, np.abs(matrix).max()))
+    np.testing.assert_allclose(out * params.scale + params.center, matrix,
+                               atol=1e-9 * max(1, np.abs(matrix).max()))
     again, _ = standardize(out, element_order=("A", "B", "C"))
     np.testing.assert_allclose(again, out, atol=1e-9)
 

@@ -140,6 +140,20 @@ def test_summary_outlier_group_and_log10(tmp_path):
                                logged.whisker_high]))
 
 
+def test_summary_warns_of_empty_cluster_and_keeps_the_rest(tmp_path):
+    table = make_table(tmp_path, n=9)
+    labels = np.array([0, 2, -1, 0, 2, -1, 0, 2, 2])
+    with pytest.warns(UserWarning) as raised:
+        summary = cluster_summary(table, ClusterLabeling(labels=labels))
+    assert [str(w.message) for w in raised] == ["cluster 1 is empty; excluded from summary"]
+    assert {c for c, _ in summary.stats} == {0, 2, -1}
+    zn = table.concentrations[:, ELEMENTS.index("Zn")]
+    for c in (0, 2, -1):
+        stats = summary.stats[(c, "Zn")]
+        assert stats.size == np.sum(labels == c)
+        assert stats.median == np.quantile(zn[labels == c], 0.5)
+
+
 def test_summary_beyond_whisker_points(tmp_path):
     table = make_table(tmp_path, n=12, seed=6)
     # Force one extreme Mn value.

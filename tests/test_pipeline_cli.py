@@ -499,6 +499,14 @@ def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, 
          "missing column cluster_label"),
         (written("latin1.csv", cell_replaced("site_id", "\u00e9"), encoding="latin-1"),
          "not UTF-8"),
+        # Out of range for 400 rows: three million would ask for as many
+        # cluster groups, twenty nines for an integer numpy cannot hold, and
+        # no stage writes a label below -1.
+        (written("huge.csv", cell_replaced("cluster_label", "3000000")),
+         "row 2: cluster_label 3000000 is outside [-1, 400)"),
+        (written("wide.csv", cell_replaced("component_id", "9" * 20)), "row 2: component_id"),
+        (written("minus.csv", cell_replaced("cluster_label", "-7")), "row 2: cluster_label -7"),
+        (written("nan.csv", cell_replaced("log_density", "nan")), "line 3"),
     ]
     for path, where in cases:
         for stage in ("refine", "summarize"):
@@ -513,6 +521,59 @@ def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, 
     assert main(["graph", "--config", str(cfg_path), "--in", str(coords)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "coords.csv: line 2" in err, err
+
+    # Exported as is, a NaN latitude would make the GeoJSON invalid JSON.
+    cells = text[2].split(",")
+    cells[1] = "nan"
+    (out_dir / FILES["coords"]).write_text(text[0] + text[1] + ",".join(cells) + "".join(text[3:]))
+    assert main(["export", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "coords.csv: line 3: bad latitude" in err, err
+
+
+def _head(path, lines):
+    return b"".join(path.read_bytes().splitlines(keepends=True)[:lines])
+
+
+def _rows_swapped(path):
+    header, first, second, *rest = path.read_bytes().splitlines(keepends=True)
+    return b"".join([header, second, first, *rest])
+
+
+# Each case replaces one artifact of a finished 400-site run (out) with a file
+# made from it or from another run over 450 sites whose first 400 site ids
+# are the same (other); the stage that reads it back must name both files.
+@pytest.mark.parametrize("stage, key, replacement, where", [
+    ("export", "coords", lambda out, other: _head(out / FILES["coords"], 100), "has 99 sites"),
+    ("export", "coords", lambda out, other: (other / FILES["coords"]).read_bytes(),
+     "has 450 sites"),
+    ("export", "coords", lambda out, other: _rows_swapped(out / FILES["coords"]),
+     "row 1 is site 'S00001'"),
+    ("summarize", "labeling", lambda out, other: _head(out / FILES["labeling"], 400),
+     "has 399 sites"),
+    ("cluster", "adjacency", lambda out, other: (other / FILES["adjacency"]).read_bytes(),
+     "has 450 sites"),
+], ids=["export_99_row_coords", "export_other_run_coords", "export_reordered_coords",
+        "summarize_truncated_labeling", "cluster_other_run_graph"])
+def test_cli_artifact_not_matching_samples_names_both_files(tmp_path, survey_csv, capsys,
+                                                            stage, key, replacement, where):
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    (tmp_path / "other").mkdir()
+    other_csv = tmp_path / "other" / "survey.csv"
+    write_survey_csv(other_csv, *surrogate_survey(n=450, seed=7))
+    other_cfg = make_config(tmp_path / "other", other_csv)
+    for name in ("ingest", "project", "graph"):
+        assert main([name, "--config", str(other_cfg)]) == 0
+    out = tmp_path / "out"
+    (out / FILES[key]).write_bytes(replacement(out, tmp_path / "other" / "out"))
+    capsys.readouterr()
+
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert str(out / FILES[key]) in err and str(out / FILES["samples"]) in err, err
+    assert where in err, err
 
 
 # Each stage's main input, and the file it writes (--out), by FILES key.
