@@ -16,6 +16,11 @@ radius takes that entry, since no sample off the list can be as close. Only
 the remaining samples (component peaks, duplicates, ties at the radius) are
 measured against their component's denser members, in bounded row blocks,
 so no component needs an m-by-m distance matrix.
+
+The feature kNN (graph.knn) and the big-brother pass over the kNN lists
+run in row blocks on every usable core (graph.map_blocks). Each sample's
+result there depends only on its own row, never on the block it falls in,
+so the labels do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from scipy.spatial.distance import cdist
 
 from .errors import InternalConsistencyError, ParameterError, require_type
 from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency,
-                    connected_components, hadamard_intersect, knn, mutual_graph)
+                    connected_components, hadamard_intersect, knn, map_blocks,
+                    mutual_graph)
 
 OUTLIER = -1
 # Distance entries per fallback block in big_brother (8 MiB of float64).
 _BLOCK_ENTRIES = 1 << 20
+# Samples per block of big_brother's pass over the kNN lists; bounds its
+# (rows, k) temporaries.
+_LIST_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,9 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     the list decides parent and omega. Distances from knn, numpy and cdist
     differ in rounding, so the radius is shrunk by FP_MARGIN before this
     test and omega is always a cdist value (one pair's cdist value does not
-    depend on the block it is computed in). The rest -- samples without a
+    depend on the block it is computed in). This list pass runs in blocks
+    of _LIST_ROWS samples on every usable core (graph.map_blocks), each
+    block writing only its own samples. The rest -- samples without a
     qualifying list entry, with radius 0 (duplicates) or with the nearest
     entry at the radius -- are measured against all denser members of their
     component, in row blocks of about _BLOCK_ENTRIES distances (one row at
@@ -175,6 +186,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     """
     features = np.asarray(features, dtype=float)
     neighbors = np.asarray(neighbors, dtype=np.int64)
+    radius = np.asarray(radius, dtype=float)
     n = features.shape[0]
     if components.n != n:
         raise ParameterError("component labeling does not match feature count")
@@ -187,20 +199,27 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     parent = np.full(n, -1, dtype=np.int64)
     omega = np.full(n, np.inf)
 
-    # Rank the qualifying list entries by a vectorised distance, then take
-    # cdist values for those within the rounding margin of each row's nearest.
-    qualifies = (comp[neighbors] == comp[:, None]) & (rank[neighbors] < rank[:, None])
-    approx = np.zeros(neighbors.shape)
-    for column in features.T:
-        approx += (column[neighbors] - column[:, None]) ** 2
-    approx = np.where(qualifies, np.sqrt(approx), np.inf)
-    near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + FP_MARGIN))
-    exact = np.full(neighbors.shape, np.inf)
-    exact[near] = _pair_distances(features, np.nonzero(near)[0], neighbors[near])
-    best = exact.min(axis=1)
-    resolved = best < np.asarray(radius, dtype=float) * (1.0 - FP_MARGIN)
-    parent[resolved] = np.where(exact == best[:, None], neighbors, n).min(axis=1)[resolved]
-    omega[resolved] = best[resolved]
+    def list_pass(start: int) -> None:
+        """Settle the rows from start whose nearest qualifying list entry
+        lies inside their radius. Rank the qualifying entries by a vectorised
+        distance, then take cdist values for those within the rounding margin
+        of each row's nearest."""
+        rows = np.arange(start, min(start + _LIST_ROWS, n))
+        listed = neighbors[rows]
+        qualifies = (comp[listed] == comp[rows, None]) & (rank[listed] < rank[rows, None])
+        approx = np.zeros(listed.shape)
+        for column in features.T:
+            approx += (column[listed] - column[rows, None]) ** 2
+        approx = np.where(qualifies, np.sqrt(approx), np.inf)
+        near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + FP_MARGIN))
+        exact = np.full(listed.shape, np.inf)
+        exact[near] = _pair_distances(features, rows[np.nonzero(near)[0]], listed[near])
+        best = exact.min(axis=1)
+        resolved = best < radius[rows] * (1.0 - FP_MARGIN)
+        parent[rows[resolved]] = np.where(exact == best[:, None], listed, n).min(axis=1)[resolved]
+        omega[rows[resolved]] = best[resolved]
+
+    map_blocks(list_pass, range(0, n, _LIST_ROWS))
 
     # Members grouped by component, denser first: the qualifying candidates
     # of the sample in slot s are the slots from its component's first to s.

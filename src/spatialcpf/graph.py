@@ -17,11 +17,19 @@ distances have the same strict order. The other rows are ordered by (numpy
 distance, index); rows tied at the cut, or inside a run of duplicate points,
 are queried again at double the width until they settle; at width n every
 row does.
+
+Each row's neighbors depend only on the tree and the row, so the row blocks
+of each width run on every usable core (map_blocks; cKDTree releases the GIL
+while it queries). A block writes only its own rows, and the rows left
+unsettled are gathered in block order, so the result does not depend on the
+thread count or on how the rows are split.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +47,21 @@ FP_MARGIN = 1e-9
 # Rows per kd-tree query block in knn at width k+2, scaled down as the width
 # grows; bounds its (rows, width, d) temporaries.
 _BLOCK_ROWS = 512
+# Threads map_blocks runs on: the cores this process may use.
+THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def map_blocks(func, blocks) -> list:
+    """[func(block) for block in blocks], the calls spread over THREADS
+    threads; results in the order of blocks. An exception a call raises
+    reaches the caller as it is (of several, the earliest block's). With one
+    thread or one block the calls run in the calling thread. Each call must
+    write only its own block's rows of any shared output."""
+    blocks = list(blocks)
+    if THREADS == 1 or len(blocks) <= 1:
+        return [func(block) for block in blocks]
+    with ThreadPoolExecutor(min(THREADS, len(blocks))) as pool:
+        return list(pool.map(func, blocks))
 
 
 @dataclass(frozen=True)
@@ -90,7 +113,8 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     was returned or the farthest non-self candidate lies beyond the k-th by
     FP_MARGIN, by the same argument. Rows left unsettled -- ties at the cut,
     runs of duplicate points -- are queried again at double the width, with
-    proportionally fewer rows per block, until none is left.
+    proportionally fewer rows per block, until none is left. The blocks of
+    each width run through map_blocks; each writes only its own rows.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -105,30 +129,35 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     tree = cKDTree(points)
     neighbors = np.empty((n, k), dtype=np.int64)
     cut = np.empty(n)
+
+    def query(rows: np.ndarray) -> np.ndarray:
+        """Write the block's rows of neighbors and cut at the current width;
+        return the rows still unsettled."""
+        dist, idx = tree.query(points[rows], k=width)
+        cut[rows] = dist[:, k]
+        if width <= k + 2:
+            # First width: rows clear of near-ties keep the tree's order.
+            clear = (dist[:, 1] > 0) & np.all(
+                dist[:, 2:] > dist[:, 1:-1] * (1 + FP_MARGIN), axis=1)
+            neighbors[rows[clear]] = idx[clear, 1:k + 1]
+            rows, idx = rows[~clear], idx[~clear]
+        # The same per-row reduction as tests/oracle_graph.knn_loop, so the same bits.
+        d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
+        is_self = idx == rows[:, None]
+        order = np.lexsort((idx, d, is_self), axis=-1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        d = np.take_along_axis(d, order, axis=1)
+        neighbors[rows] = idx[:, :k]
+        settled = is_self.any(axis=1)
+        if width < n:
+            settled &= d[:, width - 2] > d[:, k - 1] * (1 + FP_MARGIN)
+        return rows[~settled]
+
     unsettled, width = np.arange(n), min(k + 2, n)
     while unsettled.size:
-        block, retry = max(1, _BLOCK_ROWS * (k + 2) // width), []
-        for start in range(0, unsettled.size, block):
-            rows = unsettled[start:start + block]
-            dist, idx = tree.query(points[rows], k=width)
-            cut[rows] = dist[:, k]
-            if width <= k + 2:
-                # First width: rows clear of near-ties keep the tree's order.
-                clear = (dist[:, 1] > 0) & np.all(
-                    dist[:, 2:] > dist[:, 1:-1] * (1 + FP_MARGIN), axis=1)
-                neighbors[rows[clear]] = idx[clear, 1:k + 1]
-                rows, idx = rows[~clear], idx[~clear]
-            # The same per-row reduction as tests/oracle_graph.knn_loop, so the same bits.
-            d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
-            is_self = idx == rows[:, None]
-            order = np.lexsort((idx, d, is_self), axis=-1)
-            idx = np.take_along_axis(idx, order, axis=1)
-            d = np.take_along_axis(d, order, axis=1)
-            neighbors[rows] = idx[:, :k]
-            settled = is_self.any(axis=1)
-            if width < n:
-                settled &= d[:, width - 2] > d[:, k - 1] * (1 + FP_MARGIN)
-            retry.append(rows[~settled])
+        block = max(1, _BLOCK_ROWS * (k + 2) // width)
+        retry = map_blocks(query, [unsettled[start:start + block]
+                                   for start in range(0, unsettled.size, block)])
         unsettled, width = np.concatenate(retry), min(2 * width, n)
     return neighbors, cut
 

@@ -167,6 +167,8 @@ FILES = {
 
 # A run whose share of outlier samples exceeds this warns of a degenerate result.
 DEGENERATE_OUTLIER_FRACTION = 0.5
+# Features per json.dumps call in export_geojson; bounds its encoded text.
+_GEOJSON_CHUNK = 1024
 
 
 def _write_csv(path, header, rows) -> Path:
@@ -282,11 +284,13 @@ def write_summary(summary: metrics.ClusterSummary, path) -> Path:
 
 def export_geojson(site_ids, labels, coords, log_density, path,
                    scores=None, flags=None) -> Path:
-    """GeoJSON FeatureCollection of Point features in (lon, lat) order."""
-    features = []
-    for i, sid in enumerate(site_ids):
+    """GeoJSON FeatureCollection of Point features in (lon, lat) order,
+    written as json.dumps(doc, separators=(",", ":"), sort_keys=True) would
+    write it, _GEOJSON_CHUNK features at a time."""
+
+    def feature(i):
         props = {
-            "site_id": sid,
+            "site_id": site_ids[i],
             "cluster": int(labels[i]),
             "log_density": float(log_density[i]) if len(log_density) else None,
         }
@@ -294,17 +298,24 @@ def export_geojson(site_ids, labels, coords, log_density, path,
             props["anomaly_score"] = (
                 None if np.isnan(scores[i]) else float(scores[i]))
         props["iforest_flag"] = bool(flags[i]) if flags is not None else False
-        features.append({
+        return {
             "type": "Feature",
             "geometry": {"type": "Point",
                          "coordinates": [float(coords[i][1]), float(coords[i][0])]},
             "properties": props,
-        })
-    doc = {"type": "FeatureCollection", "features": features}
+        }
+
     path = Path(path)
-    # json.dumps runs the C encoder; json.dump to a file never does.
     with atomic_open(path, encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True))
+        # The document's two keys, sorted, around the features; each chunk is
+        # json.dumps'd (the C encoder; json.dump to a file never uses it)
+        # without its list brackets.
+        fh.write('{"features":[')
+        for start in range(0, len(site_ids), _GEOJSON_CHUNK):
+            chunk = [feature(i) for i in range(start, min(start + _GEOJSON_CHUNK, len(site_ids)))]
+            fh.write(("," if start else "")
+                     + json.dumps(chunk, separators=(",", ":"), sort_keys=True)[1:-1])
+        fh.write('],"type":"FeatureCollection"}')
     return path
 
 
@@ -524,6 +535,11 @@ stage_summarize = partial(run_stage, "summarize")
 stage_export = partial(run_stage, "export")
 
 
+def _max_rss_mib() -> float:
+    """The process's peak resident set size so far (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage on one store, writing each artifact once; abort
     (removing this run's outputs) on error.
@@ -533,9 +549,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     component size to its number of components, and gives the number of
     centers before merging (n_centers) beside the clusters after it
     (n_clusters). Its warnings are those the stages raised, each once, then
-    a degenerate result's; fit_seconds times each phase of cpf.fit, and
-    peak_rss_mib is the process's peak resident set size so far.
+    a degenerate result's; fit_seconds times each phase of cpf.fit.
+    peak_rss_mib is the process's peak resident set size so far, and
+    peak_rss_growth_mib how far this run raised it (0 when the run stayed
+    under an earlier run's peak). threads is the number of threads the kNN
+    and big-brother passes ran on (graph.THREADS).
     """
+    start_rss = _max_rss_mib()
     s = _Store(config)
     seconds, _, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
@@ -545,6 +565,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                        include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
+    peak_rss = _max_rss_mib()
     if labeling.n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
         messages.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
                         f"are outliers, above the degenerate-result threshold of "
@@ -568,8 +589,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
-        # ru_maxrss is in KiB on Linux.
-        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mib": round(peak_rss, 1),
+        "peak_rss_growth_mib": round(peak_rss - start_rss, 1),
+        "threads": graph.THREADS,
         "warnings": messages,
         "config": config.to_dict(),
         "seed": config.seed,

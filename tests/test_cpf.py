@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle_cpf
 from conftest import two_blob_dataset
+from spatialcpf import cpf, graph
 from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
                             DensityEstimate, assign_clusters, big_brother, fit,
                             group_by_label, knn_density, merge_clusters, select_centers)
@@ -161,6 +162,35 @@ def test_big_brother_matches_oracle(seed, n, k, d, points, split, density_from):
     want = oracle_cpf.big_brother(features, density, comps)
     np.testing.assert_array_equal(bb.parent, want.parent)
     np.testing.assert_array_equal(bb.omega, want.omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80), k=st.integers(1, 12),
+       points=st.sampled_from(["random", "lattice"]))
+def test_big_brother_same_on_one_and_three_threads(seed, n, k, points):
+    rng = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    if points == "random":
+        features = rng.normal(size=(n, 2))
+    else:
+        # Duplicated points and equal distances.
+        features = rng.integers(0, 4, (n, 2)).astype(float)
+    neighbors, radius = knn(features, k)
+    comps = _labels_to_components(rng.integers(0, 3, n))
+    density = DensityEstimate(r_k=radius, log_density=np.round(rng.normal(size=n)))
+    results = []
+    for threads in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "THREADS", threads)
+            # Several list-pass blocks even at this size.
+            mp.setattr(cpf, "_LIST_ROWS", 5)
+            results.append(big_brother(features, density, comps, neighbors, radius))
+    one, three = results
+    np.testing.assert_array_equal(three.parent, one.parent)
+    assert three.omega.tobytes() == one.omega.tobytes()
+    want = oracle_cpf.big_brother(features, density, comps)
+    np.testing.assert_array_equal(one.parent, want.parent)
+    np.testing.assert_array_equal(one.omega, want.omega)
 
 
 def test_big_brother_memory_bounded_on_large_component():

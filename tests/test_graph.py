@@ -1,4 +1,6 @@
 import itertools
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -188,6 +190,90 @@ def test_knn_fallback_resolves_lattice_ties(block):
                 tied += len(_tied_at_cut(pts, k))
     # Rows tied at the cut cannot settle at width k+2, so the widening ran.
     assert tied > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80), d=st.sampled_from([1, 2, 15]),
+       points=st.sampled_from(["runs", "lattice"]))
+def test_knn_same_on_one_and_three_threads(seed, n, d, points):
+    rng = np.random.default_rng(seed)
+    # k + 2 <= n // 3, so under "runs" the longest run of duplicates cannot
+    # settle at width k + 2 and is queried again, one row per block.
+    k = int(rng.integers(1, n // 3 - 1))
+    if points == "runs":
+        pts = rng.normal(size=(3, d))[rng.integers(0, rng.integers(1, 4), n)]
+    else:
+        # Duplicated points and exactly equal distances.
+        pts = rng.integers(0, 4, (n, d)).astype(float)
+    real_map_blocks, results = graph.map_blocks, []
+    for threads in (1, 3):
+        rounds = []
+
+        def recording(func, blocks):
+            blocks = list(blocks)
+            rounds.append(len(blocks))
+            return real_map_blocks(func, blocks)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "THREADS", threads)
+            mp.setattr(graph, "_BLOCK_ROWS", 2)
+            mp.setattr(graph, "map_blocks", recording)
+            results.append(knn(pts, k))
+        if points == "runs":
+            assert max(rounds[1:]) > 1
+    (one, one_cut), (three, three_cut) = results
+    np.testing.assert_array_equal(three, one)
+    assert three_cut.tobytes() == one_cut.tobytes()
+    want_neighbors, want_radius = knn_loop(pts, k)
+    np.testing.assert_array_equal(one, want_neighbors)
+    np.testing.assert_array_equal(one_cut, want_radius)
+
+
+def test_knn_threads_under_fast_switching():
+    # More threads than cores and a short switch interval, so the blocks
+    # interleave as finely as they can; a block writing outside its own rows
+    # or a lost retry row would change the result.
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([rng.normal(size=(1500, 3)), np.zeros((40, 3))])
+    pts = pts[rng.permutation(len(pts))]
+    results, interval = [], sys.getswitchinterval()
+    for threads in (1, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "THREADS", threads)
+            mp.setattr(graph, "_BLOCK_ROWS", 16)
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(knn(pts, 8))
+            finally:
+                sys.setswitchinterval(interval)
+    (one, one_cut), (four, four_cut) = results
+    np.testing.assert_array_equal(four, one)
+    assert four_cut.tobytes() == one_cut.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_blocks_keeps_order_and_raises_block_exception_unchanged(monkeypatch, threads):
+    monkeypatch.setattr(graph, "THREADS", threads)
+    done = []
+
+    def square(block):
+        # Later blocks finish first when they run side by side.
+        time.sleep(0.002 * (8 - block))
+        done.append(block)
+        return block * block
+
+    assert graph.map_blocks(square, range(8)) == [b * b for b in range(8)]
+    assert sorted(done) == list(range(8))
+    error = ValueError("block 5 failed")
+
+    def fail_on_five(block):
+        if block == 5:
+            raise error
+        return block
+
+    with pytest.raises(ValueError) as raised:
+        graph.map_blocks(fail_on_five, range(8))
+    assert raised.value is error
 
 
 def test_knn_duplicate_run_memory_bounded():

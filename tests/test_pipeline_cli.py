@@ -70,7 +70,17 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert all(t >= 0 for t in report["fit_seconds"].values())
     assert sum(report["fit_seconds"].values()) <= report["stage_seconds"]["cluster"]
     assert report["peak_rss_mib"] > 0
+    assert report["threads"] == graph.THREADS >= 1
     assert json.loads(config.path(FILES["report"]).read_text()) == report
+
+
+def test_report_peak_rss_growth_per_run(tmp_path, survey_csv):
+    # Two runs in one process: peak_rss_mib is the process's high-water mark,
+    # peak_rss_growth_mib each run's own rise of it.
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    for _ in range(2):
+        report = run_pipeline(config)
+        assert 0 <= report["peak_rss_growth_mib"] <= report["peak_rss_mib"]
 
 
 def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
@@ -321,6 +331,23 @@ def test_geojson_empty(tmp_path):
     export_geojson([], np.array([]), np.empty((0, 2)), np.array([]), path)
     doc = json.loads(path.read_text())
     assert doc == {"type": "FeatureCollection", "features": []}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+def test_geojson_chunks_write_one_sorted_compact_document(tmp_path, monkeypatch, n):
+    # Chunks of 3 features: the file must read as one json.dumps of the
+    # whole document, whether n is a multiple of the chunk or not.
+    monkeypatch.setattr(pipeline, "_GEOJSON_CHUNK", 3)
+    rng = np.random.default_rng(n)
+    scores = rng.uniform(size=n)
+    scores[::2] = np.nan
+    path = export_geojson([f"S{i}" for i in range(n)], np.arange(n) % 3 - 1,
+                          rng.normal(size=(n, 2)), rng.normal(size=n), tmp_path / "c.geojson",
+                          scores=scores, flags=rng.uniform(size=n) < 0.5)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    assert [f["properties"]["site_id"] for f in doc["features"]] == [f"S{i}" for i in range(n)]
 
 
 def test_geojson_full_run_outlier_count(tmp_path, survey_csv):
