@@ -43,8 +43,8 @@ from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency,
 OUTLIER = -1
 # Distance entries per fallback block in big_brother (8 MiB of float64).
 _BLOCK_ENTRIES = 1 << 20
-# Samples per block of big_brother's pass over the kNN lists; bounds its
-# (rows, k) temporaries.
+# Samples in flight at once in big_brother's pass over the kNN lists; bounds
+# its (rows, k) temporaries.
 _LIST_ROWS = 512
 
 
@@ -175,14 +175,14 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     the list decides parent and omega. Distances from knn, numpy and cdist
     differ in rounding, so the radius is shrunk by FP_MARGIN before this
     test and omega is always a cdist value (one pair's cdist value does not
-    depend on the block it is computed in). This list pass runs in blocks
-    of _LIST_ROWS samples on every usable core (graph.map_blocks), each
-    block writing only its own samples. The rest -- samples without a
-    qualifying list entry, with radius 0 (duplicates) or with the nearest
-    entry at the radius -- are measured against all denser members of their
-    component, in row blocks of about _BLOCK_ENTRIES distances (one row at
-    the least), so memory stays O(n k + block) rather than O(m^2) for a
-    component of m samples.
+    depend on the block it is computed in). This list pass runs in row
+    blocks on every usable core with _LIST_ROWS samples in flight at once
+    (graph.map_blocks), each block writing only its own samples. The rest
+    -- samples without a qualifying list entry, with radius 0 (duplicates)
+    or with the nearest entry at the radius -- are measured against all
+    denser members of their component, in row blocks of about
+    _BLOCK_ENTRIES distances (one row at the least), so memory stays
+    O(n k + block) rather than O(m^2) for a component of m samples.
     """
     features = np.asarray(features, dtype=float)
     neighbors = np.asarray(neighbors, dtype=np.int64)
@@ -199,12 +199,11 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     parent = np.full(n, -1, dtype=np.int64)
     omega = np.full(n, np.inf)
 
-    def list_pass(start: int) -> None:
-        """Settle the rows from start whose nearest qualifying list entry
-        lies inside their radius. Rank the qualifying entries by a vectorised
-        distance, then take cdist values for those within the rounding margin
-        of each row's nearest."""
-        rows = np.arange(start, min(start + _LIST_ROWS, n))
+    def list_pass(rows: np.ndarray) -> None:
+        """Settle the rows whose nearest qualifying list entry lies inside
+        their radius. Rank the qualifying entries by a vectorised distance,
+        then take cdist values for those within the rounding margin of each
+        row's nearest."""
         listed = neighbors[rows]
         qualifies = (comp[listed] == comp[rows, None]) & (rank[listed] < rank[rows, None])
         approx = np.zeros(listed.shape)
@@ -219,7 +218,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
         parent[rows[resolved]] = np.where(exact == best[:, None], listed, n).min(axis=1)[resolved]
         omega[rows[resolved]] = best[resolved]
 
-    map_blocks(list_pass, range(0, n, _LIST_ROWS))
+    map_blocks(list_pass, np.arange(n), _LIST_ROWS)
 
     # Members grouped by component, denser first: the qualifying candidates
     # of the sample in slot s are the slots from its component's first to s.

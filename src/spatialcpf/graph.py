@@ -20,9 +20,10 @@ row does.
 
 Each row's neighbors depend only on the tree and the row, so the row blocks
 of each width run on every usable core (map_blocks; cKDTree releases the GIL
-while it queries). A block writes only its own rows, and the rows left
-unsettled are gathered in block order, so the result does not depend on the
-thread count or on how the rows are split.
+while it queries). The rows in flight at once are fixed and split among the
+threads, so memory does not grow with the core count. A block writes only
+its own rows, and the rows left unsettled are gathered in block order, so
+the result does not depend on the thread count or on how the rows are split.
 """
 
 from __future__ import annotations
@@ -44,23 +45,26 @@ from .fileio import atomic_open
 # Relative slack between distances computed with different rounding (the
 # kd-tree's, numpy's and cdist's), far wider than their actual gap.
 FP_MARGIN = 1e-9
-# Rows per kd-tree query block in knn at width k+2, scaled down as the width
+# Rows in flight at once in knn at width k+2, scaled down as the width
 # grows; bounds its (rows, width, d) temporaries.
 _BLOCK_ROWS = 512
-# Threads map_blocks runs on: the cores this process may use.
+# Threads map_blocks runs on at most: the cores this process may use.
 THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def map_blocks(func, blocks) -> list:
-    """[func(block) for block in blocks], the calls spread over THREADS
-    threads; results in the order of blocks. An exception a call raises
-    reaches the caller as it is (of several, the earliest block's). With one
-    thread or one block the calls run in the calling thread. Each call must
-    write only its own block's rows of any shared output."""
-    blocks = list(blocks)
-    if THREADS == 1 or len(blocks) <= 1:
-        return [func(block) for block in blocks]
-    with ThreadPoolExecutor(min(THREADS, len(blocks))) as pool:
+def map_blocks(func, rows, budget: int) -> list:
+    """[func(block) for block in consecutive blocks of rows], the calls
+    spread over min(THREADS, budget) threads; results in block order. Each
+    block holds budget // threads rows, so at most budget (>= 1) rows are in
+    flight at once whatever the thread count. An exception a call raises
+    reaches the caller as it is (of several, the earliest block's). Each
+    call must write only its own block's rows of any shared output."""
+    threads = min(THREADS, budget)
+    step = budget // threads
+    blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
+    if not blocks:
+        return []
+    with ThreadPoolExecutor(min(threads, len(blocks))) as pool:
         return list(pool.map(func, blocks))
 
 
@@ -99,8 +103,9 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     index), and each point's k-th-neighbor radius: the kd-tree's (k+1)-th
     distance, self included.
 
-    Points are queried for their k+2 nearest, self included, in blocks of
-    _BLOCK_ROWS rows; the tree returns each row sorted by its distance. A
+    Points are queried for their k+2 nearest, self included, in row blocks
+    with _BLOCK_ROWS rows in flight at once (map_blocks splits them among
+    the threads); the tree returns each row sorted by its distance. A
     row takes the tree's k non-self entries as they are when self is alone
     at distance 0 and each of the k+1 non-self tree distances exceeds the one
     before by the relative margin FP_MARGIN. That is exact: the margin is
@@ -113,8 +118,8 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     was returned or the farthest non-self candidate lies beyond the k-th by
     FP_MARGIN, by the same argument. Rows left unsettled -- ties at the cut,
     runs of duplicate points -- are queried again at double the width, with
-    proportionally fewer rows per block, until none is left. The blocks of
-    each width run through map_blocks; each writes only its own rows.
+    proportionally fewer rows in flight, until none is left. Each block
+    writes only its own rows.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -155,9 +160,7 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     unsettled, width = np.arange(n), min(k + 2, n)
     while unsettled.size:
-        block = max(1, _BLOCK_ROWS * (k + 2) // width)
-        retry = map_blocks(query, [unsettled[start:start + block]
-                                   for start in range(0, unsettled.size, block)])
+        retry = map_blocks(query, unsettled, max(1, _BLOCK_ROWS * (k + 2) // width))
         unsettled, width = np.concatenate(retry), min(2 * width, n)
     return neighbors, cut
 

@@ -552,8 +552,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     a degenerate result's; fit_seconds times each phase of cpf.fit.
     peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
-    under an earlier run's peak). threads is the number of threads the kNN
-    and big-brother passes ran on (graph.THREADS).
+    under an earlier run's peak). threads is the most threads the kNN and
+    big-brother passes run on (graph.THREADS, the usable cores).
     """
     start_rss = _max_rss_mib()
     s = _Store(config)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -198,7 +199,7 @@ def test_knn_fallback_resolves_lattice_ties(block):
 def test_knn_same_on_one_and_three_threads(seed, n, d, points):
     rng = np.random.default_rng(seed)
     # k + 2 <= n // 3, so under "runs" the longest run of duplicates cannot
-    # settle at width k + 2 and is queried again, one row per block.
+    # settle at width k + 2 and is queried again.
     k = int(rng.integers(1, n // 3 - 1))
     if points == "runs":
         pts = rng.normal(size=(3, d))[rng.integers(0, rng.integers(1, 4), n)]
@@ -209,18 +210,22 @@ def test_knn_same_on_one_and_three_threads(seed, n, d, points):
     for threads in (1, 3):
         rounds = []
 
-        def recording(func, blocks):
-            blocks = list(blocks)
-            rounds.append(len(blocks))
-            return real_map_blocks(func, blocks)
+        def recording(func, rows, budget):
+            blocks = []
+            rounds.append(blocks)
+            return real_map_blocks(lambda block: blocks.append(len(block)) or func(block),
+                                   rows, budget)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "THREADS", threads)
-            mp.setattr(graph, "_BLOCK_ROWS", 2)
+            # Six rows in flight at width k + 2, three at the next width: on
+            # three threads, blocks of two rows and then of one.
+            mp.setattr(graph, "_BLOCK_ROWS", 6)
             mp.setattr(graph, "map_blocks", recording)
             results.append(knn(pts, k))
         if points == "runs":
-            assert max(rounds[1:]) > 1
+            # A retry round spans several blocks.
+            assert max(len(blocks) for blocks in rounds[1:]) > 1
     (one, one_cut), (three, three_cut) = results
     np.testing.assert_array_equal(three, one)
     assert three_cut.tobytes() == one_cut.tobytes()
@@ -258,22 +263,48 @@ def test_map_blocks_keeps_order_and_raises_block_exception_unchanged(monkeypatch
 
     def square(block):
         # Later blocks finish first when they run side by side.
-        time.sleep(0.002 * (8 - block))
-        done.append(block)
-        return block * block
+        time.sleep(0.002 * (8 - block[0]))
+        done.extend(block)
+        return [b * b for b in block]
 
-    assert graph.map_blocks(square, range(8)) == [b * b for b in range(8)]
+    got = graph.map_blocks(square, range(8), 3)
+    assert [b for block in got for b in block] == [b * b for b in range(8)]
     assert sorted(done) == list(range(8))
+    assert graph.map_blocks(square, range(0), 3) == []
     error = ValueError("block 5 failed")
 
     def fail_on_five(block):
-        if block == 5:
+        if 5 in block:
             raise error
         return block
 
     with pytest.raises(ValueError) as raised:
-        graph.map_blocks(fail_on_five, range(8))
+        graph.map_blocks(fail_on_five, range(8), 3)
     assert raised.value is error
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_map_blocks_keeps_rows_in_flight_within_budget(monkeypatch, threads, budget):
+    # The rows in flight at once, summed over threads, never exceed the
+    # budget, so knn's temporaries do not grow with the core count.
+    monkeypatch.setattr(graph, "THREADS", threads)
+    lock, in_flight, peak, seen = threading.Lock(), [0], [0], []
+
+    def hold(block):
+        with lock:
+            in_flight[0] += len(block)
+            peak[0] = max(peak[0], in_flight[0])
+        time.sleep(0.001)
+        with lock:
+            in_flight[0] -= len(block)
+        seen.extend(block)
+        return len(block)
+
+    sizes = graph.map_blocks(hold, range(200), budget)
+    assert sum(sizes) == 200 and sorted(seen) == list(range(200))
+    assert peak[0] <= budget
+    assert max(sizes) * min(threads, budget) <= budget
 
 
 def test_knn_duplicate_run_memory_bounded():
