@@ -5,6 +5,14 @@ carries a site identifier, planar ITM coordinates in meters within
 geodesy.EASTING_RANGE and NORTHING_RANGE, and concentrations in mg/kg for
 the 15 elements in ELEMENTS. Values prefixed with "<" mark measurements
 below the detection limit.
+
+parse_g5_csv converts whole columns, _CHUNK_ROWS rows at a time, with one
+float() map per column; only a column holding a "<DL" or bad cell is parsed
+cell by cell. Each chunk's row widths are checked at once, and the
+finiteness, ITM-range and unique-id checks run once over the whole arrays.
+A file that fails any of them is parsed again by the row loop, which stays
+as the error locator: its error names the first bad cell in file order,
+line and element.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -62,6 +71,10 @@ class ScalingParams:
     scale: np.ndarray
 
 
+# Rows the column pass reads at a time, which bounds the text it holds.
+_CHUNK_ROWS = 256
+
+
 def _column_index(header: list[str], path) -> dict[str, int]:
     """Header position of each DEFAULT_ALIASES column, by its first alias."""
     lower = {h.lower().strip(): i for i, h in enumerate(header)}
@@ -95,23 +108,77 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
 
     bdl_policy "half_dl" substitutes "<DL" markers with DL/2; "reject" raises
     a row-level error instead. Column names are matched case-insensitively
-    against DEFAULT_ALIASES.
+    against DEFAULT_ALIASES. The rows are parsed a column at a time
+    (_parse_rows); a file with any irregular row or cell is read again by the
+    row loop (_row_loop), whose error names the first bad cell in file order.
     """
     if bdl_policy not in ("half_dl", "reject"):
         raise ValueError(f"unknown bdl_policy: {bdl_policy}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _parse_rows(csv.reader(fh), path, bdl_policy)
+        for parse in (_parse_rows, _row_loop):
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                table = parse(csv.reader(fh), path, bdl_policy)
+            if table is not None:
+                return table
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _parse_rows(reader, path, bdl_policy: str) -> SampleTable:
+def _read_header(reader, path) -> tuple[list[str], dict[str, int]]:
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"empty file: {path}")
-    idx = _column_index(header, path)
+    return header, _column_index(header, path)
+
+
+def _concentrations(cells, element: str, bdl_policy: str) -> list[float]:
+    """A column's concentrations: float() of every cell, or, when a cell
+    ("<DL" or bad) makes that raise, _parse_concentration of each."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_parse_concentration(cell, element, bdl_policy) for cell in cells]
+
+
+def _parse_rows(reader, path, bdl_policy: str) -> SampleTable | None:
+    """The table parsed by whole columns, _CHUNK_ROWS rows at a time, or
+    None if any row or cell is irregular: a blank or short row, a cell that
+    does not parse, a non-finite value, an ITM coordinate out of range or a
+    repeated site id. Each value is the float the row loop makes of its cell."""
+    _, idx = _read_header(reader, path)
+    width = max(idx.values()) + 1
+    site_ids, blocks = [], []
+    try:
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows = list(filter(None, chunk))  # csv.reader gives [] for an empty line
+            if not rows:
+                continue
+            if min(map(len, rows)) < width:
+                return None
+            cells = list(zip(*rows))
+            site_ids += map(str.strip, cells[idx["site_id"]])
+            blocks.append(np.array([list(map(float, cells[idx["easting"]])),
+                                    list(map(float, cells[idx["northing"]])),
+                                    *(_concentrations(cells[idx[element]], element, bdl_policy)
+                                      for element in ELEMENTS)]))
+    except (ValueError, csv.Error):  # a bad cell, a csv syntax error or non-UTF-8 text
+        return None
+    if not site_ids:
+        raise SchemaError(f"no records in {path}")
+    values = np.concatenate(blocks, axis=1)
+    if (not np.isfinite(values).all() or not itm_in_range(values[0], values[1]).all()
+            or len(set(site_ids)) < len(site_ids)):
+        return None
+    return SampleTable(site_ids=tuple(site_ids), itm=values[:2].T.copy(),
+                       concentrations=values[2:].T.copy())
+
+
+def _row_loop(reader, path, bdl_policy: str) -> SampleTable:
+    """The table parsed row by row: the error locator of parse_g5_csv. The
+    first bad row, in file order, raises an error naming its line and,
+    within the row, its first bad cell."""
+    header, idx = _read_header(reader, path)
     element_cols = [(element, idx[element]) for element in ELEMENTS]
     width = max(idx.values()) + 1
 

@@ -9,19 +9,28 @@ run_stage runs a single stage; the store reads its inputs from their files
 through each artifact's one reader, so running the stages one at a time
 gives byte-identical exports. Floats are written with repr() (shortest
 round-trip form), so the CSV intermediates are lossless.
+
+Every writer works on columns, _FORMAT_ROWS rows (or _GEOJSON_CHUNK
+features) at a time: a column's cells are formatted by one map over its
+values, and each CSV row is its cells joined by commas. A text cell is
+quoted as csv.writer quotes it, and also when it holds a CR, so that any
+site id the survey CSV can hold reads back unchanged (_quote).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import json.encoder
 import math
+import re
 import resource
 import time
 import warnings
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
+from itertools import repeat
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -167,17 +176,53 @@ FILES = {
 
 # A run whose share of outlier samples exceeds this warns of a degenerate result.
 DEGENERATE_OUTLIER_FRACTION = 0.5
-# Features per json.dumps call in export_geojson; bounds its encoded text.
+# Features export_geojson encodes at a time; bounds its encoded text.
 _GEOJSON_CHUNK = 1024
+# Rows each CSV writer formats at a time; bounds its text the same way.
+_FORMAT_ROWS = 1024
+# The characters that make a CSV cell quoted (see _quote).
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def _write_csv(path, header, rows) -> Path:
-    """Write rows of Python scalars; csv writes a float as its repr()."""
+    """Write the header and rows of str cells (see _rows), each row one line
+    of its cells joined by commas."""
     with atomic_open(path, encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
     return Path(path)
+
+
+def _quote(cells: list[str]) -> list[str]:
+    """Text cells as CSV fields. A cell holding a comma, quote, CR or LF is
+    quoted, its quotes doubled, as csv.writer quotes; csv.writer would leave
+    a CR bare when lines end in LF, and the row would split on reading."""
+    if not _QUOTED.search("".join(cells)):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+            for cell in cells]
+
+
+def _cells(column) -> list[str]:
+    """A column slice's CSV cells. An array's values are written by repr():
+    a float's shortest text that reads back as the same float, an integer's
+    or flag's the same as str(); a NaN (an anomaly score off the outlier
+    set) as an empty cell. Any other column holds text or Python numbers,
+    written by str() and quoted by _quote."""
+    if not isinstance(column, np.ndarray):
+        return _quote(list(map(str, column)))
+    cells = list(map(repr, column.tolist()))
+    if column.dtype.kind == "f" and np.isnan(column).any():
+        cells = list(map({"nan": ""}.get, cells, cells))
+    return cells
+
+
+def _rows(*columns):
+    """Rows of str cells from equal-length columns, formatted by _cells
+    _FORMAT_ROWS rows at a time."""
+    for start in range(0, len(columns[0]), _FORMAT_ROWS):
+        yield from zip(*(_cells(column[start:start + _FORMAT_ROWS]) for column in columns))
 
 
 def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
@@ -227,13 +272,11 @@ def write_labeling(lab: dict, path) -> Path:
     """Write labeling.csv; anomaly_score and iforest_flag are written once
     refine has added them to lab."""
     header = ["site_id", "cluster_label", "log_density", "omega", "component_id"]
-    columns = [lab["site_ids"], *(lab[key].tolist() for key in
-                                  ("labels", "log_density", "omega", "component_id"))]
     if "anomaly_score" in lab:
         header += ["anomaly_score", "iforest_flag"]
-        columns += [["" if math.isnan(s) else s for s in lab["anomaly_score"].tolist()],
-                    lab["iforest_flag"].tolist()]
-    return _write_csv(path, header, zip(*columns))
+    return _write_csv(path, header, _rows(lab["site_ids"], *(lab[key] for key in (
+        "labels", "log_density", "omega", "component_id", "anomaly_score", "iforest_flag")
+        if key in lab)))
 
 
 def _flag(cell: str) -> bool:
@@ -273,64 +316,70 @@ def read_labeling(path) -> dict:
 
 def write_summary(summary: metrics.ClusterSummary, path) -> Path:
     """Long-format per-cluster, per-element statistics CSV."""
-    rows = []
-    for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats)):
-        for (c, element), s in sorted(stats.items()):
-            for stat_name in ("size", "q1", "median", "q3", "iqr",
-                              "whisker_low", "whisker_high"):
-                rows.append([c, element, scale, stat_name, getattr(s, stat_name)])
-    return _write_csv(path, ["cluster", "element", "scale", "statistic", "value"], rows)
+    rows = [(c, element, scale, stat_name, getattr(s, stat_name))
+            for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats))
+            for (c, element), s in sorted(stats.items())
+            for stat_name in ("size", "q1", "median", "q3", "iqr", "whisker_low", "whisker_high")]
+    return _write_csv(path, ["cluster", "element", "scale", "statistic", "value"],
+                      _rows(*zip(*rows)))
+
+
+# One feature as json.dumps(feature, separators=(",", ":"), sort_keys=True)
+# writes it, from its longitude, latitude, anomaly_score member (with its
+# comma; empty without scores), cluster, iforest_flag, log_density and site_id.
+_FEATURE = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},"properties":{%s"cluster":%s,'
+            '"iforest_flag":%s,"log_density":%s,"site_id":%s},"type":"Feature"}')
+
+
+def _json_floats(values: np.ndarray, nan: str = "NaN") -> list[str]:
+    """Floats as json.dumps spells them: repr(), and NaN, Infinity and
+    -Infinity for the non-finite (nan gives NaN's spelling)."""
+    values = np.asarray(values, dtype=float)
+    cells = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        cells = list(map({"nan": nan, "inf": "Infinity", "-inf": "-Infinity"}.get, cells, cells))
+    return cells
 
 
 def export_geojson(site_ids, labels, coords, log_density, path,
                    scores=None, flags=None) -> Path:
     """GeoJSON FeatureCollection of Point features in (lon, lat) order,
     written as json.dumps(doc, separators=(",", ":"), sort_keys=True) would
-    write it, _GEOJSON_CHUNK features at a time."""
-
-    def feature(i):
-        props = {
-            "site_id": site_ids[i],
-            "cluster": int(labels[i]),
-            "log_density": float(log_density[i]) if len(log_density) else None,
-        }
-        if scores is not None:
-            props["anomaly_score"] = (
-                None if np.isnan(scores[i]) else float(scores[i]))
-        props["iforest_flag"] = bool(flags[i]) if flags is not None else False
-        return {
-            "type": "Feature",
-            "geometry": {"type": "Point",
-                         "coordinates": [float(coords[i][1]), float(coords[i][0])]},
-            "properties": props,
-        }
-
+    write it, _GEOJSON_CHUNK features at a time. Each feature fills the
+    _FEATURE template: site ids JSON-escaped to ASCII, floats spelled by
+    _json_floats and a NaN score as null. Without log densities each is
+    null, without scores the member is left out, without flags each is false."""
+    labels = np.asarray(labels, dtype=np.int64)
+    coords = np.asarray(coords, dtype=float)
+    log_density = np.asarray(log_density, dtype=float)
     path = Path(path)
     with atomic_open(path, encoding="utf-8") as fh:
-        # The document's two keys, sorted, around the features; each chunk is
-        # json.dumps'd (the C encoder; json.dump to a file never uses it)
-        # without its list brackets.
+        # The document's two keys, sorted, around the features.
         fh.write('{"features":[')
         for start in range(0, len(site_ids), _GEOJSON_CHUNK):
-            chunk = [feature(i) for i in range(start, min(start + _GEOJSON_CHUNK, len(site_ids)))]
-            fh.write(("," if start else "")
-                     + json.dumps(chunk, separators=(",", ":"), sort_keys=True)[1:-1])
+            chunk = slice(start, start + _GEOJSON_CHUNK)
+            features = zip(
+                _json_floats(coords[chunk, 1]), _json_floats(coords[chunk, 0]),
+                repeat("") if scores is None else map(
+                    '"anomaly_score":%s,'.__mod__, _json_floats(scores[chunk], nan="null")),
+                map(str, labels[chunk].tolist()),
+                repeat("false") if flags is None else map(
+                    ("false", "true").__getitem__, np.asarray(flags[chunk], dtype=bool).tolist()),
+                _json_floats(log_density[chunk]) if len(log_density) else repeat("null"),
+                map(json.encoder.encode_basestring_ascii, site_ids[chunk]))
+            fh.write(("," if start else "") + ",".join(map(_FEATURE.__mod__, features)))
         fh.write('],"type":"FeatureCollection"}')
     return path
 
 
 def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
     """Box-plot reconstruction data: one row per (cluster, element, scale)."""
-    rows = []
-    for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats)):
-        for (c, element), s in sorted(stats.items()):
-            rows.append([
-                c, element, scale, s.size, s.q1, s.median, s.q3,
-                s.whisker_low, s.whisker_high,
-                ";".join(map(repr, s.outlier_values)),
-            ])
+    rows = [(c, element, scale, s.size, s.q1, s.median, s.q3, s.whisker_low, s.whisker_high,
+             ";".join(map(repr, s.outlier_values)))
+            for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats))
+            for (c, element), s in sorted(stats.items())]
     return _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
-                             "whisker_low", "whisker_high", "beyond_whiskers"], rows)
+                             "whisker_low", "whisker_high", "beyond_whiskers"], _rows(*zip(*rows)))
 
 
 # ---------------------------------------------------------------- stages
@@ -392,10 +441,9 @@ _SOURCES = {
 _WRITERS = {
     "samples": lambda s, path: _write_csv(
         path, ["site_id", "easting", "northing", *ingest.ELEMENTS],
-        zip(s["samples"].site_ids, *s["samples"].itm.T.tolist(),
-            *s["samples"].concentrations.T.tolist())),
+        _rows(s["samples"].site_ids, *s["samples"].itm.T, *s["samples"].concentrations.T)),
     "coords": lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
-                                         zip(s["samples"].site_ids, *s["coords"].T.tolist())),
+                                         _rows(s["samples"].site_ids, *s["coords"].T)),
     "adjacency": lambda s, path: graph.dump_adjacency(s["adjacency"], path),
     "labeling": lambda s, path: write_labeling(s["labeling"], path),
     "summary": lambda s, path: write_summary(s["summary"], path),
@@ -448,11 +496,17 @@ def _refine(s: _Store) -> None:
         flags[outlier_idx] = iforest.flag_outliers(scores[outlier_idx], params.contamination)
 
 
+def _summarize(s: _Store) -> None:
+    """The per-cluster statistics, which the store derives; derived here
+    rather than inside the writer, so that write_seconds times only text."""
+    s["summary"]
+
+
 class Stage(NamedTuple):
     """One step of the chain: the artifacts --in overrides (or a function of
     the config giving them), the artifacts it writes (--out overrides the
-    first) and its function on the store. A stage without one writes values
-    the store derives (the summary)."""
+    first) and its function on the store. A stage without one only writes
+    values it reads or the store derives (export)."""
     inputs: tuple | Callable[[PipelineConfig], tuple]
     outputs: tuple
     run: Callable[[_Store], None] | None = None
@@ -467,18 +521,21 @@ STAGES = {
                                    else "coords",), ("adjacency",), _graph),
     "cluster": Stage(("samples",), ("labeling",), _cluster),
     "refine": Stage(("labeling",), ("labeling",), _refine),
-    "summarize": Stage(("labeling",), ("summary",)),
+    "summarize": Stage(("labeling",), ("summary",), _summarize),
     "export": Stage(("labeling",), ("geojson", "plot_data")),
 }
 
 
-def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], list[Path], list[str]]:
+def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float],
+                                                list[Path], list[str]]:
     """Run the named stages in order on s; return each one's seconds, the
-    files written and the Python warnings the stages raised, each message
-    once. A stage writes the outputs that no later stage in names rewrites,
-    to the --out path if given, else where they are read. On an error the
-    files this run wrote are removed, and StageError names the stage."""
-    written, seconds = [], {}
+    seconds of each artifact's writer by FILES key (part of its stage's),
+    the files written and the Python warnings the stages raised, each
+    message once. A stage writes the outputs that no later stage in names
+    rewrites, to the --out path if given, else where they are read. On an
+    error the files this run wrote are removed, and StageError names the
+    stage."""
+    written, seconds, write_seconds = [], {}, {}
     with warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
         for i, name in enumerate(names):
@@ -490,14 +547,16 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], list[Path], lis
                 for key in stage.outputs:
                     if key not in rewritten:
                         path = Path(s.out.get(key) or s.path(key))
+                        write_start = time.perf_counter()
                         _WRITERS[key](s, path)
+                        write_seconds[key] = time.perf_counter() - write_start
                         written.append(path)
             except Exception as exc:
                 for path in written:
                     path.unlink(missing_ok=True)
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
-    return seconds, written, list(dict.fromkeys(str(w.message) for w in raised))
+    return seconds, write_seconds, written, list(dict.fromkeys(str(w.message) for w in raised))
 
 
 def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
@@ -514,7 +573,7 @@ def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
         inputs = stage.inputs(config) if callable(stage.inputs) else stage.inputs
         paths.update(dict.fromkeys(inputs, in_path))
     try:
-        _, written, raised = _run(_Store(config, paths, out={stage.outputs[0]: out_path}),
+        *_, written, raised = _run(_Store(config, paths, out={stage.outputs[0]: out_path}),
                                   [name])
     except StageError as exc:
         raise exc.cause
@@ -549,7 +608,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     component size to its number of components, and gives the number of
     centers before merging (n_centers) beside the clusters after it
     (n_clusters). Its warnings are those the stages raised, each once, then
-    a degenerate result's; fit_seconds times each phase of cpf.fit.
+    a degenerate result's; fit_seconds times each phase of cpf.fit, and
+    write_seconds each artifact's writer (inside its stage's stage_seconds).
     peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
     under an earlier run's peak). threads is the most threads the kNN and
@@ -557,7 +617,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     start_rss = _max_rss_mib()
     s = _Store(config)
-    seconds, _, messages = _run(s, list(STAGES))
+    seconds, write_seconds, _, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
     labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
@@ -588,6 +648,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_centers": int(fit.centers.size),
         "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
+        "write_seconds": {k: round(v, 4) for k, v in write_seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
         "peak_rss_mib": round(peak_rss, 1),
         "peak_rss_growth_mib": round(peak_rss - start_rss, 1),

@@ -1,12 +1,17 @@
+import csv
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import surrogate_survey, write_survey_csv
+from spatialcpf import ingest, pipeline
 from spatialcpf.errors import (DataError, DegenerateColumnError, RowParseError,
-                               SchemaError)
+                               SchemaError, SpatialCpfError)
 from spatialcpf.ingest import ELEMENTS, parse_g5_csv, standardize
 
 
@@ -161,3 +166,183 @@ def test_parse_non_finite_detection_limit_rejected(tmp_path):
         write_rows(path, HEADER, [sample_row(), sample_row("B2", sb=cell)])
         with pytest.raises(RowParseError, match=r"t\.csv: line 3: non-finite .*Sb"):
             parse_g5_csv(path)
+
+
+# ------------------------------------------------- column pass vs row loop
+
+def row_loop(path, bdl_policy="half_dl"):
+    """The table as the row loop alone parses it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return ingest._row_loop(csv.reader(fh), path, bdl_policy)
+
+
+def outcome(parse, *args):
+    """A parse's table as exact bytes, or its error's class and message."""
+    try:
+        table = parse(*args)
+    except SpatialCpfError as exc:
+        return type(exc), str(exc)
+    return (table.site_ids, table.itm.shape, table.itm.tobytes(), table.itm.flags.c_contiguous,
+            table.concentrations.shape, table.concentrations.tobytes(),
+            table.concentrations.flags.c_contiguous)
+
+
+def write_csv_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@st.composite
+def number_cells(draw, low, high):
+    """The text of a float in [low, high], in one of the forms float() reads."""
+    value = draw(st.floats(low, high))
+    form = draw(st.sampled_from(["repr", "padded", "underscore", "integer", "exponent"]))
+    if form == "padded":
+        return draw(st.sampled_from([" ", "\t", "  "])) + repr(value) + " "
+    if form == "underscore":
+        return "_".join(str(int(value)))
+    if form == "integer":
+        return str(int(value))
+    return repr(value) if form == "repr" else f"{value:.6e}"
+
+
+@st.composite
+def survey_tables(draw, bdl_policy):
+    """A valid survey table as CSV rows: the required columns under drawn
+    aliases in drawn case, extra columns, all in a drawn order, then data
+    rows (some with extra cells) and blank lines."""
+    names = [draw(st.sampled_from(ingest.DEFAULT_ALIASES[name]))
+             for name in ("site_id", "easting", "northing", *ELEMENTS)]
+    names = [draw(st.sampled_from([n, n.upper(), n.title()])) for n in names]
+    extra = [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(names) + len(extra))))
+    header = [(names + extra)[i] for i in order]
+    position = {i: order.index(i) for i in range(len(names))}
+    rows = [header]
+    n = draw(st.integers(1, 12))
+    for r in range(n):
+        cells = [draw(st.sampled_from(["", "x"])) for _ in header]
+        cells[position[0]] = draw(st.sampled_from(["", " ", "\t"])) + f"S{r}"
+        cells[position[1]] = draw(number_cells(0.0, 1_200_000.0))
+        cells[position[2]] = draw(number_cells(0.0, 1_500_000.0))
+        for j in range(len(ELEMENTS)):
+            cell = draw(number_cells(0.0, 1e4))
+            if bdl_policy == "half_dl" and draw(st.integers(0, 4)) == 0:
+                cell = "<" + cell.strip()
+            cells[position[3 + j]] = cell
+        rows.append(cells + ["y"] * draw(st.integers(0, 2)))
+        if draw(st.integers(0, 15)) == 0:
+            rows.append(draw(st.sampled_from([[], [""], [" ", ""]])))
+    return rows
+
+
+# A fault the row loop rejects, placed in one cell or row of a valid table.
+FAULTS = ("short_row", "duplicate_id", "nan", "inf", "out_of_range", "below_dl", "text")
+
+
+def inject(rows, fault, r, j, bdl_policy):
+    """rows with the fault at data row r (0 = the first data row); j picks
+    the concentration column of a cell fault."""
+    header, data = rows[0], [list(row) for row in rows[1:] if row and any(c.strip() for c in row)]
+    row = data[r % len(data)]
+    lower = [h.lower() for h in header]
+    site = next(lower.index(a) for a in ingest.DEFAULT_ALIASES["site_id"] if a in lower)
+    east = next(lower.index(a) for a in ingest.DEFAULT_ALIASES["easting"] if a in lower)
+    element = lower.index(ELEMENTS[j % len(ELEMENTS)].lower())
+    if fault == "short_row":
+        del row[max(site, east, element):]
+    elif fault == "duplicate_id":
+        data.insert(r % len(data) + 1, list(row))
+    elif fault in ("nan", "inf"):
+        row[element if j % 2 else east] = fault
+    elif fault == "out_of_range":
+        row[east] = "-1.0" if j % 2 else "2e6"
+    elif fault == "below_dl":
+        row[element] = "<0.5" if bdl_policy == "reject" else "<0.5x"
+    else:
+        row[element] = "1.0x"
+    return [header] + data
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), bdl_policy=st.sampled_from(["half_dl", "reject"]),
+       chunk_rows=st.sampled_from([1, 2, 3, ingest._CHUNK_ROWS]))
+def test_column_pass_equals_row_loop_on_valid_tables(tmp_path, data, bdl_policy, chunk_rows):
+    path = tmp_path / "valid.csv"
+    write_csv_rows(path, data.draw(survey_tables(bdl_policy)))
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        got = outcome(parse_g5_csv, path, bdl_policy)
+    assert got == outcome(row_loop, path, bdl_policy)
+    assert not isinstance(got[0], type)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), bdl_policy=st.sampled_from(["half_dl", "reject"]),
+       chunk_rows=st.sampled_from([1, 2, 3, ingest._CHUNK_ROWS]),
+       faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 11),
+                                 st.integers(0, 14)), min_size=1, max_size=2))
+def test_column_pass_raises_as_row_loop_on_invalid_tables(tmp_path, data, bdl_policy,
+                                                          chunk_rows, faults):
+    rows = data.draw(survey_tables(bdl_policy))
+    for fault, r, j in faults:
+        rows = inject(rows, fault, r, j, bdl_policy)
+    path = tmp_path / "invalid.csv"
+    write_csv_rows(path, rows)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        got = outcome(parse_g5_csv, path, bdl_policy)
+    assert got == outcome(row_loop, path, bdl_policy)
+    assert isinstance(got[0], type)
+
+
+def test_bad_cell_in_later_chunk_reports_earlier_chunk_first(tmp_path):
+    # Two chunks of 256 rows: the second holds a non-numeric cell, the first
+    # a non-finite one further on in its row order; the first in file order wins.
+    path = tmp_path / "t.csv"
+    rows = [sample_row(f"S{i}") for i in range(300)]
+    rows[280] = sample_row("S280", sb="oops")
+    rows[200] = sample_row("S200", sb="inf")
+    write_rows(path, HEADER, rows)
+    with pytest.raises(RowParseError, match=r"line 202: non-finite concentration for Sb"):
+        parse_g5_csv(path)
+
+
+def test_regular_table_parses_by_columns_alone(tmp_path, monkeypatch):
+    # "<DL" cells, padding, underscores, extra columns and empty lines are
+    # regular: the row loop is not called.
+    def fail(*args):
+        raise AssertionError("row loop called")
+    monkeypatch.setattr(ingest, "_row_loop", fail)
+    path = tmp_path / "t.csv"
+    ids, e, n, conc = surrogate_survey(n=600, seed=4)
+    e, n, conc = e.tolist(), n.tolist(), conc.tolist()
+    rows = [[sid, f" {e[i]!r} ", "_".join(str(int(n[i]))), *map(repr, conc[i]), "extra"]
+            for i, sid in enumerate(ids)]
+    rows[5][3 + ELEMENTS.index("Sb")] = "<0.5"
+    rows.insert(300, [])
+    write_csv_rows(path, [HEADER + ["note"]] + rows)
+    table = parse_g5_csv(path)
+    assert table.n == 600
+    assert table.concentrations[5, ELEMENTS.index("Sb")] == 0.25
+    np.testing.assert_array_equal(table.itm[:, 1], np.floor(n))
+
+
+def test_parse_and_samples_write_memory_bounded(tmp_path):
+    # 8000 rows: parsing holds _CHUNK_ROWS rows of text at a time and the
+    # writer formats _FORMAT_ROWS rows at a time. Holding every row at once
+    # peaks at about 17 MiB parsing and 10 MiB writing.
+    path = tmp_path / "survey.csv"
+    write_survey_csv(path, *surrogate_survey(n=8000, seed=0))
+    tracemalloc.start()
+    try:
+        table = parse_g5_csv(path)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline._WRITERS["samples"]({"samples": table}, tmp_path / "samples.csv")
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert parse_peak < 8 * 2**20
+    assert write_peak < 4 * 2**20

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -5,11 +6,15 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracle_geojson
 from conftest import surrogate_survey, write_survey_csv
 from spatialcpf import graph, ingest, pipeline
 from spatialcpf.cli import main
@@ -81,6 +86,18 @@ def test_report_peak_rss_growth_per_run(tmp_path, survey_csv):
     for _ in range(2):
         report = run_pipeline(config)
         assert 0 <= report["peak_rss_growth_mib"] <= report["peak_rss_mib"]
+
+
+def test_report_write_seconds_per_artifact(tmp_path, survey_csv):
+    # Each artifact's writer time, inside the seconds of the stage that writes it.
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    report = run_pipeline(config)
+    writes = report["write_seconds"]
+    assert set(writes) == set(FILES) - {"report"}
+    assert all(t >= 0 for t in writes.values())
+    for name, stage in pipeline.STAGES.items():
+        written = [writes[key] for key in stage.outputs if key in writes]
+        assert sum(written) <= report["stage_seconds"][name] + 1e-3, name
 
 
 def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
@@ -350,6 +367,37 @@ def test_geojson_chunks_write_one_sorted_compact_document(tmp_path, monkeypatch,
     assert [f["properties"]["site_id"] for f in doc["features"]] == [f"S{i}" for i in range(n)]
 
 
+# Site ids: any text, and text built from the characters JSON escapes.
+SITE_IDS = st.one_of(st.text(max_size=6), st.text(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\r", "\n", "\t", "\u00e9",
+                     "\u2028", "\U0001f600", "a", ","]), max_size=6))
+# Floats: any, and the ones whose spelling differs between encoders.
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e16, 1e300,
+                                                 float("nan"), float("inf"), -float("inf")]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 9), chunk=st.sampled_from([1, 2, 4, 1024]),
+       has_density=st.booleans(), has_scores=st.booleans(), has_flags=st.booleans())
+def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk, has_density,
+                                                    has_scores, has_flags):
+    site_ids = data.draw(st.lists(SITE_IDS, min_size=n, max_size=n))
+    labels = np.array(data.draw(st.lists(st.integers(-1, 2**40), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    coords = np.array(data.draw(st.lists(FLOATS, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    log_density = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+                           if has_density else [])
+    scores = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))) if has_scores else None
+    flags = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+             if has_flags else None)
+    path = tmp_path / "c.geojson"
+    with mock.patch.object(pipeline, "_GEOJSON_CHUNK", chunk):
+        export_geojson(site_ids, labels, coords, log_density, path, scores=scores, flags=flags)
+    assert path.read_bytes() == oracle_geojson.geojson_text(
+        site_ids, labels, coords, log_density, scores, flags).encode("ascii")
+
+
 def test_geojson_full_run_outlier_count(tmp_path, survey_csv):
     config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
     report = run_pipeline(config)
@@ -396,6 +444,32 @@ def test_cli_run_and_stage_chain(tmp_path, survey_csv, capsys):
     cfg2 = make_config(tmp_path, survey_csv, output_dir=str(tmp_path / "cli_out"))
     assert main(["ingest", "--config", str(cfg2)]) == 0
     assert (tmp_path / "cli_out" / "samples.csv").exists()
+
+
+def test_cli_stages_round_trip_site_ids_that_need_quoting(tmp_path, capsys):
+    # A quoted input cell may hold any character, so a site id may hold a
+    # CR, LF, comma or quote. Every intermediate must quote it so the next
+    # stage reads the same id back; csv.writer with LF line ends leaves a CR
+    # bare, and a staged run then split the row in two.
+    ids, easting, northing, conc = surrogate_survey(n=300, seed=3)
+    for i, site in ((5, "S\r5"), (9, 'S"9'), (12, "S,12"), (20, "S\n20"), (30, "S\r\n30")):
+        ids[i] = site
+    csv_path = tmp_path / "survey.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["SITE_ID", "EASTING", "NORTHING", *ingest.ELEMENTS])
+        writer.writerows([site, repr(e), repr(n), *map(repr, row)] for site, e, n, row in
+                         zip(ids, easting.tolist(), northing.tolist(), conc.tolist()))
+    whole = make_config(tmp_path, csv_path, output_dir=str(tmp_path / "whole"))
+    assert main(["run", "--config", str(whole)]) == 0
+    staged = make_config(tmp_path, csv_path, output_dir=str(tmp_path / "staged"))
+    for stage in pipeline.STAGES:
+        assert main([stage, "--config", str(staged)]) == 0, capsys.readouterr().err
+    assert ingest.parse_g5_csv(tmp_path / "staged" / FILES["samples"]).site_ids == tuple(ids)
+    for name in FILES.values():
+        if name != "report.json":
+            assert ((tmp_path / "whole" / name).read_bytes()
+                    == (tmp_path / "staged" / name).read_bytes()), name
 
 
 def test_cli_out_of_range_itm_coordinate_names_file_and_line(tmp_path, capsys):
