@@ -14,8 +14,11 @@ The big-brother step reuses the feature kNN lists: a sample whose nearest
 denser same-component list entry lies strictly inside its k-th-neighbor
 radius takes that entry, since no sample off the list can be as close. Only
 the remaining samples (component peaks, duplicates, ties at the radius) are
-measured against their component's denser members, in bounded row blocks,
-so no component needs an m-by-m distance matrix.
+measured against their component's denser members with cdist, in bounded
+row blocks, so no component needs an m-by-m distance matrix. Each list
+distance is computed once, as a column-by-column sum of squared differences;
+that sum is the value cdist gives the same pair, so omega does not depend
+on which of the two measured it.
 
 The feature kNN (graph.knn) and the big-brother pass over the kNN lists
 run in row blocks on every usable core (graph.map_blocks). Each sample's
@@ -145,17 +148,6 @@ def knn_density(radius: np.ndarray, d: int, params: CpfParams) -> DensityEstimat
     return DensityEstimate(r_k=r_k, log_density=log_density)
 
 
-def _pair_distances(features: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """cdist value of each pair (rows[t], cols[t]), read off the diagonals of
-    64-by-64 cdist blocks; one pair's cdist value does not depend on the
-    block it is computed in."""
-    out = np.empty(rows.size)
-    for s in range(0, rows.size, 64):
-        pairs = slice(s, s + 64)
-        out[pairs] = np.diagonal(cdist(features[rows[pairs]], features[cols[pairs]]))
-    return out
-
-
 def big_brother(features: np.ndarray, density: DensityEstimate,
                 components: ComponentLabels, neighbors: np.ndarray,
                 radius: np.ndarray) -> BigBrother:
@@ -164,25 +156,26 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     Samples are ranked by descending density, the lower index first on
     density ties; a candidate qualifies for sample i when it is in i's
     component and ranks above i. The nearest qualifying candidate is i's
-    parent and its cdist distance is omega[i]; distance ties resolve toward
-    the lower index. Each component's top-ranked sample gets parent -1 and
-    omega +inf.
+    parent and its Euclidean distance is omega[i]; distance ties resolve
+    toward the lower index. Each component's top-ranked sample gets parent
+    -1 and omega +inf.
 
     neighbors and radius are graph.knn's (n, k) lists over these features and
     its raw k-th-neighbor distances. Every sample off i's list lies at least
     radius[i] from i, so when i's nearest qualifying list entry is strictly
     inside radius[i], every qualifying sample that close is on the list and
-    the list decides parent and omega. Distances from knn, numpy and cdist
-    differ in rounding, so the radius is shrunk by FP_MARGIN before this
-    test and omega is always a cdist value (one pair's cdist value does not
-    depend on the block it is computed in). This list pass runs in row
-    blocks on every usable core with _LIST_ROWS samples in flight at once
-    (graph.map_blocks), each block writing only its own samples. The rest
-    -- samples without a qualifying list entry, with radius 0 (duplicates)
-    or with the nearest entry at the radius -- are measured against all
-    denser members of their component, in row blocks of about
-    _BLOCK_ENTRIES distances (one row at the least), so memory stays
-    O(n k + block) rather than O(m^2) for a component of m samples.
+    the list decides parent and omega. The list pass measures each entry
+    once, summing squared differences column by column in order, which is
+    cdist's value for the pair, bit for bit. The kd-tree's radius rounds
+    differently, so it is shrunk by FP_MARGIN before the test. This list
+    pass runs in row blocks on every usable core with _LIST_ROWS samples in
+    flight at once (graph.map_blocks), each block writing only its own
+    samples. The rest -- samples without a qualifying list entry, with
+    radius 0 (duplicates) or with the nearest entry at the radius -- are
+    measured with cdist against all denser members of their component, in
+    row blocks of about _BLOCK_ENTRIES distances (one row at the least), so
+    memory stays O(n k + block) rather than O(m^2) for a component of m
+    samples.
     """
     features = np.asarray(features, dtype=float)
     neighbors = np.asarray(neighbors, dtype=np.int64)
@@ -201,21 +194,16 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
 
     def list_pass(rows: np.ndarray) -> None:
         """Settle the rows whose nearest qualifying list entry lies inside
-        their radius. Rank the qualifying entries by a vectorised distance,
-        then take cdist values for those within the rounding margin of each
-        row's nearest."""
+        their radius."""
         listed = neighbors[rows]
         qualifies = (comp[listed] == comp[rows, None]) & (rank[listed] < rank[rows, None])
-        approx = np.zeros(listed.shape)
+        dist = np.zeros(listed.shape)
         for column in features.T:
-            approx += (column[listed] - column[rows, None]) ** 2
-        approx = np.where(qualifies, np.sqrt(approx), np.inf)
-        near = qualifies & (approx <= approx.min(axis=1, keepdims=True) * (1.0 + FP_MARGIN))
-        exact = np.full(listed.shape, np.inf)
-        exact[near] = _pair_distances(features, rows[np.nonzero(near)[0]], listed[near])
-        best = exact.min(axis=1)
+            dist += (column[listed] - column[rows, None]) ** 2
+        dist = np.where(qualifies, np.sqrt(dist), np.inf)
+        best = dist.min(axis=1)
         resolved = best < radius[rows] * (1.0 - FP_MARGIN)
-        parent[rows[resolved]] = np.where(exact == best[:, None], listed, n).min(axis=1)[resolved]
+        parent[rows[resolved]] = np.where(dist == best[:, None], listed, n).min(axis=1)[resolved]
         omega[rows[resolved]] = best[resolved]
 
     map_blocks(list_pass, np.arange(n), _LIST_ROWS)

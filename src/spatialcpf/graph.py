@@ -1,10 +1,10 @@
 """Sparse neighborhood graphs: mutual kNN construction, intersection, components.
 
-Graphs are stored as sorted undirected edge arrays over vertex indices;
-mutuality and components are computed on scipy.sparse matrices built from
-them. Haversine kNN is computed exactly by embedding (lat, lon) on the unit
-sphere and querying a kd-tree with chord distance, which is monotone in
-great-circle distance.
+Graphs are stored as sorted undirected edge arrays over vertex indices.
+Mutuality and intersection sort edge keys u * n + v and keep the keys that
+occur twice (_shared_edges); only components use a scipy.sparse matrix.
+Haversine kNN is computed exactly by embedding (lat, lon) on the unit sphere
+and querying a kd-tree with chord distance, monotone in great-circle distance.
 
 knn is exact with ties broken by ascending index. It asks the kd-tree for
 each point's k+2 nearest, in row blocks. Every point the tree did not return
@@ -42,8 +42,8 @@ from scipy.spatial import cKDTree
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
 
-# Relative slack between distances computed with different rounding (the
-# kd-tree's, numpy's and cdist's), far wider than their actual gap.
+# Relative slack between the kd-tree's distances and numpy's, which round
+# differently; far wider than their actual gap.
 FP_MARGIN = 1e-9
 # Rows in flight at once in knn at width k+2, scaled down as the width
 # grows; bounds its (rows, width, d) temporaries.
@@ -165,17 +165,21 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return neighbors, cut
 
 
+def _shared_edges(n: int, keys: np.ndarray) -> SparseAdjacency:
+    """Graph over n vertices of the edges u < v whose key u * n + v occurs
+    twice in keys, which holds no key more than twice; sorts keys in place."""
+    keys.sort()
+    twice = keys[1:][keys[1:] == keys[:-1]]
+    return SparseAdjacency(n=n, edges=np.stack([twice // n, twice % n], axis=1))
+
+
 def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:
-    """Mutual graph of an (n, k) neighbor index array: edge (i, j) iff j is
-    in row i and i is in row j."""
-    n, k = neighbors.shape
-    directed = sparse.csr_matrix(
-        (np.ones(n * k, dtype=np.int8), neighbors.ravel(), np.arange(0, n * k + 1, k)),
-        shape=(n, n))
-    mutual = sparse.triu(directed.multiply(directed.T), k=1, format="csr")
-    mutual.sort_indices()
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mutual.indptr))
-    return SparseAdjacency(n=n, edges=np.stack([rows, mutual.indices], axis=1))
+    """Mutual graph of an (n, k) array whose rows each list k distinct other
+    vertices: edge (i, j) iff j is in row i and i is in row j, that is, iff
+    the pair's key min * n + max is listed twice."""
+    n = neighbors.shape[0]
+    row = np.arange(n, dtype=np.int64)[:, None]
+    return _shared_edges(n, (np.minimum(neighbors, row) * n + np.maximum(neighbors, row)).ravel())
 
 
 def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -199,15 +203,8 @@ def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacenc
     """Edge-wise intersection of two graphs over the same vertex set."""
     if a.n != b.n:
         raise ParameterError(f"vertex count mismatch: {a.n} != {b.n}")
-    if a.n_edges == 0 or b.n_edges == 0:
-        return SparseAdjacency(n=a.n, edges=np.empty((0, 2), dtype=np.int64))
-    # Encode (u, v) pairs as sorted scalars and look the smaller set up in the
-    # larger by binary search (sorting is cheap: edge arrays come sorted).
-    small, large = sorted((np.sort(g.edges[:, 0] * g.n + g.edges[:, 1]) for g in (a, b)),
-                          key=len)
-    common = small[large[np.searchsorted(large, small).clip(max=large.size - 1)] == small]
-    edges = np.stack([common // a.n, common % a.n], axis=1)
-    return SparseAdjacency(n=a.n, edges=edges)
+    return _shared_edges(a.n, np.concatenate([g.edges[:, 0] * g.n + g.edges[:, 1]
+                                              for g in (a, b)]))
 
 
 @dataclass(frozen=True)

@@ -110,18 +110,22 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
     a row-level error instead. Column names are matched case-insensitively
     against DEFAULT_ALIASES. The rows are parsed a column at a time
     (_parse_rows); a file with any irregular row or cell is read again by the
-    row loop (_row_loop), whose error names the first bad cell in file order.
+    row loop (_row_loop), whose error names the first bad cell in file order;
+    a line the csv module cannot read raises RowParseError naming it.
     """
     if bdl_policy not in ("half_dl", "reject"):
         raise ValueError(f"unknown bdl_policy: {bdl_policy}")
     try:
         for parse in (_parse_rows, _row_loop):
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                table = parse(csv.reader(fh), path, bdl_policy)
+                reader = csv.reader(fh)
+                table = parse(reader, path, bdl_policy)
             if table is not None:
                 return table
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise RowParseError(path, reader.line_num, str(exc)) from None
 
 
 def _read_header(reader, path) -> tuple[list[str], dict[str, int]]:

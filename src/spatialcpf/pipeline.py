@@ -228,8 +228,9 @@ def _rows(*columns):
 def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
     """Parse CSV columns: cells maps each output key to its (column, parser);
     the optional cells are read too once any of their columns is present.
-    A missing column, a bad or missing cell or non-UTF-8 text raises
-    DataError naming the file and the column or line."""
+    A missing column, a bad or missing cell, a line the csv module cannot
+    read or non-UTF-8 text raises DataError naming the file and the column
+    or line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, restval="")
@@ -250,6 +251,8 @@ def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
                                         f"bad {col} value {row[col]!r}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:  # DictReader.line_num lags the row that failed
+        raise DataError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return columns
 
 
@@ -305,13 +308,15 @@ def read_labeling(path) -> dict:
     naming the row."""
     cols = _read_columns(path, _LABELING_CELLS, optional=_REFINE_CELLS)
     n = len(cols["site_ids"])
+    lab = {key: values if key == "site_ids" else np.array(values)
+           for key, values in cols.items()}
     for key, low in (("labels", cpf.OUTLIER), ("component_id", 0)):
-        for row, value in enumerate(cols[key], start=1):
-            if not low <= value < n:
-                raise DataError(f"{path}: row {row}: {_LABELING_CELLS[key][0]} {value} "
-                                f"is outside [{low}, {n})")
-    return {key: values if key == "site_ids" else np.array(values)
-            for key, values in cols.items()}
+        outside = np.flatnonzero((lab[key] < low) | (lab[key] >= n))
+        if outside.size:
+            row = outside[0]
+            raise DataError(f"{path}: row {row + 1}: {_LABELING_CELLS[key][0]} "
+                            f"{cols[key][row]} is outside [{low}, {n})")
+    return lab
 
 
 def write_summary(summary: metrics.ClusterSummary, path) -> Path:

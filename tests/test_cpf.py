@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import oracle_cpf
 from conftest import two_blob_dataset
@@ -134,7 +135,7 @@ def _labels_to_components(labels):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), k=st.integers(1, 12),
-       d=st.integers(1, 3), points=st.sampled_from(["random", "lattice"]),
+       d=st.integers(1, 20), points=st.sampled_from(["random", "lattice"]),
        split=st.sampled_from(["one", "random", "mutual_graph"]),
        density_from=st.sampled_from(["radius", "noise"]))
 def test_big_brother_matches_oracle(seed, n, k, d, points, split, density_from):
@@ -162,6 +163,23 @@ def test_big_brother_matches_oracle(seed, n, k, d, points, split, density_from):
     want = oracle_cpf.big_brother(features, density, comps)
     np.testing.assert_array_equal(bb.parent, want.parent)
     np.testing.assert_array_equal(bb.omega, want.omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 20),
+       exponent=st.floats(-3, 3), duplicates=st.integers(0, 20))
+def test_list_pass_distance_equals_cdist(seed, n, d, exponent, duplicates):
+    # big_brother's list pass sums squared differences column by column and
+    # takes omega from that sum; its fallback and the oracle use cdist. The
+    # two must agree bit for bit, or omega would depend on which one measured.
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * 10.0 ** (exponent + rng.uniform(-0.5, 0.5, d))
+    features[rng.integers(0, n, duplicates)] = features[rng.integers(0, n, duplicates)]
+    rows, listed = np.arange(n), np.tile(np.arange(n), (n, 1))
+    dist = np.zeros(listed.shape)
+    for column in features.T:
+        dist += (column[listed] - column[rows, None]) ** 2
+    np.testing.assert_array_equal(np.sqrt(dist), cdist(features, features))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import oracle_cpf
 from oracle_graph import knn_loop
 from spatialcpf import graph
 from spatialcpf.errors import DataError, ParameterError, SpatialCpfError
 from spatialcpf.graph import (SparseAdjacency, connected_components,
                               dump_adjacency, hadamard_intersect, knn,
-                              load_adjacency, mutual_knn_graph)
+                              load_adjacency, mutual_graph, mutual_knn_graph)
 
 
 def brute_force_mutual_knn(points, k):
@@ -73,6 +74,19 @@ def test_k_equals_n_minus_1_complete():
     pts = rng.uniform(size=(8, 3))
     adj = mutual_knn_graph(pts, k=7)
     assert adj.edge_set() == {(i, j) for i in range(8) for j in range(i + 1, 8)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60))
+def test_mutual_graph_matches_oracle_on_arbitrary_lists(data, seed, n):
+    # Any rows of k distinct other vertices, not only kNN lists: each row is
+    # a random draw, so mutual pairs fall anywhere in the lists.
+    k = data.draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)), label="k")
+    rng = np.random.default_rng(seed)
+    neighbors = np.array([rng.permutation(np.delete(np.arange(n), i))[:k] for i in range(n)])
+    adj = mutual_graph(neighbors)
+    assert adj.n == n
+    assert adj.edges.tolist() == sorted(map(list, oracle_cpf.mutual_edges(neighbors.tolist())))
 
 
 def test_matches_brute_force_oracle():

@@ -249,6 +249,9 @@ def inject(rows, fault, r, j, bdl_policy):
     site = next(lower.index(a) for a in ingest.DEFAULT_ALIASES["site_id"] if a in lower)
     east = next(lower.index(a) for a in ingest.DEFAULT_ALIASES["easting"] if a in lower)
     element = lower.index(ELEMENTS[j % len(ELEMENTS)].lower())
+    if len(row) <= max(site, east, element):
+        # An earlier short_row fault cut off the cell; the row stays short.
+        return [header] + data
     if fault == "short_row":
         del row[max(site, east, element):]
     elif fault == "duplicate_id":

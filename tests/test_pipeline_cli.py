@@ -19,7 +19,7 @@ from conftest import surrogate_survey, write_survey_csv
 from spatialcpf import graph, ingest, pipeline
 from spatialcpf.cli import main
 from spatialcpf.cpf import ClusterLabeling
-from spatialcpf.errors import ParameterError
+from spatialcpf.errors import DataError, ParameterError
 from spatialcpf.metrics import cluster_summary
 from spatialcpf.pipeline import (FILES, PipelineConfig, StageError,
                                  export_geojson, export_plot_data, run_pipeline)
@@ -484,6 +484,45 @@ def test_cli_out_of_range_itm_coordinate_names_file_and_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1, err
         assert f"{csv_path}: line 7: ITM coordinate out of range: easting=2000000.0" in err, err
     assert not (tmp_path / "out" / FILES["samples"]).exists()
+
+
+def test_cli_ingest_cell_over_csv_field_limit_names_file_and_line(tmp_path, capsys):
+    site_ids, easting, northing, conc = surrogate_survey(n=40, seed=0)
+    site_ids[1] = "S" * (csv.field_size_limit() + 10)
+    csv_path = tmp_path / "survey.csv"
+    write_survey_csv(csv_path, site_ids, easting, northing, conc)
+    assert main(["ingest", "--config", str(make_config(tmp_path, csv_path))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert f"error: {csv_path}: line 3: field larger than field limit" in err, err
+    assert not (tmp_path / "out" / FILES["samples"]).exists()
+
+
+def test_cli_stage_labeling_cell_over_csv_field_limit_names_file_and_line(tmp_path, survey_csv,
+                                                                          capsys):
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "out" / FILES["labeling"]).read_text().splitlines(keepends=True)
+    bad = tmp_path / "labeling.csv"
+    bad.write_text(lines[0] + lines[1] + "S" * (csv.field_size_limit() + 10) + lines[2]
+                   + "".join(lines[3:]))
+    assert main(["summarize", "--config", str(cfg_path), "--in", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert f"error: {bad}: line 3: field larger than field limit" in err, err
+
+
+def test_read_labeling_names_first_row_out_of_range(tmp_path):
+    path = tmp_path / "labeling.csv"
+    path.write_text("site_id,cluster_label,log_density,omega,component_id\n"
+                    + "".join(f"S{i},{label},0.0,1.0,{comp}\n" for i, (label, comp) in
+                              enumerate([(0, 0), (-1, 9), (5, 0), (-2, 0), (0, 0)])))
+    with pytest.raises(DataError, match=r": row 3: cluster_label 5 is outside \[-1, 5\)$"):
+        pipeline.read_labeling(path)
+    path.write_text(path.read_text().replace("S2,5,", "S2,4,").replace("S3,-2,", "S3,-1,"))
+    with pytest.raises(DataError, match=r": row 2: component_id 9 is outside \[0, 5\)$"):
+        pipeline.read_labeling(path)
 
 
 def test_cli_error_exit_code(tmp_path, survey_csv, capsys):
