@@ -6,17 +6,25 @@ occur twice (_shared_edges); only components use a scipy.sparse matrix.
 Haversine kNN is computed exactly by embedding (lat, lon) on the unit sphere
 and querying a kd-tree with chord distance, monotone in great-circle distance.
 
-knn is exact with ties broken by ascending index. It asks the kd-tree for
-each point's k+2 nearest, in row blocks. Every point the tree did not return
-is at least as far as the ones it did, so a row is settled once its k-th
-neighbor is clear of the candidates beyond it by the rounding margin
-FP_MARGIN. A row whose self is alone at distance 0 and whose tree distances
-each exceed the one before by FP_MARGIN keeps the tree's order as it is:
-the margin is far wider than the tree-vs-numpy rounding gap, so numpy's
-distances have the same strict order. The other rows are ordered by (numpy
-distance, index); rows tied at the cut, or inside a run of duplicate points,
-are queried again at double the width until they settle; at width n every
-row does.
+knn is exact with ties broken by ascending index. Its kd-tree holds the
+points centred and rotated onto their principal axes, so the tree's
+axis-aligned splits follow correlated data, such as element
+concentrations; the tree only proposes candidates. A rotation changes no distance,
+and its rounding is bounded (_rotation_slack), so every test on the
+rotated tree's distances is widened by that slack, and no result depends
+on the rotation or on the eigenvectors a LAPACK build returns. The tree is
+asked for each point's k+2 nearest, in row blocks. Every point the tree
+did not return is at least as far as the ones it did, so a row is settled
+once its k-th neighbor is clear of the candidates beyond it by the rounding
+margin FP_MARGIN plus the slack. A row whose self is alone at distance 0
+and whose tree distances each exceed the one before by that much keeps the
+tree's order as it is: numpy's distances on the original points have the
+same strict order. The other rows are ordered by (numpy distance, index);
+rows tied at the cut, or inside a run of duplicate points, are queried
+again at double the width until they settle; at width n every row does.
+The radius knn returns is the distance a kd-tree on the original points
+reports, which sums the squares in its own order; _tree_distance
+reproduces it bit for bit, so the radius, too, is the unrotated one.
 
 Each row's neighbors depend only on the tree and the row, so the row blocks
 of each width run on every usable core (map_blocks; cKDTree releases the GIL
@@ -42,8 +50,9 @@ from scipy.spatial import cKDTree
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
 
-# Relative slack between the kd-tree's distances and numpy's, which round
-# differently; far wider than their actual gap.
+# Relative slack between the kd-tree's distances and numpy's, which sum the
+# squares in different orders; far wider than their actual gap. knn adds
+# the absolute _rotation_slack to it for its tree on rotated points.
 FP_MARGIN = 1e-9
 # Rows in flight at once in knn at width k+2, scaled down as the width
 # grows; bounds its (rows, width, d) temporaries.
@@ -96,30 +105,104 @@ def _sphere_embed(latlon: np.ndarray) -> np.ndarray:
     )
 
 
+def _principal_axes(centred: np.ndarray) -> np.ndarray:
+    """(d, d) orthonormal columns: the eigenvectors of the centred points'
+    scatter matrix. The points are scaled to at most 1 first, so the
+    scatter stays finite wherever their squared distances do."""
+    scale = np.abs(centred).max() or 1.0
+    scaled = centred / scale
+    return np.linalg.eigh(scaled.T @ scaled)[1]
+
+
+def _rotation_slack(centred: np.ndarray, axes: np.ndarray) -> float:
+    """The absolute margin by which two distances between points rotated by
+    the computed axes V must differ for numpy's distances between the
+    original points to differ the same way.
+
+    With r the largest norm of a centred point, d the dimension, u = eps / 2
+    the unit roundoff and w the largest entry of |V^T V - I| as computed,
+    rotating in floating point changes each distance by at most, to first
+    order in eps,
+
+        e = r ((1 + d sqrt(d) + d^2) eps + 2 d w):
+
+    centring rounds each point by u r; the d-term products of the matrix
+    product add d u |c| |V| <= d sqrt(d) u r per point; and V's departure
+    from orthogonality scales a distance of at most 2 r by at most
+    ||V^T V - I||_2 <= d (w + d u), the d u covering the rounding of the
+    computed V^T V. Squares below the smallest normal float round by up to
+    2^-1075 each, not relatively, so a distance summed from d of them, in
+    the tree or in numpy, is off by up to v = sqrt(d 2^-1074) whatever its
+    size. The slack is 2 (e + 2 v), as two distances are compared, each
+    against numpy's; the second-order terms lie far inside FP_MARGIN of any
+    distance above it.
+    """
+    d = centred.shape[1]
+    off_orthogonal = np.abs(axes.T @ axes - np.eye(d)).max()
+    r = np.linalg.norm(centred, axis=1).max()
+    rotation = r * ((1 + d * np.sqrt(d) + d * d) * np.finfo(float).eps + 2 * d * off_orthogonal)
+    return 2 * (rotation + 2 * np.sqrt(d * 2.0 ** -1074))
+
+
+def _tree_distance(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean norm along the last axis as cKDTree computes it, bit
+    for bit: one accumulator per column of each group of four, the four
+    summed left to right, then each leftover column added in turn, then the
+    square root. numpy's norm sums in another order and differs from it in
+    the last bit for about a fifth of 15-D pairs."""
+    squares = diff * diff
+    d = squares.shape[-1]
+    whole = d - d % 4
+    acc = np.zeros(squares.shape[:-1] + (4,))
+    for start in range(0, whole, 4):
+        acc += squares[..., start:start + 4]
+    total = ((acc[..., 0] + acc[..., 1]) + acc[..., 2]) + acc[..., 3]
+    for col in range(whole, d):
+        total += squares[..., col]
+    return np.sqrt(total)
+
+
 def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors per point, ties broken by ascending index.
 
     Returns an (n, k) int64 index array, each row ordered by (distance,
-    index), and each point's k-th-neighbor radius: the kd-tree's (k+1)-th
-    distance, self included.
+    index), and each point's k-th-neighbor radius: the (k+1)-th distance,
+    self included, that a kd-tree on the points as given reports.
+
+    The kd-tree is built on the points centred and rotated onto their
+    principal axes (_principal_axes); the centred copy is dropped once
+    rotated. The tree's distances differ from numpy's on the original
+    points by rounding, which _rotation_slack bounds, so every test on them
+    below adds that slack to the relative margin FP_MARGIN.
 
     Points are queried for their k+2 nearest, self included, in row blocks
     with _BLOCK_ROWS rows in flight at once (map_blocks splits them among
-    the threads); the tree returns each row sorted by its distance. A
-    row takes the tree's k non-self entries as they are when self is alone
-    at distance 0 and each of the k+1 non-self tree distances exceeds the one
-    before by the relative margin FP_MARGIN. That is exact: the margin is
-    far wider than the rounding gap between the kd-tree's and numpy's
-    distances, so numpy orders those entries the same way, strictly, and a
-    point the tree did not return is at least as far as the (k+1)-th
-    candidate, so beyond the k-th. Every other row has its candidates'
-    distances recomputed with numpy and is ordered by (distance, index) with
-    self last. It is settled when self was returned and either every point
-    was returned or the farthest non-self candidate lies beyond the k-th by
-    FP_MARGIN, by the same argument. Rows left unsettled -- ties at the cut,
-    runs of duplicate points -- are queried again at double the width, with
-    proportionally fewer rows in flight, until none is left. Each block
+    the threads); the tree returns each row sorted by its distance. A row
+    takes the tree's k non-self entries as they are when each of its k+2
+    tree distances after the first exceeds the one before by FP_MARGIN plus
+    slack, so that self is alone at distance 0. That is exact: the two
+    margins together are far wider than the gap between the rotated tree's
+    distances and numpy's on the original points, so numpy orders those
+    entries the same way, strictly, and a point the tree did not return is
+    at least as far as the (k+1)-th candidate, so beyond the k-th. Every
+    other row has its candidates' distances recomputed with numpy on the
+    original points and is ordered by (distance, index) with self last. It
+    is settled when self was returned and either every point was returned
+    or the farthest non-self candidate lies beyond the k-th by FP_MARGIN
+    plus slack, by the same argument. Rows left unsettled -- ties at the
+    cut, runs of duplicate points -- are queried again at double the width,
+    with proportionally fewer rows in flight, until none is left. Each block
     writes only its own rows.
+
+    The radius keeps the bits of the unrotated tree: _tree_distance sums
+    the squares on the original points in that tree's order. A clear row
+    takes it for its k-th neighbor; any other row takes the (k+1)-th
+    smallest over its candidates, self included, which hold every point
+    that near once the row is settled.
+
+    Raises DataError for non-finite points, or for points spread so widely
+    that their squared distances overflow (the tree would report such a
+    neighbor as missing).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -131,23 +214,35 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError(f"k={k} must be < n={n}")
     if not np.all(np.isfinite(points)):
         raise DataError("non-finite coordinates")
-    tree = cKDTree(points)
+    low = points.min(axis=0)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum((points.max(axis=0) - low) ** 2)):
+            raise DataError("coordinates spread too widely: their squared distances "
+                            "overflow")
+    # The mean taken from the lowest corner, so it cannot overflow.
+    centred = points - (low + np.mean(points - low, axis=0))
+    axes = _principal_axes(centred)
+    slack = _rotation_slack(centred, axes)
+    rotated = centred @ axes
+    del centred
+    tree = cKDTree(rotated)
     neighbors = np.empty((n, k), dtype=np.int64)
     cut = np.empty(n)
 
     def query(rows: np.ndarray) -> np.ndarray:
         """Write the block's rows of neighbors and cut at the current width;
         return the rows still unsettled."""
-        dist, idx = tree.query(points[rows], k=width)
-        cut[rows] = dist[:, k]
+        dist, idx = tree.query(rotated[rows], k=width)
         if width <= k + 2:
             # First width: rows clear of near-ties keep the tree's order.
-            clear = (dist[:, 1] > 0) & np.all(
-                dist[:, 2:] > dist[:, 1:-1] * (1 + FP_MARGIN), axis=1)
+            clear = np.all(dist[:, 1:] > dist[:, :-1] * (1 + FP_MARGIN) + slack, axis=1)
             neighbors[rows[clear]] = idx[clear, 1:k + 1]
+            cut[rows[clear]] = _tree_distance(points[rows[clear]] - points[idx[clear, k]])
             rows, idx = rows[~clear], idx[~clear]
+        diff = points[idx] - points[rows][:, None, :]
+        cut[rows] = np.partition(_tree_distance(diff), k, axis=1)[:, k]
         # The same per-row reduction as tests/oracle_graph.knn_loop, so the same bits.
-        d = np.linalg.norm(points[idx] - points[rows][:, None, :], axis=2)
+        d = np.linalg.norm(diff, axis=2)
         is_self = idx == rows[:, None]
         order = np.lexsort((idx, d, is_self), axis=-1)
         idx = np.take_along_axis(idx, order, axis=1)
@@ -155,7 +250,7 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         neighbors[rows] = idx[:, :k]
         settled = is_self.any(axis=1)
         if width < n:
-            settled &= d[:, width - 2] > d[:, k - 1] * (1 + FP_MARGIN)
+            settled &= d[:, width - 2] > d[:, k - 1] * (1 + FP_MARGIN) + slack
         return rows[~settled]
 
     unsettled, width = np.arange(n), min(k + 2, n)

@@ -612,8 +612,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     the edges of the geographic, feature and intersected graphs, maps each
     component size to its number of components, and gives the number of
     centers before merging (n_centers) beside the clusters after it
-    (n_clusters). Its warnings are those the stages raised, each once, then
-    a degenerate result's; fit_seconds times each phase of cpf.fit, and
+    (n_clusters). geo_edges_kept_fraction is the share of geographic edges
+    the intersection keeps, n_isolated the samples it leaves with no edge,
+    and intersected_degree_quartiles the 25th, 50th and 75th percentiles of
+    the intersected degrees. Its warnings are those the stages raised, each
+    once, then a degenerate result's, which says how many outliers were
+    stranded by min_component_size and gives the median intersected degree;
+    fit_seconds times each phase of cpf.fit, and
     write_seconds each artifact's writer (inside its stage's stage_seconds).
     peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
@@ -631,10 +636,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     except ParameterError:
         ch = None
     peak_rss = _max_rss_mib()
+    floor = config.cpf.component_size_floor
+    n_stranded = sum(size for size in sizes if size < floor)
+    degree = np.bincount(fit.intersected.edges.ravel(), minlength=n)
+    quartiles = [float(q) for q in np.percentile(degree, [25, 50, 75])]
     if labeling.n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
         messages.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
                         f"are outliers, above the degenerate-result threshold of "
-                        f"{DEGENERATE_OUTLIER_FRACTION:.0%}")
+                        f"{DEGENERATE_OUTLIER_FRACTION:.0%}; {n_stranded} of them lie in "
+                        f"components smaller than min_component_size ({floor}), and the "
+                        f"median intersected degree is {quartiles[1]:g}")
     report = {
         "n_samples": n,
         "n_clusters": labeling.n_clusters,
@@ -651,7 +662,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "component_size_histogram": {str(size): count
                                      for size, count in sorted(Counter(sizes).items())},
         "n_centers": int(fit.centers.size),
-        "n_stranded": sum(size for size in sizes if size < config.cpf.component_size_floor),
+        "n_stranded": n_stranded,
+        "geo_edges_kept_fraction": fit.intersected.n_edges / max(s["adjacency"].n_edges, 1),
+        "n_isolated": int(np.sum(degree == 0)),
+        "intersected_degree_quartiles": quartiles,
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
         "write_seconds": {k: round(v, 4) for k, v in write_seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},

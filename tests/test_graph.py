@@ -369,6 +369,98 @@ def test_knn_margin_covers_kd_tree_rounding():
     assert disagree > 0
 
 
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 20),
+       points=st.sampled_from(["random", "runs", "lattice", "near", "tiny"]))
+def test_knn_matches_loop_oracle_under_any_rotation(seed, n, d, points):
+    # The tree only proposes candidates: whatever axes it is built on, the
+    # lists and the radius bits are the oracle's.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n))
+    if points == "random":
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    elif points == "runs":
+        # Runs of duplicate points, which widen the query.
+        pts = rng.normal(size=(3, d))[rng.integers(0, rng.integers(1, 4), n)]
+    elif points == "lattice":
+        # Exactly equal distances, ties at the cut among them.
+        pts = rng.integers(0, 4, (n, d)).astype(float)
+    elif points == "near":
+        # Near-duplicates: clumps 1e-8 wide around a few points.
+        pts = rng.normal(size=(3, d))[rng.integers(0, 3, n)] + rng.normal(0, 1e-8, (n, d))
+    else:
+        # Squares below the smallest normal float, which round absolutely.
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-170, -150)
+    # A random orthogonal matrix, as computed: orthogonal within rounding.
+    rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_principal_axes", lambda centred: rotation)
+        neighbors, radius = knn(pts, k)
+    want_neighbors, want_radius = knn_loop(pts, k)
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    assert radius.tobytes() == want_radius.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 20), magnitude=st.floats(-3, 3),
+       duplicates=st.booleans())
+def test_tree_distance_equals_kd_tree_bits(seed, d, magnitude, duplicates):
+    # The radius copies the kd-tree's distance; numpy's norm sums the
+    # squares in another order and differs in the last bit.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** magnitude
+    pts = rng.normal(size=(60, d)) * scale + rng.normal(size=d) * 10 * scale
+    if duplicates:
+        pts[rng.integers(0, 60, 20)] = pts[rng.integers(0, 60, 20)]
+    dist, idx = cKDTree(pts).query(pts, k=12)
+    assert graph._tree_distance(pts[idx] - pts[:, None, :]).tobytes() == dist.tobytes()
+
+
+def test_knn_rotation_slack_is_needed():
+    # Two clusters at +-offset, about 1e4 from the centre, each point on a
+    # lattice of 1e-6 steps: rotating rounds every coordinate by about
+    # d eps 1e4, more than the gaps between the lattice distances, so the
+    # rotated tree's order is wrong wherever the slack does not catch it.
+    differ = {"slack": 0, "none": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(2, 16)), int(rng.integers(3, 30))
+        side = np.where(np.arange(80) % 2, 1.0, -1.0)[:, None]
+        pts = side * rng.normal(0, 1e4, d) + rng.integers(0, 4, (80, d)) * 1e-6
+        want_neighbors, want_radius = knn_loop(pts, k)
+        for variant in differ:
+            with pytest.MonkeyPatch.context() as mp:
+                if variant == "none":
+                    mp.setattr(graph, "_rotation_slack", lambda centred, axes: 0.0)
+                neighbors, radius = knn(pts, k)
+            differ[variant] += not (np.array_equal(neighbors, want_neighbors)
+                                    and radius.tobytes() == want_radius.tobytes())
+    assert differ["slack"] == 0
+    assert differ["none"] > 30
+
+
+def test_knn_rejects_overflowing_spread_and_keeps_huge_finite_one():
+    rng = np.random.default_rng(8)
+    # Squared distances beyond the largest float: the tree would report the
+    # neighbors as missing (index n).
+    with pytest.raises(DataError, match="squared distances overflow"):
+        knn(rng.normal(size=(30, 3)) * 1e160, 4)
+    # Just below that limit; with a scatter matrix that would overflow
+    # unless the points are scaled first; and with a column whose sum would.
+    for pts in (rng.normal(size=(30, 3)) * 1e150, rng.normal(size=(2000, 3)) * 5e152,
+                np.column_stack([np.full(30, 1e308), rng.normal(size=30)])):
+        neighbors, radius = knn(pts, 4)
+        want_neighbors, want_radius = knn_loop(pts, 4)
+        np.testing.assert_array_equal(neighbors, want_neighbors)
+        assert radius.tobytes() == want_radius.tobytes()
+    # Distinct variances, so each axis is unique up to sign: the axes of
+    # points whose scatter overflows are those of the same points scaled down.
+    pts = rng.normal(size=(2000, 3)) * [3.0, 2.0, 1.0]
+    pts -= pts.mean(axis=0)
+    np.testing.assert_allclose(np.abs(graph._principal_axes(pts * 5e152)),
+                               np.abs(graph._principal_axes(pts)), atol=1e-12)
+
+
 def test_knn_memory_bounded_on_feature_matrix():
     # Survey-sized features on a smooth field; the per-point loop peaks at
     # about 43 MiB here; an unblocked (n, k+2, d) difference array alone is 70 MiB.

@@ -64,8 +64,16 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert report["geo_edges"] == graph.load_adjacency(config.path(FILES["adjacency"])).n_edges
     samples = ingest.parse_g5_csv(config.path(FILES["samples"]))
     features = ingest.standardize(samples.concentrations)[0]
-    assert report["feature_edges"] == graph.mutual_knn_graph(features, k=20).n_edges
+    feature_graph = graph.mutual_knn_graph(features, k=20)
+    assert report["feature_edges"] == feature_graph.n_edges
     assert report["intersected_edges"] <= min(report["geo_edges"], report["feature_edges"])
+    # The intersected graph's degrees, counted edge by edge.
+    geo_edges = graph.load_adjacency(config.path(FILES["adjacency"])).edge_set()
+    degree = Counter(v for edge in geo_edges & feature_graph.edge_set() for v in edge)
+    degrees = [degree[i] for i in range(400)]
+    assert report["geo_edges_kept_fraction"] == report["intersected_edges"] / report["geo_edges"]
+    assert report["n_isolated"] == degrees.count(0)
+    assert report["intersected_degree_quartiles"] == np.percentile(degrees, [25, 50, 75]).tolist()
     histogram = report["component_size_histogram"]
     assert histogram == {str(size): count for size, count in Counter(sizes.tolist()).items()}
     assert sum(int(size) * count for size, count in histogram.items()) == report["n_samples"]
@@ -531,6 +539,21 @@ def test_cli_error_exit_code(tmp_path, survey_csv, capsys):
     assert "stage" in capsys.readouterr().err
 
 
+def test_cli_overflowing_feature_spread_exits_1_with_one_line(tmp_path, capsys):
+    # Finite concentrations whose squared differences overflow: unscaled,
+    # the kNN distances from the one huge site are infinite.
+    ids, easting, northing, conc = surrogate_survey(n=400, seed=7)
+    conc[17, 3] = 1e160
+    survey_csv = tmp_path / "survey.csv"
+    write_survey_csv(survey_csv, ids, easting, northing, conc)
+    cfg_path = make_config(tmp_path, survey_csv, scaling="none")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error in stage cluster: coordinates spread too widely: their squared distances "
+        "overflow\n")
+    assert not (tmp_path / "out" / FILES["labeling"]).exists()
+
+
 def test_cli_rejects_negative_seed_before_any_stage(tmp_path, survey_csv, capsys):
     cfg_path = make_config(tmp_path, survey_csv)
     assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 1
@@ -788,6 +811,15 @@ def test_degenerate_result_warns(tmp_path, survey_csv, capsys):
     assert report["n_outliers"] > pipeline.DEGENERATE_OUTLIER_FRACTION * 400
     percent = f"{report['n_outliers'] / 400:.0%}"
     assert len(report["warnings"]) == 1 and percent in report["warnings"][0]
+    # The warning names the cause: the outliers stranded by component size,
+    # and how thin the intersected graph is.
+    assert report["n_stranded"] == report["n_outliers"]
+    median = report["intersected_degree_quartiles"][1]
+    assert report["warnings"][0].endswith(
+        f"; {report['n_stranded']} of them lie in components smaller than "
+        f"min_component_size (100), and the median intersected degree is {median:g}")
+    assert 0 < report["n_isolated"] < report["n_stranded"]
+    assert 0 < report["geo_edges_kept_fraction"] < 1
     assert err == f"warning: {report['warnings'][0]}\n"
     written = json.loads((tmp_path / "out" / FILES["report"]).read_text())
     assert written["warnings"] == report["warnings"]
