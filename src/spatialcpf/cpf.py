@@ -366,6 +366,8 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     neighbors, radius = _timed(seconds, "knn", knn, features, params.min_samples)
     feature_graph = _timed(seconds, "mutual", mutual_graph, neighbors)
     intersected = _timed(seconds, "intersect", hadamard_intersect, feature_graph, geo_adj)
+    feature_edges = feature_graph.n_edges
+    del feature_graph  # not held through components and big brother
     components = _timed(seconds, "components", connected_components, intersected)
     density = _timed(seconds, "density", knn_density, radius, features.shape[1], params)
     bb = _timed(seconds, "big_brother", big_brother, features, density, components,
@@ -376,4 +378,4 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
                       params)
     return FitResult(labeling=labeling, components=components, density=density,
                      big_brother=bb, centers=centers, intersected=intersected,
-                     feature_edges=feature_graph.n_edges, seconds=seconds)
+                     feature_edges=feature_edges, seconds=seconds)

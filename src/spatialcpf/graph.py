@@ -3,6 +3,9 @@
 Graphs are stored as sorted undirected edge arrays over vertex indices.
 Mutuality and intersection sort edge keys u * n + v and keep the keys that
 occur twice (_shared_edges); only components use a scipy.sparse matrix.
+Each builder writes its keys into one preallocated int64 array and sorts
+it in place, so beside its input and output it holds that array and a
+one-byte mask per key, never a second array of the keys' size.
 Haversine kNN is computed exactly by embedding (lat, lon) on the unit sphere
 and querying a kd-tree with chord distance, monotone in great-circle distance.
 
@@ -25,6 +28,9 @@ again at double the width until they settle; at width n every row does.
 The radius knn returns is the distance a kd-tree on the original points
 reports, which sums the squares in its own order; _tree_distance
 reproduces it bit for bit, so the radius, too, is the unrotated one.
+The rotation's matrix products are taken with np.einsum, whose own loops
+call no BLAS: a BLAS library's buffers would raise the peak RSS, and its
+worker threads would spin on the cores the kNN threads need.
 
 Each row's neighbors depend only on the tree and the row, so the row blocks
 of each width run on every usable core (map_blocks; cKDTree releases the GIL
@@ -111,7 +117,7 @@ def _principal_axes(centred: np.ndarray) -> np.ndarray:
     scatter stays finite wherever their squared distances do."""
     scale = np.abs(centred).max() or 1.0
     scaled = centred / scale
-    return np.linalg.eigh(scaled.T @ scaled)[1]
+    return np.linalg.eigh(np.einsum("ij,ik->jk", scaled, scaled))[1]
 
 
 def _rotation_slack(centred: np.ndarray, axes: np.ndarray) -> float:
@@ -138,7 +144,7 @@ def _rotation_slack(centred: np.ndarray, axes: np.ndarray) -> float:
     distance above it.
     """
     d = centred.shape[1]
-    off_orthogonal = np.abs(axes.T @ axes - np.eye(d)).max()
+    off_orthogonal = np.abs(np.einsum("ji,jk->ik", axes, axes) - np.eye(d)).max()
     r = np.linalg.norm(centred, axis=1).max()
     rotation = r * ((1 + d * np.sqrt(d) + d * d) * np.finfo(float).eps + 2 * d * off_orthogonal)
     return 2 * (rotation + 2 * np.sqrt(d * 2.0 ** -1074))
@@ -171,7 +177,8 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The kd-tree is built on the points centred and rotated onto their
     principal axes (_principal_axes); the centred copy is dropped once
-    rotated. The tree's distances differ from numpy's on the original
+    rotated. Every product of the rotation goes through np.einsum, not
+    BLAS. The tree's distances differ from numpy's on the original
     points by rounding, which _rotation_slack bounds, so every test on them
     below adds that slack to the relative margin FP_MARGIN.
 
@@ -223,7 +230,7 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     centred = points - (low + np.mean(points - low, axis=0))
     axes = _principal_axes(centred)
     slack = _rotation_slack(centred, axes)
-    rotated = centred @ axes
+    rotated = np.einsum("ij,jk->ik", centred, axes)
     del centred
     tree = cKDTree(rotated)
     neighbors = np.empty((n, k), dtype=np.int64)
@@ -262,19 +269,31 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _shared_edges(n: int, keys: np.ndarray) -> SparseAdjacency:
     """Graph over n vertices of the edges u < v whose key u * n + v occurs
-    twice in keys, which holds no key more than twice; sorts keys in place."""
+    twice in keys, which holds no key more than twice; sorts keys in place.
+    Beside keys it holds a byte per key (the equality mask), then 24 bytes
+    per edge: the shared keys and the edge array they are split into."""
     keys.sort()
     twice = keys[1:][keys[1:] == keys[:-1]]
-    return SparseAdjacency(n=n, edges=np.stack([twice // n, twice % n], axis=1))
+    edges = np.empty((twice.size, 2), dtype=np.int64)
+    np.divmod(twice, n, out=(edges[:, 0], edges[:, 1]))
+    return SparseAdjacency(n=n, edges=edges)
 
 
 def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:
     """Mutual graph of an (n, k) array whose rows each list k distinct other
     vertices: edge (i, j) iff j is in row i and i is in row j, that is, iff
-    the pair's key min * n + max is listed twice."""
+    the pair's key min * n + max is listed twice. The keys are written into
+    one (n, k) int64 array, _BLOCK_ROWS rows at a time, so no other array of
+    the lists' size is alive while they are formed."""
     n = neighbors.shape[0]
-    row = np.arange(n, dtype=np.int64)[:, None]
-    return _shared_edges(n, (np.minimum(neighbors, row) * n + np.maximum(neighbors, row)).ravel())
+    keys = np.empty(neighbors.shape, dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        block, out = neighbors[start:start + _BLOCK_ROWS], keys[start:start + _BLOCK_ROWS]
+        row = np.arange(start, start + block.shape[0], dtype=np.int64)[:, None]
+        np.minimum(block, row, out=out)
+        out *= n
+        out += np.maximum(block, row)
+    return _shared_edges(n, keys.ravel())
 
 
 def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> SparseAdjacency:
@@ -295,11 +314,16 @@ def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> S
 
 
 def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacency:
-    """Edge-wise intersection of two graphs over the same vertex set."""
+    """Edge-wise intersection of two graphs over the same vertex set, in
+    whatever order each lists its edges. Both graphs' keys are written into
+    one int64 array, which _shared_edges sorts in place."""
     if a.n != b.n:
         raise ParameterError(f"vertex count mismatch: {a.n} != {b.n}")
-    return _shared_edges(a.n, np.concatenate([g.edges[:, 0] * g.n + g.edges[:, 1]
-                                              for g in (a, b)]))
+    keys = np.empty(a.n_edges + b.n_edges, dtype=np.int64)
+    for part, g in zip(np.split(keys, [a.n_edges]), (a, b)):
+        np.multiply(g.edges[:, 0], g.n, out=part)
+        part += g.edges[:, 1]
+    return _shared_edges(a.n, keys)
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,8 @@ _LABELING_CELLS = {
     "component_id": ("component_id", int),
 }
 _REFINE_CELLS = {
-    "anomaly_score": ("anomaly_score", lambda cell: float(cell) if cell else math.nan),
+    # Empty for a sample refine did not score; any other score is exported.
+    "anomaly_score": ("anomaly_score", lambda cell: _finite(cell) if cell else math.nan),
     "iforest_flag": ("iforest_flag", _flag),
 }
 
@@ -532,15 +533,15 @@ STAGES = {
 
 
 def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float],
-                                                list[Path], list[str]]:
+                                                dict[str, float], list[Path], list[str]]:
     """Run the named stages in order on s; return each one's seconds, the
     seconds of each artifact's writer by FILES key (part of its stage's),
-    the files written and the Python warnings the stages raised, each
-    message once. A stage writes the outputs that no later stage in names
-    rewrites, to the --out path if given, else where they are read. On an
-    error the files this run wrote are removed, and StageError names the
-    stage."""
-    written, seconds, write_seconds = [], {}, {}
+    the process's peak RSS in MiB at the end of each stage, the files
+    written and the Python warnings the stages raised, each message once.
+    A stage writes the outputs that no later stage in names rewrites, to
+    the --out path if given, else where they are read. On an error the
+    files this run wrote are removed, and StageError names the stage."""
+    written, seconds, write_seconds, peak_rss = [], {}, {}, {}
     with warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
         for i, name in enumerate(names):
@@ -561,7 +562,9 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                     path.unlink(missing_ok=True)
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
-    return seconds, write_seconds, written, list(dict.fromkeys(str(w.message) for w in raised))
+            peak_rss[name] = _max_rss_mib()
+    return (seconds, write_seconds, peak_rss, written,
+            list(dict.fromkeys(str(w.message) for w in raised)))
 
 
 def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
@@ -622,12 +625,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     write_seconds each artifact's writer (inside its stage's stage_seconds).
     peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
-    under an earlier run's peak). threads is the most threads the kNN and
+    under an earlier run's peak); stage_peak_rss_mib is that peak as it
+    stood at the end of each stage, so a stage whose value exceeds the one
+    before it raised the peak. threads is the most threads the kNN and
     big-brother passes run on (graph.THREADS, the usable cores).
     """
     start_rss = _max_rss_mib()
     s = _Store(config)
-    seconds, write_seconds, _, messages = _run(s, list(STAGES))
+    seconds, write_seconds, stage_rss, _, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
     labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
@@ -671,6 +676,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
         "peak_rss_mib": round(peak_rss, 1),
         "peak_rss_growth_mib": round(peak_rss - start_rss, 1),
+        "stage_peak_rss_mib": {k: round(v, 1) for k, v in stage_rss.items()},
         "threads": graph.THREADS,
         "warnings": messages,
         "config": config.to_dict(),

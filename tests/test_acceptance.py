@@ -7,6 +7,7 @@ point SPATIALCPF_G5 at it (or place it at data/G5.csv) to enable it.
 
 import math
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -210,7 +211,6 @@ def test_criterion_9_g5_end_to_end(tmp_path):
 
 
 def test_criterion_10_performance(tmp_path):
-    psutil = pytest.importorskip("psutil")
     rng = np.random.default_rng(0)
     geo = np.stack([rng.uniform(52.2, 54.5, 4278), rng.uniform(-10.0, -6.2, 4278)],
                    axis=1)
@@ -232,14 +232,13 @@ def test_criterion_10_performance(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     run_pipeline(PipelineConfig.from_file(cfg_path))
-    peak_kb = None
+    # ru_maxrss is the process's peak RSS in KiB (Linux).
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    assert peak < 1 << 30
     try:
-        import resource
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        import psutil
     except ImportError:
         pass
-    rss = psutil.Process().memory_info().rss
-    assert rss < 1 << 30
-    if peak_kb is not None:
-        assert peak_kb * 1024 < 1 << 30
-    report(f"10 performance: PASS (kNN build {build:.2f} s, RSS {rss / 2**20:.0f} MiB)")
+    else:
+        assert psutil.Process().memory_info().rss < 1 << 30
+    report(f"10 performance: PASS (kNN build {build:.2f} s, peak RSS {peak / 2**20:.0f} MiB)")

@@ -505,6 +505,31 @@ def test_knn_memory_bounded_when_rows_keep_tree_order():
     assert peak < 10 * 2**20
 
 
+def _traced_peak(func, *args):
+    """func(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_builders_memory_bounded_by_sizes():
+    # Beside its input, each builder may hold one int64 key per listed
+    # entry or input edge plus its one-byte equality mask, and 24 bytes per
+    # output edge (the shared keys, then the (m, 2) int64 edges), plus 1 MiB.
+    # A second array of the keys' size would exceed it.
+    n, k = 8000, 75
+    lists = [knn(np.random.default_rng(seed).uniform(size=(n, 2)), k)[0] for seed in (0, 1)]
+    a, peak = _traced_peak(mutual_graph, lists[0])
+    assert peak < 9 * n * k + 24 * a.n_edges + 2**20
+    b = mutual_graph(lists[1])
+    both, peak = _traced_peak(hadamard_intersect, a, b)
+    assert peak < 9 * (a.n_edges + b.n_edges) + 24 * both.n_edges + 2**20
+    assert both.edge_set() == a.edge_set() & b.edge_set()
+
+
 def test_haversine_matches_euclidean_oracle_on_sphere_embedding():
     rng = np.random.default_rng(1)
     latlon = np.stack([rng.uniform(51, 55, 100), rng.uniform(-10, -6, 100)], axis=1)

@@ -83,6 +83,10 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert all(t >= 0 for t in report["fit_seconds"].values())
     assert sum(report["fit_seconds"].values()) <= report["stage_seconds"]["cluster"]
     assert report["peak_rss_mib"] > 0
+    stage_rss = report["stage_peak_rss_mib"]
+    assert list(stage_rss) == list(pipeline.STAGES)
+    values = list(stage_rss.values())
+    assert 0 < values[0] and values == sorted(values) and values[-1] <= report["peak_rss_mib"]
     assert report["threads"] == graph.THREADS >= 1
     assert json.loads(config.path(FILES["report"]).read_text()) == report
 
@@ -670,9 +674,12 @@ def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, 
         (written("wide.csv", cell_replaced("component_id", "9" * 20)), "row 2: component_id"),
         (written("minus.csv", cell_replaced("cluster_label", "-7")), "row 2: cluster_label -7"),
         (written("nan.csv", cell_replaced("log_density", "nan")), "line 3"),
+        # Exported as is, an infinite score would make the GeoJSON invalid JSON.
+        (written("inf.csv", cell_replaced("anomaly_score", "inf")),
+         "line 3: bad anomaly_score value 'inf'"),
     ]
     for path, where in cases:
-        for stage in ("refine", "summarize"):
+        for stage in ("refine", "summarize", "export"):
             assert main([stage, "--config", str(cfg_path), "--in", str(path)]) == 1
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error: "), err
