@@ -6,25 +6,25 @@ geodesy.EASTING_RANGE and NORTHING_RANGE, and concentrations in mg/kg for
 the 15 elements in ELEMENTS. Values prefixed with "<" mark measurements
 below the detection limit.
 
-parse_g5_csv converts whole columns, _CHUNK_ROWS rows at a time, with one
-float() map per column; only a column holding a "<DL" or bad cell is parsed
-cell by cell. Each chunk's row widths are checked at once, and the
-finiteness, ITM-range and unique-id checks run once over the whole arrays.
-A file that fails any of them is parsed again by the row loop, which stays
-as the error locator: its error names the first bad cell in file order,
-line and element.
+parse_g5_csv reads the file through fileio.read_csv, CHUNK_ROWS rows at a
+time: each column is converted by one float() map, and only a column holding
+a "<DL", bad or non-finite cell is parsed cell by cell. Every rule is checked
+once per chunk over whole columns. A file that breaks one is parsed again one
+row at a time by the same code, whose error names the first bad row in file
+order, its line and its first bad cell.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import DataError, DegenerateColumnError, RowParseError, SchemaError
+from .fileio import read_csv
 from .geodesy import itm_in_range
 
 # Fixed alphabetical element order; serialization and feature-matrix columns
@@ -71,10 +71,6 @@ class ScalingParams:
     scale: np.ndarray
 
 
-# Rows the column pass reads at a time, which bounds the text it holds.
-_CHUNK_ROWS = 256
-
-
 def _column_index(header: list[str], path) -> dict[str, int]:
     """Header position of each DEFAULT_ALIASES column, by its first alias."""
     lower = {h.lower().strip(): i for i, h in enumerate(header)}
@@ -108,118 +104,74 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
 
     bdl_policy "half_dl" substitutes "<DL" markers with DL/2; "reject" raises
     a row-level error instead. Column names are matched case-insensitively
-    against DEFAULT_ALIASES. The rows are parsed a column at a time
-    (_parse_rows); a file with any irregular row or cell is read again by the
-    row loop (_row_loop), whose error names the first bad cell in file order;
-    a line the csv module cannot read raises RowParseError naming it.
+    against DEFAULT_ALIASES. An error names the first bad row in file order,
+    its line and its first bad cell.
     """
     if bdl_policy not in ("half_dl", "reject"):
         raise ValueError(f"unknown bdl_policy: {bdl_policy}")
-    try:
-        for parse in (_parse_rows, _row_loop):
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                table = parse(reader, path, bdl_policy)
-            if table is not None:
-                return table
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
-        raise RowParseError(path, reader.line_num, str(exc)) from None
+    return read_csv(path, partial(_parse_rows, path=path, bdl_policy=bdl_policy))
 
 
-def _read_header(reader, path) -> tuple[list[str], dict[str, int]]:
-    try:
-        header = next(reader)
-    except StopIteration:
+def _concentrations(columns, bdl_policy: str) -> np.ndarray:
+    """(15, rows) concentrations of a chunk's ELEMENTS columns: float() of
+    each cell, but _parse_concentration of each cell of a column holding a
+    "<DL", bad or non-finite cell, column by column in ELEMENTS order."""
+    values = []
+    for element, cells in zip(ELEMENTS, columns):
+        try:
+            column = list(map(float, cells))
+        except ValueError:
+            column = [math.nan]
+        if not math.isfinite(sum(column)):  # or the sum overflows, each value finite
+            column = [_parse_concentration(cell, element, bdl_policy) for cell in cells]
+        values.append(column)
+    return np.array(values)
+
+
+def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
+    """The table from fileio.read_csv's header and chunks. The rules run in
+    the order a row's first failure is named (width, repeated site id, ITM
+    coordinate non-numeric, non-finite or out of range, each concentration
+    in ELEMENTS order). An error names the chunk's first row, so only the
+    one-row run's is raised. A chunk mixing an all-blank row with others
+    fails, and the one-row run skips that row."""
+    if header is None:
         raise SchemaError(f"empty file: {path}")
-    return header, _column_index(header, path)
-
-
-def _concentrations(cells, element: str, bdl_policy: str) -> list[float]:
-    """A column's concentrations: float() of every cell, or, when a cell
-    ("<DL" or bad) makes that raise, _parse_concentration of each."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return [_parse_concentration(cell, element, bdl_policy) for cell in cells]
-
-
-def _parse_rows(reader, path, bdl_policy: str) -> SampleTable | None:
-    """The table parsed by whole columns, _CHUNK_ROWS rows at a time, or
-    None if any row or cell is irregular: a blank or short row, a cell that
-    does not parse, a non-finite value, an ITM coordinate out of range or a
-    repeated site id. Each value is the float the row loop makes of its cell."""
-    _, idx = _read_header(reader, path)
+    idx = _column_index(header, path)
     width = max(idx.values()) + 1
-    site_ids, blocks = [], []
-    try:
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            rows = list(filter(None, chunk))  # csv.reader gives [] for an empty line
-            if not rows:
-                continue
-            if min(map(len, rows)) < width:
-                return None
-            cells = list(zip(*rows))
-            site_ids += map(str.strip, cells[idx["site_id"]])
-            blocks.append(np.array([list(map(float, cells[idx["easting"]])),
-                                    list(map(float, cells[idx["northing"]])),
-                                    *(_concentrations(cells[idx[element]], element, bdl_policy)
-                                      for element in ELEMENTS)]))
-    except (ValueError, csv.Error):  # a bad cell, a csv syntax error or non-UTF-8 text
-        return None
+    site_ids, seen, blocks = [], set(), []
+    for line, rows in chunks:
+        if not any(map(str.strip, chain.from_iterable(rows))):
+            continue
+        short = min(map(len, rows))
+        if short < width:
+            raise RowParseError(path, line, f"row has {short} cells, header has {len(header)}")
+        cells = list(zip(*rows))
+        ids = list(map(str.strip, cells[idx["site_id"]]))
+        seen.update(ids)
+        if len(seen) < len(site_ids) + len(ids):
+            raise DataError(f"{path}: line {line}: duplicate site_id {ids[0]!r}")
+        site_ids += ids
+        try:
+            itm = np.array([list(map(float, cells[idx["easting"]])),
+                            list(map(float, cells[idx["northing"]]))])
+        except ValueError:
+            raise RowParseError(path, line, "non-numeric coordinate") from None
+        if not np.isfinite(itm).all():
+            raise RowParseError(path, line, "non-finite coordinate")
+        if not itm_in_range(*itm).all():
+            raise RowParseError(path, line, "ITM coordinate out of range: easting={}, "
+                                            "northing={}".format(*itm[:, 0].tolist()))
+        try:
+            blocks.append(np.concatenate([itm, _concentrations(
+                (cells[idx[element]] for element in ELEMENTS), bdl_policy)]))
+        except ValueError as exc:
+            raise RowParseError(path, line, str(exc)) from None
     if not site_ids:
         raise SchemaError(f"no records in {path}")
     values = np.concatenate(blocks, axis=1)
-    if (not np.isfinite(values).all() or not itm_in_range(values[0], values[1]).all()
-            or len(set(site_ids)) < len(site_ids)):
-        return None
     return SampleTable(site_ids=tuple(site_ids), itm=values[:2].T.copy(),
                        concentrations=values[2:].T.copy())
-
-
-def _row_loop(reader, path, bdl_policy: str) -> SampleTable:
-    """The table parsed row by row: the error locator of parse_g5_csv. The
-    first bad row, in file order, raises an error naming its line and,
-    within the row, its first bad cell."""
-    header, idx = _read_header(reader, path)
-    element_cols = [(element, idx[element]) for element in ELEMENTS]
-    width = max(idx.values()) + 1
-
-    site_ids, itm, concentrations = [], [], []
-    seen_ids = set()
-    for line_number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < width:
-            raise RowParseError(
-                path, line_number, f"row has {len(row)} cells, header has {len(header)}")
-        site_id = row[idx["site_id"]].strip()
-        if site_id in seen_ids:
-            raise DataError(f"{path}: line {line_number}: duplicate site_id {site_id!r}")
-        seen_ids.add(site_id)
-        try:
-            easting = float(row[idx["easting"]])
-            northing = float(row[idx["northing"]])
-        except ValueError:
-            raise RowParseError(path, line_number, "non-numeric coordinate")
-        if not (math.isfinite(easting) and math.isfinite(northing)):
-            raise RowParseError(path, line_number, "non-finite coordinate")
-        if not itm_in_range(easting, northing):
-            raise RowParseError(path, line_number, f"ITM coordinate out of range: "
-                                                   f"easting={easting}, northing={northing}")
-        try:
-            concentrations.append([_parse_concentration(row[col], element, bdl_policy)
-                                   for element, col in element_cols])
-        except ValueError as exc:
-            raise RowParseError(path, line_number, str(exc)) from None
-        site_ids.append(site_id)
-        itm.append((easting, northing))
-
-    if not site_ids:
-        raise SchemaError(f"no records in {path}")
-    return SampleTable(site_ids=tuple(site_ids), itm=np.array(itm, dtype=float),
-                       concentrations=np.array(concentrations, dtype=float))
 
 
 def standardize(matrix: np.ndarray, method: str = "zscore",

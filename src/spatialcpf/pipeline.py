@@ -8,7 +8,8 @@ each result passes to the next in memory and each artifact is written once.
 run_stage runs a single stage; the store reads its inputs from their files
 through each artifact's one reader, so running the stages one at a time
 gives byte-identical exports. Floats are written with repr() (shortest
-round-trip form), so the CSV intermediates are lossless.
+round-trip form), so the CSV intermediates are lossless. The staged CSV
+files are read by columns through fileio.read_csv (_read_columns).
 
 Every writer works on columns, _FORMAT_ROWS rows (or _GEOJSON_CHUNK
 features) at a time: a column's cells are formatted by one map over its
@@ -19,7 +20,6 @@ site id the survey CSV can hold reads back unchanged (_quote).
 
 from __future__ import annotations
 
-import csv
 import json
 import json.encoder
 import math
@@ -41,7 +41,7 @@ import yaml
 from . import cpf, geodesy, graph, iforest, ingest, metrics
 from .cpf import CpfParams
 from .errors import DataError, ParameterError, SpatialCpfError, require_type
-from .fileio import atomic_open
+from .fileio import atomic_open, read_csv
 
 
 class StageError(SpatialCpfError):
@@ -126,9 +126,9 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            # From bytes, so yaml decodes the text and names bytes it cannot decode.
+            raw = yaml.safe_load(Path(path).read_bytes())
+        except yaml.YAMLError as exc:
             detail = " ".join(str(exc).split())
             raise ParameterError(f"config file {path} is not valid YAML: {detail}") from exc
         if not isinstance(raw, dict):
@@ -227,47 +227,62 @@ def _rows(*columns):
 
 def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
     """Parse CSV columns: cells maps each output key to its (column, parser);
-    the optional cells are read too once any of their columns is present.
-    A missing column, a bad or missing cell, a line the csv module cannot
-    read or non-UTF-8 text raises DataError naming the file and the column
-    or line."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, restval="")
-            header = reader.fieldnames or []
-            cells = dict(cells)
-            if optional and any(col in header for col, _ in optional.values()):
-                cells.update(optional)
-            missing = [col for col, _ in cells.values() if col not in header]
-            if missing:
-                raise DataError(f"{path}: missing column {missing[0]}")
-            columns = {key: [] for key in cells}
-            for row in reader:
-                for key, (col, parse) in cells.items():
-                    try:
-                        columns[key].append(parse(row[col]))
-                    except ValueError as exc:
-                        raise DataError(f"{path}: line {reader.line_num}: "
-                                        f"bad {col} value {row[col]!r}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    except csv.Error as exc:  # DictReader.line_num lags the row that failed
-        raise DataError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
-    return columns
+    the optional cells are read too once any of their columns is present. A
+    parser maps a chunk's cells of its column to values, raising ValueError
+    or KeyError on a bad cell. A short row's missing cells read as "", and a
+    column named twice is read from the last. A missing column or a bad cell
+    raises DataError naming the file and the column, or the line and the
+    first bad cell in (line, key) order (see fileio.read_csv)."""
+
+    def parse(header, chunks) -> dict:
+        header, spec = header or [], dict(cells)
+        if optional and any(col in header for col, _ in optional.values()):
+            spec.update(optional)
+        index = {name: i for i, name in enumerate(header)}
+        missing = [col for col, _ in spec.values() if col not in index]
+        if missing:
+            raise DataError(f"{path}: missing column {missing[0]}")
+        width = max(index[col] for col, _ in spec.values()) + 1
+        columns = {key: [] for key in spec}
+        for line, rows in chunks:
+            if min(map(len, rows)) < width:
+                rows = [row + [""] * (width - len(row)) for row in rows]
+            transposed = list(zip(*rows))
+            for key, (col, parse_cells) in spec.items():
+                try:
+                    columns[key] += parse_cells(transposed[index[col]])
+                except (ValueError, KeyError):
+                    raise DataError(f"{path}: line {line}: bad {col} value "
+                                    f"{transposed[index[col]][0]!r}") from None
+        return columns
+
+    return read_csv(path, parse)
 
 
-def _finite(cell: str) -> float:
-    """A float cell that must be finite: GeoJSON has no NaN or infinity."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(cell)
-    return value
+def _floats(cells, ok=np.isfinite) -> list[float]:
+    """float() of each cell, each value passing the numpy test ok: finite by
+    default, since GeoJSON has no NaN or infinity."""
+    values = list(map(float, cells))
+    if not ok(np.array(values)).all():
+        raise ValueError(cells)
+    return values
+
+
+def _scores(cells) -> list[float]:
+    """Empty (NaN) for a sample refine did not score; any other score is
+    exported, so it must be finite."""
+    values = list(map(float, map({"": "nan"}.get, cells, cells)))
+    if np.isfinite(values).sum() + cells.count("") < len(cells):
+        raise ValueError(cells)
+    return values
 
 
 def _read_coords(path) -> tuple[np.ndarray, list[str]]:
     """coords.csv's (latitude, longitude) rows and its site_id column."""
-    cols = _read_columns(path, {"site_ids": ("site_id", str), "lat": ("latitude", _finite),
-                                "lon": ("longitude", _finite)})
+    cols = _read_columns(path, {
+        "site_ids": ("site_id", list),
+        "lat": ("latitude", partial(_floats, ok=lambda v: np.abs(v) <= 90)),
+        "lon": ("longitude", partial(_floats, ok=lambda v: np.abs(v) <= 180))})
     return np.column_stack([cols["lat"], cols["lon"]]), cols["site_ids"]
 
 
@@ -282,23 +297,17 @@ def write_labeling(lab: dict, path) -> Path:
         if key in lab)))
 
 
-def _flag(cell: str) -> bool:
-    if cell not in ("True", "False"):
-        raise ValueError(cell)
-    return cell == "True"
-
-
 _LABELING_CELLS = {
-    "site_ids": ("site_id", str),
-    "labels": ("cluster_label", int),
-    "log_density": ("log_density", _finite),
-    "omega": ("omega", float),
-    "component_id": ("component_id", int),
+    "site_ids": ("site_id", list),
+    "labels": ("cluster_label", partial(map, int)),
+    "log_density": ("log_density", _floats),
+    # +inf marks a component's peak.
+    "omega": ("omega", partial(_floats, ok=lambda v: v >= 0)),
+    "component_id": ("component_id", partial(map, int)),
 }
 _REFINE_CELLS = {
-    # Empty for a sample refine did not score; any other score is exported.
-    "anomaly_score": ("anomaly_score", lambda cell: _finite(cell) if cell else math.nan),
-    "iforest_flag": ("iforest_flag", _flag),
+    "anomaly_score": ("anomaly_score", _scores),
+    "iforest_flag": ("iforest_flag", partial(map, {"True": True, "False": False}.__getitem__)),
 }
 
 
@@ -414,10 +423,11 @@ class _Store(dict):
         size, ids = (sites, ()) if isinstance(sites, int) else (len(sites), sites)
         if size != samples.n:
             raise DataError(f"{path} has {size} sites, but {where} has {samples.n}")
-        for row, (site, want) in enumerate(zip(ids, samples.site_ids), start=1):
-            if site != want:
-                raise DataError(f"{path}: row {row} is site {site!r}, "
-                                f"but row {row} of {where} is {want!r}")
+        if ids and tuple(ids) != samples.site_ids:
+            for row, (site, want) in enumerate(zip(ids, samples.site_ids), start=1):
+                if site != want:
+                    raise DataError(f"{path}: row {row} is site {site!r}, "
+                                    f"but row {row} of {where} is {want!r}")
         self[key] = value
         return value
 

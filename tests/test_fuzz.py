@@ -7,6 +7,8 @@ or exit 1 with exactly one line on stderr; any other exception escaping the
 CLI fails the test.
 """
 
+import os
+
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -59,8 +61,9 @@ def assert_exit_0_or_one_line(capsys, argv):
         assert code == 1 and err.startswith("error") and len(err.splitlines()) == 1, err
 
 
-FUZZ = settings(max_examples=120, deadline=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples per input file (CI runs 3000).
+FUZZ = settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "120")),
+                deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracle_ingest
 from conftest import surrogate_survey, write_survey_csv
-from spatialcpf import ingest, pipeline
+from spatialcpf import fileio, ingest, pipeline
 from spatialcpf.errors import (DataError, DegenerateColumnError, RowParseError,
                                SchemaError, SpatialCpfError)
 from spatialcpf.ingest import ELEMENTS, parse_g5_csv, standardize
@@ -170,12 +171,6 @@ def test_parse_non_finite_detection_limit_rejected(tmp_path):
 
 # ------------------------------------------------- column pass vs row loop
 
-def row_loop(path, bdl_policy="half_dl"):
-    """The table as the row loop alone parses it."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return ingest._row_loop(csv.reader(fh), path, bdl_policy)
-
-
 def outcome(parse, *args):
     """A parse's table as exact bytes, or its error's class and message."""
     try:
@@ -270,20 +265,20 @@ def inject(rows, fault, r, j, bdl_policy):
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), bdl_policy=st.sampled_from(["half_dl", "reject"]),
-       chunk_rows=st.sampled_from([1, 2, 3, ingest._CHUNK_ROWS]))
+       chunk_rows=st.sampled_from([1, 2, 3, fileio.CHUNK_ROWS]))
 def test_column_pass_equals_row_loop_on_valid_tables(tmp_path, data, bdl_policy, chunk_rows):
     path = tmp_path / "valid.csv"
     write_csv_rows(path, data.draw(survey_tables(bdl_policy)))
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(fileio, "CHUNK_ROWS", chunk_rows):
         got = outcome(parse_g5_csv, path, bdl_policy)
-    assert got == outcome(row_loop, path, bdl_policy)
+    assert got == outcome(oracle_ingest.parse, path, bdl_policy)
     assert not isinstance(got[0], type)
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), bdl_policy=st.sampled_from(["half_dl", "reject"]),
-       chunk_rows=st.sampled_from([1, 2, 3, ingest._CHUNK_ROWS]),
+       chunk_rows=st.sampled_from([1, 2, 3, fileio.CHUNK_ROWS]),
        faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 11),
                                  st.integers(0, 14)), min_size=1, max_size=2))
 def test_column_pass_raises_as_row_loop_on_invalid_tables(tmp_path, data, bdl_policy,
@@ -293,10 +288,31 @@ def test_column_pass_raises_as_row_loop_on_invalid_tables(tmp_path, data, bdl_po
         rows = inject(rows, fault, r, j, bdl_policy)
     path = tmp_path / "invalid.csv"
     write_csv_rows(path, rows)
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(fileio, "CHUNK_ROWS", chunk_rows):
         got = outcome(parse_g5_csv, path, bdl_policy)
-    assert got == outcome(row_loop, path, bdl_policy)
+    assert got == outcome(oracle_ingest.parse, path, bdl_policy)
     assert isinstance(got[0], type)
+
+
+def test_error_names_line_after_quoted_line_breaks(tmp_path):
+    # Site ids may hold quoted line breaks; an error names the line on which
+    # its row ends, as the csv module counts lines.
+    path = tmp_path / "t.csv"
+    write_csv_rows(path, [HEADER, sample_row("A\n1"), sample_row("B\r\n2"),
+                          sample_row("C3", sb="oops")])
+    message = f"{path}: line 6: non-numeric concentration for Sb: 'oops'"
+    assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path) == (
+        RowParseError, message)
+
+
+def test_duplicate_site_id_named_before_bad_cells_of_its_row(tmp_path):
+    # The row loop's order: a repeated id is named before the row's cells.
+    path = tmp_path / "t.csv"
+    repeated = sample_row("A1", sb="oops")
+    repeated[1] = "east"
+    write_rows(path, HEADER, [sample_row("A1"), repeated])
+    assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path) == (
+        DataError, f"{path}: line 3: duplicate site_id 'A1'")
 
 
 def test_bad_cell_in_later_chunk_reports_earlier_chunk_first(tmp_path):
@@ -313,10 +329,11 @@ def test_bad_cell_in_later_chunk_reports_earlier_chunk_first(tmp_path):
 
 def test_regular_table_parses_by_columns_alone(tmp_path, monkeypatch):
     # "<DL" cells, padding, underscores, extra columns and empty lines are
-    # regular: the row loop is not called.
-    def fail(*args):
-        raise AssertionError("row loop called")
-    monkeypatch.setattr(ingest, "_row_loop", fail)
+    # regular: the file is never read again one row at a time.
+    def chunks(reader, rows, chunks_=fileio._chunks):
+        assert rows == fileio.CHUNK_ROWS, "one-row run"
+        return chunks_(reader, rows)
+    monkeypatch.setattr(fileio, "_chunks", chunks)
     path = tmp_path / "t.csv"
     ids, e, n, conc = surrogate_survey(n=600, seed=4)
     e, n, conc = e.tolist(), n.tolist(), conc.tolist()
@@ -332,7 +349,7 @@ def test_regular_table_parses_by_columns_alone(tmp_path, monkeypatch):
 
 
 def test_parse_and_samples_write_memory_bounded(tmp_path):
-    # 8000 rows: parsing holds _CHUNK_ROWS rows of text at a time and the
+    # 8000 rows: parsing holds fileio.CHUNK_ROWS rows of text at a time and the
     # writer formats _FORMAT_ROWS rows at a time. Holding every row at once
     # peaks at about 17 MiB parsing and 10 MiB writing.
     path = tmp_path / "survey.csv"

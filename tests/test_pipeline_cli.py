@@ -701,6 +701,50 @@ def test_cli_malformed_intermediates_exit_1_with_one_line(tmp_path, survey_csv, 
     assert len(err.splitlines()) == 1 and "coords.csv: line 3: bad latitude" in err, err
 
 
+def test_cli_coordinates_off_the_globe_exit_1_naming_the_cell(tmp_path, survey_csv, capsys):
+    # A latitude beyond 90 or a longitude beyond 180 degrees is no place:
+    # neither export (into the GeoJSON) nor graph may take it.
+    cfg_path = make_config(tmp_path, survey_csv)
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    coords = tmp_path / "out" / FILES["coords"]
+    lines = coords.read_text().splitlines(keepends=True)
+    site, latitude, _ = lines[2].split(",")
+    for cells, where in (((site, "91.5", "-400"), "line 3: bad latitude value '91.5'"),
+                         ((site, latitude, "-400"), "line 3: bad longitude value '-400'"),
+                         ((site, "-90.5", "0.0"), "line 3: bad latitude value '-90.5'")):
+        coords.write_text(lines[0] + lines[1] + ",".join(cells) + "\n" + "".join(lines[3:]))
+        for stage in ("export", "graph"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(cfg_path)]) == 1, stage
+            err = capsys.readouterr().err
+            assert err == f"error: {coords}: {where}\n", err
+
+
+def test_cli_refine_rejects_nan_or_negative_omega(tmp_path, survey_csv, capsys):
+    # refine used to take a NaN omega and write it back as an empty cell,
+    # which summarize then rejected in the file refine itself wrote. +inf
+    # marks a component's peak and stays valid.
+    cfg_path = make_config(tmp_path, survey_csv)
+    for stage in ("ingest", "project", "graph", "cluster"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    labeling = tmp_path / "out" / FILES["labeling"]
+    valid = labeling.read_text()
+    lines = valid.splitlines(keepends=True)
+    column = lines[0].rstrip("\n").split(",").index("omega")
+    assert "inf" in [line.rstrip("\n").split(",")[column] for line in lines[1:]]
+    for value in ("nan", "-1.0", "-inf"):
+        cells = lines[2].rstrip("\n").split(",")
+        cells[column] = value
+        labeling.write_text(lines[0] + lines[1] + ",".join(cells) + "\n" + "".join(lines[3:]))
+        capsys.readouterr()
+        assert main(["refine", "--config", str(cfg_path)]) == 1, value
+        err = capsys.readouterr().err
+        assert err == f"error: {labeling}: line 3: bad omega value '{value}'\n", err
+    labeling.write_text(valid)
+    for stage in ("refine", "summarize", "export"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+
+
 def _head(path, lines):
     return b"".join(path.read_bytes().splitlines(keepends=True)[:lines])
 
