@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import SpatialCpfError
 from .pipeline import STAGES, PipelineConfig, StageError, run_pipeline, run_stage
@@ -37,8 +38,7 @@ def main(argv=None) -> int:
     try:
         config = PipelineConfig.from_file(args.config)
         if args.seed is not None:
-            config.seed = args.seed
-            config.validate()
+            config = replace(config, seed=args.seed)
         if args.command == "run":
             report = run_pipeline(config)
             json.dump(report, sys.stdout, indent=2, sort_keys=True)

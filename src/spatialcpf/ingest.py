@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -133,15 +132,15 @@ def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
     the order a row's first failure is named (width, repeated site id, ITM
     coordinate non-numeric, non-finite or out of range, each concentration
     in ELEMENTS order). An error names the chunk's first row, so only the
-    one-row run's is raised. A chunk mixing an all-blank row with others
-    fails, and the one-row run skips that row."""
+    one-row run's is raised. A row of blank cells is skipped."""
     if header is None:
         raise SchemaError(f"empty file: {path}")
     idx = _column_index(header, path)
     width = max(idx.values()) + 1
     site_ids, seen, blocks = [], set(), []
     for line, rows in chunks:
-        if not any(map(str.strip, chain.from_iterable(rows))):
+        rows = [row for row in rows if any(map(str.strip, row))]
+        if not rows:
             continue
         short = min(map(len, rows))
         if short < width:

@@ -11,11 +11,12 @@ gives byte-identical exports. Floats are written with repr() (shortest
 round-trip form), so the CSV intermediates are lossless. The staged CSV
 files are read by columns through fileio.read_csv (_read_columns).
 
-Every writer works on columns, _FORMAT_ROWS rows (or _GEOJSON_CHUNK
-features) at a time: a column's cells are formatted by one map over its
-values, and each CSV row is its cells joined by commas. A text cell is
-quoted as csv.writer quotes it, and also when it holds a CR, so that any
-site id the survey CSV can hold reads back unchanged (_quote).
+Every writer works on columns, _ROWS rows or features at a time: a
+numeric column's cells are formatted by one map over its values (_reprs,
+one spelling of the non-finite floats for CSV and one for JSON), and each
+CSV row is its cells joined by commas. A text cell is quoted as csv.writer
+quotes it, and also when it holds a CR, so that any site id the survey CSV
+can hold reads back unchanged (_quote).
 """
 
 from __future__ import annotations
@@ -119,9 +120,7 @@ class PipelineConfig:
         if unknown:
             raise ParameterError(f"unknown config keys: {unknown}")
         raw.update((name, params(**raw[name])) for name, params in sections.items())
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -135,7 +134,7 @@ class PipelineConfig:
             raise ParameterError(f"config file {path} is not a mapping")
         return cls.from_dict(raw)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Check the top-level settings; each section checks itself."""
         for key in ("input", "output_dir"):
             if not isinstance(getattr(self, key), str):
@@ -176,53 +175,54 @@ FILES = {
 
 # A run whose share of outlier samples exceeds this warns of a degenerate result.
 DEGENERATE_OUTLIER_FRACTION = 0.5
-# Features export_geojson encodes at a time; bounds its encoded text.
-_GEOJSON_CHUNK = 1024
-# Rows each CSV writer formats at a time; bounds its text the same way.
-_FORMAT_ROWS = 1024
+# Rows (or GeoJSON features) each writer formats at a time; bounds its text.
+_ROWS = 1024
 # The characters that make a CSV cell quoted (see _quote).
 _QUOTED = re.compile('[,"\r\n]')
 
 
-def _write_csv(path, header, rows) -> Path:
-    """Write the header and rows of str cells (see _rows), each row one line
-    of its cells joined by commas."""
-    with atomic_open(path, encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return Path(path)
+# How _reprs spells a non-finite float: in a CSV cell a NaN (an anomaly
+# score off the outlier set) is empty; in JSON each is as json.dumps spells
+# it (export_geojson writes a NaN score as null).
+_CSV = {"nan": ""}
+_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _quote(cells: list[str]) -> list[str]:
-    """Text cells as CSV fields. A cell holding a comma, quote, CR or LF is
-    quoted, its quotes doubled, as csv.writer quotes; csv.writer would leave
-    a CR bare when lines end in LF, and the row would split on reading."""
+def _reprs(values: np.ndarray, spelling: dict) -> list[str]:
+    """repr() of each value of a numeric array: a float's shortest text that
+    reads back as the same float, an integer's or flag's the same as str().
+    A non-finite float's text is looked up in spelling."""
+    cells = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        cells = list(map(spelling.get, cells, cells))
+    return cells
+
+
+def _quote(column) -> list[str]:
+    """str() of each value, as CSV fields. A cell holding a comma, quote, CR
+    or LF is quoted, its quotes doubled, as csv.writer quotes; csv.writer
+    would leave a CR bare when lines end in LF, and the row would split on
+    reading."""
+    cells = list(map(str, column))
     if not _QUOTED.search("".join(cells)):
         return cells
     return ['"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
             for cell in cells]
 
 
-def _cells(column) -> list[str]:
-    """A column slice's CSV cells. An array's values are written by repr():
-    a float's shortest text that reads back as the same float, an integer's
-    or flag's the same as str(); a NaN (an anomaly score off the outlier
-    set) as an empty cell. Any other column holds text or Python numbers,
-    written by str() and quoted by _quote."""
-    if not isinstance(column, np.ndarray):
-        return _quote(list(map(str, column)))
-    cells = list(map(repr, column.tolist()))
-    if column.dtype.kind == "f" and np.isnan(column).any():
-        cells = list(map({"nan": ""}.get, cells, cells))
-    return cells
-
-
-def _rows(*columns):
-    """Rows of str cells from equal-length columns, formatted by _cells
-    _FORMAT_ROWS rows at a time."""
-    for start in range(0, len(columns[0]), _FORMAT_ROWS):
-        yield from zip(*(_cells(column[start:start + _FORMAT_ROWS]) for column in columns))
+def _write_csv(path, header, columns) -> Path:
+    """Write the header and the equal-length columns, _ROWS rows at a time:
+    an array's cells by _reprs, any other column's (text or Python numbers)
+    by _quote, and each row one line of its cells joined by commas."""
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _ROWS):
+            # The cells are built inside zip(), so one chunk's are held at a time.
+            for row in zip(*(_reprs(column[start:start + _ROWS], _CSV)
+                             if isinstance(column, np.ndarray)
+                             else _quote(column[start:start + _ROWS]) for column in columns)):
+                fh.write(",".join(row) + "\n")
+    return Path(path)
 
 
 def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
@@ -286,17 +286,7 @@ def _read_coords(path) -> tuple[np.ndarray, list[str]]:
     return np.column_stack([cols["lat"], cols["lon"]]), cols["site_ids"]
 
 
-def write_labeling(lab: dict, path) -> Path:
-    """Write labeling.csv; anomaly_score and iforest_flag are written once
-    refine has added them to lab."""
-    header = ["site_id", "cluster_label", "log_density", "omega", "component_id"]
-    if "anomaly_score" in lab:
-        header += ["anomaly_score", "iforest_flag"]
-    return _write_csv(path, header, _rows(lab["site_ids"], *(lab[key] for key in (
-        "labels", "log_density", "omega", "component_id", "anomaly_score", "iforest_flag")
-        if key in lab)))
-
-
+# labeling.csv's columns in file order, by the key each is stored under.
 _LABELING_CELLS = {
     "site_ids": ("site_id", list),
     "labels": ("cluster_label", partial(map, int)),
@@ -309,6 +299,13 @@ _REFINE_CELLS = {
     "anomaly_score": ("anomaly_score", _scores),
     "iforest_flag": ("iforest_flag", partial(map, {"True": True, "False": False}.__getitem__)),
 }
+
+
+def write_labeling(lab: dict, path) -> Path:
+    """Write labeling.csv: the _LABELING_CELLS columns, then the _REFINE_CELLS
+    ones once refine has added them to lab."""
+    cells = {**_LABELING_CELLS, **(_REFINE_CELLS if "anomaly_score" in lab else {})}
+    return _write_csv(path, [col for col, _ in cells.values()], [lab[key] for key in cells])
 
 
 def read_labeling(path) -> dict:
@@ -336,7 +333,7 @@ def write_summary(summary: metrics.ClusterSummary, path) -> Path:
             for (c, element), s in sorted(stats.items())
             for stat_name in ("size", "q1", "median", "q3", "iqr", "whisker_low", "whisker_high")]
     return _write_csv(path, ["cluster", "element", "scale", "statistic", "value"],
-                      _rows(*zip(*rows)))
+                      list(zip(*rows)))
 
 
 # One feature as json.dumps(feature, separators=(",", ":"), sort_keys=True)
@@ -346,41 +343,32 @@ _FEATURE = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},"properties":{%s
             '"iforest_flag":%s,"log_density":%s,"site_id":%s},"type":"Feature"}')
 
 
-def _json_floats(values: np.ndarray, nan: str = "NaN") -> list[str]:
-    """Floats as json.dumps spells them: repr(), and NaN, Infinity and
-    -Infinity for the non-finite (nan gives NaN's spelling)."""
-    values = np.asarray(values, dtype=float)
-    cells = list(map(repr, values.tolist()))
-    if not np.isfinite(values).all():
-        cells = list(map({"nan": nan, "inf": "Infinity", "-inf": "-Infinity"}.get, cells, cells))
-    return cells
-
-
 def export_geojson(site_ids, labels, coords, log_density, path,
                    scores=None, flags=None) -> Path:
     """GeoJSON FeatureCollection of Point features in (lon, lat) order,
     written as json.dumps(doc, separators=(",", ":"), sort_keys=True) would
-    write it, _GEOJSON_CHUNK features at a time. Each feature fills the
-    _FEATURE template: site ids JSON-escaped to ASCII, floats spelled by
-    _json_floats and a NaN score as null. Without log densities each is
+    write it, _ROWS features at a time. Each feature fills the _FEATURE
+    template: site ids JSON-escaped to ASCII, floats by _reprs in the _JSON
+    spelling, and a NaN score as null. Without log densities each is
     null, without scores the member is left out, without flags each is false."""
     labels = np.asarray(labels, dtype=np.int64)
     coords = np.asarray(coords, dtype=float)
     log_density = np.asarray(log_density, dtype=float)
+    scores = None if scores is None else np.asarray(scores, dtype=float)
     path = Path(path)
     with atomic_open(path, encoding="utf-8") as fh:
         # The document's two keys, sorted, around the features.
         fh.write('{"features":[')
-        for start in range(0, len(site_ids), _GEOJSON_CHUNK):
-            chunk = slice(start, start + _GEOJSON_CHUNK)
+        for start in range(0, len(site_ids), _ROWS):
+            chunk = slice(start, start + _ROWS)
             features = zip(
-                _json_floats(coords[chunk, 1]), _json_floats(coords[chunk, 0]),
+                _reprs(coords[chunk, 1], _JSON), _reprs(coords[chunk, 0], _JSON),
                 repeat("") if scores is None else map(
-                    '"anomaly_score":%s,'.__mod__, _json_floats(scores[chunk], nan="null")),
-                map(str, labels[chunk].tolist()),
+                    '"anomaly_score":%s,'.__mod__, _reprs(scores[chunk], _JSON | {"nan": "null"})),
+                _reprs(labels[chunk], _JSON),
                 repeat("false") if flags is None else map(
                     ("false", "true").__getitem__, np.asarray(flags[chunk], dtype=bool).tolist()),
-                _json_floats(log_density[chunk]) if len(log_density) else repeat("null"),
+                _reprs(log_density[chunk], _JSON) if len(log_density) else repeat("null"),
                 map(json.encoder.encode_basestring_ascii, site_ids[chunk]))
             fh.write(("," if start else "") + ",".join(map(_FEATURE.__mod__, features)))
         fh.write('],"type":"FeatureCollection"}')
@@ -394,7 +382,7 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
             for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats))
             for (c, element), s in sorted(stats.items())]
     return _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
-                             "whisker_low", "whisker_high", "beyond_whiskers"], _rows(*zip(*rows)))
+                             "whisker_low", "whisker_high", "beyond_whiskers"], list(zip(*rows)))
 
 
 # ---------------------------------------------------------------- stages
@@ -457,9 +445,9 @@ _SOURCES = {
 _WRITERS = {
     "samples": lambda s, path: _write_csv(
         path, ["site_id", "easting", "northing", *ingest.ELEMENTS],
-        _rows(s["samples"].site_ids, *s["samples"].itm.T, *s["samples"].concentrations.T)),
+        [s["samples"].site_ids, *s["samples"].itm.T, *s["samples"].concentrations.T]),
     "coords": lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
-                                         _rows(s["samples"].site_ids, *s["coords"].T)),
+                                         [s["samples"].site_ids, *s["coords"].T]),
     "adjacency": lambda s, path: graph.dump_adjacency(s["adjacency"], path),
     "labeling": lambda s, path: write_labeling(s["labeling"], path),
     "summary": lambda s, path: write_summary(s["summary"], path),

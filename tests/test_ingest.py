@@ -348,9 +348,31 @@ def test_regular_table_parses_by_columns_alone(tmp_path, monkeypatch):
     np.testing.assert_array_equal(table.itm[:, 1], np.floor(n))
 
 
+def test_blank_rows_stay_on_the_chunked_run(tmp_path, monkeypatch):
+    # Rows of blank cells, mid-file and at the end as spreadsheet exports
+    # leave them, are dropped inside their chunk: the file is read once.
+    sizes = []
+
+    def chunks(reader, rows, chunks_=fileio._chunks):
+        sizes.append(rows)
+        return chunks_(reader, rows)
+    monkeypatch.setattr(fileio, "_chunks", chunks)
+    path = tmp_path / "t.csv"
+    ids, e, n, conc = surrogate_survey(n=600, seed=5)
+    e, n, conc = e.tolist(), n.tolist(), conc.tolist()
+    rows = [[sid, *map(repr, [e[i], n[i], *conc[i]])] for i, sid in enumerate(ids)]
+    rows.insert(300, ["", "", "", ""])
+    rows += [["", "", "", ""], [" ", ""]]
+    write_csv_rows(path, [HEADER] + rows)
+    got = outcome(parse_g5_csv, path)
+    assert sizes == [fileio.CHUNK_ROWS]
+    assert got == outcome(oracle_ingest.parse, path)
+    assert len(got[0]) == 600
+
+
 def test_parse_and_samples_write_memory_bounded(tmp_path):
     # 8000 rows: parsing holds fileio.CHUNK_ROWS rows of text at a time and the
-    # writer formats _FORMAT_ROWS rows at a time. Holding every row at once
+    # writer formats pipeline._ROWS rows at a time. Holding every row at once
     # peaks at about 17 MiB parsing and 10 MiB writing.
     path = tmp_path / "survey.csv"
     write_survey_csv(path, *surrogate_survey(n=8000, seed=0))

@@ -239,13 +239,17 @@ def test_failed_rewrite_keeps_previous_file(tmp_path, survey_csv, monkeypatch):
     before = labeling.read_bytes()
     write = pipeline._write_csv
 
-    def failing_write(path, header, rows):
-        def failing_rows():
-            for i, row in enumerate(rows):
-                if i == 150:
-                    raise OSError("disk full")
-                yield row
-        return write(path, header, failing_rows())
+    class FailingColumn(list):
+        """A column whose rows from 150 on cannot be read."""
+        def __getitem__(self, rows):
+            if rows.stop > 150:
+                raise OSError("disk full")
+            return list.__getitem__(self, rows)
+
+    def failing_write(path, header, columns):
+        return write(path, header, [FailingColumn(columns[0]), *columns[1:]])
+    # The header and the first 100 rows are written before the write fails.
+    monkeypatch.setattr(pipeline, "_ROWS", 100)
     monkeypatch.setattr(pipeline, "_write_csv", failing_write)
     with pytest.raises(OSError, match="disk full"):
         pipeline.stage_refine(config)
@@ -341,6 +345,15 @@ def test_config_validation_errors(tmp_path, survey_csv):
             ({"output_dir": ["out"]}, "output_dir")):
         with pytest.raises(ParameterError, match=match):
             PipelineConfig.from_dict({"input": str(survey_csv), **overrides})
+    # A config built directly is checked as one read from a file.
+    for overrides, match in (
+            ({"geo_metric": "nope", "seed": -4}, "geo_metric"),
+            ({"seed": -4}, "seed"),
+            ({"bdl_policy": "drop"}, "bdl_policy"),
+            ({"input": str(tmp_path / "missing.csv")}, "input"),
+            ({"log10_export": "no"}, "log10_export")):
+        with pytest.raises(ParameterError, match=match):
+            PipelineConfig(**{"input": str(survey_csv), **overrides})
 
 
 def test_geojson_single_point(tmp_path):
@@ -366,7 +379,7 @@ def test_geojson_empty(tmp_path):
 def test_geojson_chunks_write_one_sorted_compact_document(tmp_path, monkeypatch, n):
     # Chunks of 3 features: the file must read as one json.dumps of the
     # whole document, whether n is a multiple of the chunk or not.
-    monkeypatch.setattr(pipeline, "_GEOJSON_CHUNK", 3)
+    monkeypatch.setattr(pipeline, "_ROWS", 3)
     rng = np.random.default_rng(n)
     scores = rng.uniform(size=n)
     scores[::2] = np.nan
@@ -404,7 +417,7 @@ def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk, ha
     flags = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
              if has_flags else None)
     path = tmp_path / "c.geojson"
-    with mock.patch.object(pipeline, "_GEOJSON_CHUNK", chunk):
+    with mock.patch.object(pipeline, "_ROWS", chunk):
         export_geojson(site_ids, labels, coords, log_density, path, scores=scores, flags=flags)
     assert path.read_bytes() == oracle_geojson.geojson_text(
         site_ids, labels, coords, log_density, scores, flags).encode("ascii")

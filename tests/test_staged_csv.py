@@ -4,13 +4,17 @@ pipeline.read_labeling (with and without refine's columns) and
 pipeline._read_coords read by columns, fileio.CHUNK_ROWS rows at a time, and
 read a faulty file again one row at a time. On valid files they must return
 what tests/oracle_staged.py returns, bit for bit; on faulty ones they must
-raise its error class and message.
+raise its error class and message. What pipeline.write_labeling writes,
+pipeline._ROWS rows at a time, read_labeling must read back bit for bit.
 """
 
 import csv
 import io
+import math
+import os
 from unittest import mock
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -192,3 +196,38 @@ def test_short_row_reads_missing_cells_as_empty(tmp_path):
         with mock.patch.object(fileio, "CHUNK_ROWS", chunk_rows):
             assert outcome(pipeline.read_labeling, path) == (
                 DataError, f"{path}: line 4: bad iforest_flag value ''")
+
+
+# SPATIALCPF_FUZZ_EXAMPLES sets the round trip's examples (CI runs 3000).
+ROUND_TRIP = settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "80")),
+                      deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# The keys of a refined labeling, in file order.
+LABELING_KEYS = ("site_ids", "labels", "log_density", "omega", "component_id",
+                 "anomaly_score", "iforest_flag")
+
+
+def labeling_rows(n):
+    """One row of a refined n-row labeling, in LABELING_KEYS order."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.tuples(st.text(st.sampled_from("Sa1 ,\"'\r\né"), max_size=6),
+                     st.integers(-1, n - 1), finite,
+                     st.one_of(st.floats(0.0, allow_nan=False), st.just(math.inf)),
+                     st.integers(0, n - 1), st.one_of(st.just(math.nan), finite),
+                     st.booleans())
+
+
+@ROUND_TRIP
+@given(data=st.data(), rows=st.sampled_from([1, 2, 3, 1024]), refined=st.booleans())
+def test_labeling_round_trips_at_any_write_chunk(tmp_path, data, rows, refined):
+    # Row counts on both sides of each chunk size; the drawn rows repeat.
+    n = data.draw(st.one_of(st.integers(1, 7), st.sampled_from([1023, 1024, 1025])))
+    drawn = data.draw(st.lists(labeling_rows(n), min_size=1, max_size=6))
+    columns = zip(*(drawn[i % len(drawn)] for i in range(n)))
+    lab = {key: list(column) if key == "site_ids" else np.array(column)
+           for key, column in zip(LABELING_KEYS, columns)}
+    if not refined:
+        del lab["anomaly_score"], lab["iforest_flag"]
+    path = tmp_path / "labeling.csv"
+    with mock.patch.object(pipeline, "_ROWS", rows):
+        pipeline.write_labeling(lab, path)
+    assert outcome(pipeline.read_labeling, path) == outcome(lambda _: lab, path)
