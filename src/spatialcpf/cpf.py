@@ -38,7 +38,7 @@ import numpy as np
 from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
-from .errors import InternalConsistencyError, ParameterError, require_type
+from .errors import InternalConsistencyError, ParameterError, check_settings, setting
 from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency,
                     connected_components, hadamard_intersect, knn, map_blocks,
                     mutual_graph)
@@ -53,33 +53,16 @@ _LIST_ROWS = 512
 
 @dataclass(frozen=True)
 class CpfParams:
-    min_samples: int = 75
-    rho: float = 0.01
-    alpha: float = 0.015
-    merge_threshold: float = 7.5
-    density_ratio_threshold: float = 0.7
-    min_component_size: int | None = None  # defaults to min_samples
+    min_samples: int = setting(75, Integral, lambda v: v >= 1, ">= 1")
+    rho: float = setting(0.01, Real, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    alpha: float = setting(0.015, Real, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    merge_threshold: float = setting(7.5, Real, lambda v: v >= 0.0, ">= 0")
+    density_ratio_threshold: float = setting(0.7, Real, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    # None defaults to min_samples.
+    min_component_size: int | None = setting(None, Integral, lambda v: v >= 1, ">= 1")
 
     def __post_init__(self):
-        require_type("min_samples", self.min_samples, Integral)
-        for name in ("rho", "alpha", "merge_threshold", "density_ratio_threshold"):
-            require_type(name, getattr(self, name), Real)
-        if self.min_component_size is not None:
-            require_type("min_component_size", self.min_component_size, Integral)
-        if self.min_samples < 1:
-            raise ParameterError(f"min_samples must be >= 1, got {self.min_samples}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must be in [0, 1), got {self.rho}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.merge_threshold >= 0.0:
-            raise ParameterError(f"merge_threshold must be >= 0, got {self.merge_threshold}")
-        if not 0.0 < self.density_ratio_threshold <= 1.0:
-            raise ParameterError(
-                f"density_ratio_threshold must be in (0, 1], got {self.density_ratio_threshold}")
-        if self.min_component_size is not None and self.min_component_size < 1:
-            raise ParameterError(
-                f"min_component_size must be >= 1, got {self.min_component_size}")
+        check_settings(self, "cpf.")
 
     @property
     def component_size_floor(self) -> int:

@@ -1,5 +1,7 @@
-"""Exception types shared across the pipeline, and the parameter type check."""
+"""Exception types shared across the pipeline, and the declaration and
+check of the config settings."""
 
+from dataclasses import field, fields
 from numbers import Integral, Real
 
 
@@ -28,7 +30,8 @@ class DataError(SpatialCpfError):
 
 
 class DegenerateColumnError(SpatialCpfError):
-    """A feature column has zero variance and cannot be standardized."""
+    """A feature column has zero variance, or a mean or standard deviation
+    that overflows, and cannot be standardized."""
 
 
 class OutOfDomainError(SpatialCpfError):
@@ -39,12 +42,36 @@ class InternalConsistencyError(SpatialCpfError):
     """An internal invariant was violated (indicates a bug)."""
 
 
-_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false"}
+_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false", str: "a string"}
 
 
-def require_type(key: str, value, kind) -> None:
-    """Raise ParameterError naming key unless value is of kind (Integral,
-    Real or bool). A bool is never taken for a number, though Python's
-    bool is an int."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ParameterError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+def setting(default, kind, test=None, rule=""):
+    """A dataclass field declaring one setting: its default (a class is
+    called for each instance), the kind its value must be, and a test the
+    value must pass, described by rule. A tuple test lists the allowed
+    values."""
+    if isinstance(test, tuple):
+        rule = " | ".join(test)
+    metadata = {"kind": kind, "test": test, "rule": rule}
+    if isinstance(default, type):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def check_settings(obj, section: str = "") -> None:
+    """Raise ParameterError naming the first of obj's settings, in
+    declaration order, that is not of its kind or fails its test. A bool is
+    never taken for a number, though Python's bool is an int, and None
+    passes only where it is the default."""
+    for f in fields(obj):
+        kind, test, rule = f.metadata["kind"], f.metadata["test"], f.metadata["rule"]
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            expected = _KIND_NAMES.get(kind) or f"a {kind.__name__}"
+        elif test is not None and not (value in test if isinstance(test, tuple) else test(value)):
+            expected = rule
+        else:
+            continue
+        raise ParameterError(f"{section}{f.name} must be {expected}, got {value!r}")

@@ -84,10 +84,7 @@ def fit_iforest(features: np.ndarray, n_trees: int = 100, subsample_size: int = 
     nodes, roots = [], []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
-        if subsample_size <= n:
-            idx = rng.choice(n, size=subsample_size, replace=False)
-        else:
-            idx = rng.choice(n, size=subsample_size, replace=True)
+        idx = rng.choice(n, size=subsample_size, replace=subsample_size > n)
         roots.append(_grow(features[idx], 0, max_depth, rng, nodes))
     # The node rows' columns are the model's first five fields, in order.
     return IsolationForestModel(*map(np.array, zip(*nodes)), roots=np.array(roots),

@@ -182,10 +182,15 @@ def standardize(matrix: np.ndarray, method: str = "zscore",
         return matrix.copy(), ScalingParams(np.zeros(d), np.ones(d))
     if method != "zscore":
         raise ValueError(f"unknown scaling method: {method}")
-    center = matrix.mean(axis=0)
-    scale = matrix.std(axis=0, ddof=1)
-    bad = np.flatnonzero(scale == 0.0)
-    if bad.size:
-        names = [element_order[j] if j < len(element_order) else str(j) for j in bad]
-        raise DegenerateColumnError(f"zero-variance column(s): {', '.join(names)}")
+    # A column's sum or squared deviations can overflow, each value finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = matrix.mean(axis=0)
+        scale = matrix.std(axis=0, ddof=1)
+    for what, bad in (("zero-variance", scale == 0.0),
+                      ("non-finite mean or standard deviation in",
+                       ~(np.isfinite(center) & np.isfinite(scale)))):
+        names = [element_order[j] if j < len(element_order) else str(j)
+                 for j in np.flatnonzero(bad)]
+        if names:
+            raise DegenerateColumnError(f"{what} column(s): {', '.join(names)}")
     return (matrix - center) / scale, ScalingParams(center, scale)

@@ -29,7 +29,7 @@ import resource
 import time
 import warnings
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from itertools import repeat
 from numbers import Integral, Real
@@ -41,7 +41,8 @@ import yaml
 
 from . import cpf, geodesy, graph, iforest, ingest, metrics
 from .cpf import CpfParams
-from .errors import DataError, ParameterError, SpatialCpfError, require_type
+from .errors import (DataError, ParameterError, SpatialCpfError, check_settings,
+                     setting)
 from .fileio import atomic_open, read_csv
 
 
@@ -52,55 +53,47 @@ class StageError(SpatialCpfError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-GEO_METRICS = ("haversine", "euclidean_degrees", "euclidean_itm")
 FEATURE_CHOICES = ("standardized", "raw")
 
 
 @dataclass(frozen=True)
 class IforestParams:
-    n_trees: int = 100
-    subsample_size: int = 256
-    contamination: float = 0.30
-    features: str = "standardized"
+    n_trees: int = setting(100, Integral, lambda v: v >= 1, ">= 1")
+    subsample_size: int = setting(256, Integral, lambda v: v >= 2, ">= 2")
+    contamination: float = setting(0.30, Real, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    features: str = setting("standardized", str, FEATURE_CHOICES)
 
     def __post_init__(self):
-        require_type("iforest.n_trees", self.n_trees, Integral)
-        require_type("iforest.subsample_size", self.subsample_size, Integral)
-        require_type("iforest.contamination", self.contamination, Real)
-        if self.features not in FEATURE_CHOICES:
-            raise ParameterError(f"bad iforest.features: {self.features!r}")
-        if not 0.0 < self.contamination < 1.0:
-            raise ParameterError(
-                f"iforest.contamination must be in (0, 1), got {self.contamination}")
-        if self.n_trees < 1 or self.subsample_size < 2:
-            raise ParameterError("bad iforest tree settings")
+        check_settings(self, "iforest.")
 
 
 @dataclass(frozen=True)
 class ChParams:
-    include_outliers: bool = False
-    features: str = "standardized"
+    include_outliers: bool = setting(False, bool)
+    features: str = setting("standardized", str, FEATURE_CHOICES)
 
     def __post_init__(self):
-        require_type("calinski_harabasz.include_outliers", self.include_outliers, bool)
-        if self.features not in FEATURE_CHOICES:
-            raise ParameterError(f"bad calinski_harabasz.features: {self.features!r}")
+        check_settings(self, "calinski_harabasz.")
 
 
 @dataclass
 class PipelineConfig:
     """The YAML config: one field per top-level key, and one params class
     per nested section (cpf, iforest, calinski_harabasz)."""
-    input: str
-    output_dir: str = "out"
-    bdl_policy: str = "half_dl"
-    scaling: str = "zscore"
-    geo_metric: str = "haversine"
-    cpf: CpfParams = field(default_factory=CpfParams)
-    iforest: IforestParams = field(default_factory=IforestParams)
-    calinski_harabasz: ChParams = field(default_factory=ChParams)
-    log10_export: bool = True
-    seed: int = 0
+    input: str = setting(MISSING, str, lambda path: Path(path).exists(), "an existing file")
+    output_dir: str = setting("out", str)
+    bdl_policy: str = setting("half_dl", str, ("half_dl", "reject"))
+    scaling: str = setting("zscore", str, ("zscore", "none"))
+    geo_metric: str = setting("haversine", str, ("haversine", "euclidean_degrees", "euclidean_itm"))
+    cpf: CpfParams = setting(CpfParams, CpfParams)
+    iforest: IforestParams = setting(IforestParams, IforestParams)
+    calinski_harabasz: ChParams = setting(ChParams, ChParams)
+    log10_export: bool = setting(True, bool)
+    seed: int = setting(0, Integral, lambda v: type(v) is int and v >= 0,
+                        "a non-negative integer")
+
+    def __post_init__(self):
+        check_settings(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -133,23 +126,6 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ParameterError(f"config file {path} is not a mapping")
         return cls.from_dict(raw)
-
-    def __post_init__(self):
-        """Check the top-level settings; each section checks itself."""
-        for key in ("input", "output_dir"):
-            if not isinstance(getattr(self, key), str):
-                raise ParameterError(f"{key} must be a path string, got {getattr(self, key)!r}")
-        require_type("log10_export", self.log10_export, bool)
-        if not Path(self.input).exists():
-            raise ParameterError(f"input file does not exist: {self.input!r}")
-        if self.bdl_policy not in ("half_dl", "reject"):
-            raise ParameterError(f"bad bdl_policy: {self.bdl_policy!r}")
-        if self.scaling not in ("zscore", "none"):
-            raise ParameterError(f"bad scaling: {self.scaling!r}")
-        if self.geo_metric not in GEO_METRICS:
-            raise ParameterError(f"bad geo_metric: {self.geo_metric!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         """The config as from_dict reads it, cpf.min_component_size resolved."""

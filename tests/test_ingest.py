@@ -139,6 +139,17 @@ def test_standardize_constant_column_errors():
         standardize(matrix, element_order=("As", "Ba"))
 
 
+@pytest.mark.parametrize("top", [1e202, 1.7e308])
+def test_standardize_column_whose_moments_overflow_errors(top):
+    # At 1e202 the squared deviations overflow (an infinite scale); at
+    # 1.7e308 the sum does (an infinite center). Every value is finite.
+    conc = surrogate_survey(n=400, seed=0)[3]
+    conc[:, 0] *= top / conc[:, 0].max()
+    assert np.isfinite(conc).all()
+    with pytest.raises(DegenerateColumnError, match=r"column\(s\): As$"):
+        standardize(conc)
+
+
 def test_standardize_moments():
     rng = np.random.default_rng(3)
     matrix = rng.lognormal(1, 1, (50, 15))

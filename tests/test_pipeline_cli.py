@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ import oracle_geojson
 from conftest import surrogate_survey, write_survey_csv
 from spatialcpf import graph, ingest, pipeline
 from spatialcpf.cli import main
-from spatialcpf.cpf import ClusterLabeling
+from spatialcpf.cpf import ClusterLabeling, CpfParams
 from spatialcpf.errors import DataError, ParameterError
 from spatialcpf.metrics import cluster_summary
 from spatialcpf.pipeline import (FILES, PipelineConfig, StageError,
@@ -191,6 +192,16 @@ def test_staged_run_matches_run_pipeline_itm_raw_features(tmp_path, survey_csv):
         calinski_harabasz={"features": "raw"})
 
 
+def test_staged_run_matches_run_pipeline_euclidean_degrees(tmp_path, survey_csv):
+    assert_staged_run_matches_run_pipeline(tmp_path, survey_csv, geo_metric="euclidean_degrees")
+    out = tmp_path / "staged"
+    coords, _ = pipeline._read_coords(out / FILES["coords"])
+    got = graph.load_adjacency(out / FILES["adjacency"])
+    want = graph.mutual_knn_graph(coords, 20, metric="euclidean")
+    assert got.n == want.n
+    np.testing.assert_array_equal(got.edges, want.edges)
+
+
 def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv,
                                                            monkeypatch):
     calls = {}
@@ -318,6 +329,34 @@ def test_example_config_matches_defaults(tmp_path, survey_csv):
     assert loaded.to_dict() == PipelineConfig(input=str(survey_csv)).to_dict()
 
 
+def test_example_config_comments_list_declared_values():
+    """Each `# a | b` comment of config.example.yaml lists exactly the
+    values its setting declares."""
+    def choices(cls, prefix=""):
+        for f in fields(cls):
+            kind, test = f.metadata["kind"], f.metadata["test"]
+            if is_dataclass(kind):
+                yield from choices(kind, f"{f.name}.")
+            elif isinstance(test, tuple):
+                yield prefix + f.name, test
+
+    example = os.path.join(os.path.dirname(__file__), os.pardir, "config.example.yaml")
+    listed, section = {}, ""
+    with open(example, encoding="utf-8") as fh:
+        for line in fh:
+            text, _, comment = line.partition("#")
+            name, colon, value = text.partition(":")
+            if not colon:
+                continue
+            if not line[0].isspace():
+                section = "" if value.strip() else f"{name}."
+            if "|" in comment:
+                listed[section + name.strip()] = tuple(v.strip() for v in comment.split("|"))
+    assert set(listed) == {"bdl_policy", "scaling", "geo_metric", "iforest.features",
+                           "calinski_harabasz.features"}
+    assert listed == dict(choices(PipelineConfig))
+
+
 def test_config_validation_errors(tmp_path, survey_csv):
     with pytest.raises(ParameterError):
         PipelineConfig.from_dict({"input": str(survey_csv), "geo_metric": "nope"})
@@ -338,6 +377,8 @@ def test_config_validation_errors(tmp_path, survey_csv):
             ({"iforest": {"n_trees": "5"}}, "n_trees"),
             ({"iforest": {"subsample_size": 64.0}}, "subsample_size"),
             ({"iforest": {"contamination": "0.3"}}, "contamination"),
+            ({"iforest": {"n_trees": 0}}, r"iforest\.n_trees"),
+            ({"iforest": {"subsample_size": 1}}, r"iforest\.subsample_size"),
             ({"log10_export": "no"}, "log10_export"),
             ({"log10_export": 0}, "log10_export"),
             ({"calinski_harabasz": {"include_outliers": "no"}}, "include_outliers"),
@@ -351,9 +392,12 @@ def test_config_validation_errors(tmp_path, survey_csv):
             ({"seed": -4}, "seed"),
             ({"bdl_policy": "drop"}, "bdl_policy"),
             ({"input": str(tmp_path / "missing.csv")}, "input"),
-            ({"log10_export": "no"}, "log10_export")):
+            ({"log10_export": "no"}, "log10_export"),
+            ({"cpf": {"min_samples": 5}}, "cpf")):
         with pytest.raises(ParameterError, match=match):
             PipelineConfig(**{"input": str(survey_csv), **overrides})
+    with pytest.raises(ParameterError, match=r"cpf\.rho"):
+        CpfParams(rho=2.0)
 
 
 def test_geojson_single_point(tmp_path):
@@ -568,6 +612,19 @@ def test_cli_overflowing_feature_spread_exits_1_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error in stage cluster: coordinates spread too widely: their squared distances "
         "overflow\n")
+    assert not (tmp_path / "out" / FILES["labeling"]).exists()
+
+
+def test_cli_overflowing_column_exits_1_naming_it(tmp_path, capsys):
+    # Finite concentrations whose squared deviations overflow: As's
+    # standard deviation is infinite.
+    ids, easting, northing, conc = surrogate_survey(n=400, seed=0)
+    conc[:, 0] *= 1e202 / conc[:, 0].max()
+    survey_csv = tmp_path / "survey.csv"
+    write_survey_csv(survey_csv, ids, easting, northing, conc)
+    assert main(["run", "--config", str(make_config(tmp_path, survey_csv))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "column(s): As\n" in err, err
     assert not (tmp_path / "out" / FILES["labeling"]).exists()
 
 
