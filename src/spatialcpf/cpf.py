@@ -29,6 +29,7 @@ so the labels do not depend on the thread count.
 from __future__ import annotations
 
 import math
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -144,10 +145,11 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     -1 and omega +inf.
 
     neighbors and radius are graph.knn's (n, k) lists over these features and
-    its raw k-th-neighbor distances. Every sample off i's list lies at least
-    radius[i] from i, so when i's nearest qualifying list entry is strictly
-    inside radius[i], every qualifying sample that close is on the list and
-    the list decides parent and omega. The list pass measures each entry
+    its raw k-th-neighbor distances; the int32 lists are read as they are,
+    each block of them widened to int64 on its own. Every sample off i's
+    list lies at least radius[i] from i, so when i's nearest qualifying list
+    entry is strictly inside radius[i], every qualifying sample that close
+    is on the list and the list decides parent and omega. The list pass measures each entry
     once, summing squared differences column by column in order, which is
     cdist's value for the pair, bit for bit. The kd-tree's radius rounds
     differently, so it is shrunk by FP_MARGIN before the test. This list
@@ -161,7 +163,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     samples.
     """
     features = np.asarray(features, dtype=float)
-    neighbors = np.asarray(neighbors, dtype=np.int64)
+    neighbors = np.asarray(neighbors)
     radius = np.asarray(radius, dtype=float)
     n = features.shape[0]
     if components.n != n:
@@ -178,7 +180,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     def list_pass(rows: np.ndarray) -> None:
         """Settle the rows whose nearest qualifying list entry lies inside
         their radius."""
-        listed = neighbors[rows]
+        listed = neighbors[rows].astype(np.int64)
         qualifies = (comp[listed] == comp[rows, None]) & (rank[listed] < rank[rows, None])
         dist = np.zeros(listed.shape)
         for column in features.T:
@@ -314,8 +316,9 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
 @dataclass(frozen=True)
 class FitResult:
     """fit's outputs; centers are the picks before merging, feature_edges
-    counts the feature-space mutual kNN graph's edges, and seconds holds the
-    wall time of each phase, by name."""
+    counts the feature-space mutual kNN graph's edges, seconds holds the
+    wall time of each phase, by name, and peak_rss_mib the process's peak
+    RSS in MiB as it stood at the end of each phase."""
     labeling: ClusterLabeling
     components: ComponentLabels
     density: DensityEstimate
@@ -324,19 +327,18 @@ class FitResult:
     intersected: SparseAdjacency
     feature_edges: int
     seconds: dict[str, float] = field(default_factory=dict)
+    peak_rss_mib: dict[str, float] = field(default_factory=dict)
 
 
-def _timed(seconds: dict, phase: str, func, *args):
-    """func(*args), its wall time recorded in seconds[phase]."""
-    start = time.perf_counter()
-    result = func(*args)
-    seconds[phase] = time.perf_counter() - start
-    return result
+def peak_rss_mib() -> float:
+    """The process's peak resident set size so far (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> FitResult:
     """Full spatially-constrained CPF run; see module docstring for the phases.
-    Each phase is timed under its name in FitResult.seconds: knn, mutual,
+    Each phase is timed under its name in FitResult.seconds, and the peak
+    RSS at its end recorded in FitResult.peak_rss_mib: knn, mutual,
     intersect, components, density, big_brother, centers, assign, merge."""
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
@@ -345,20 +347,28 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     if n <= params.min_samples:
         raise ParameterError(f"n={n} must exceed min_samples={params.min_samples}")
 
-    seconds = {}
-    neighbors, radius = _timed(seconds, "knn", knn, features, params.min_samples)
-    feature_graph = _timed(seconds, "mutual", mutual_graph, neighbors)
-    intersected = _timed(seconds, "intersect", hadamard_intersect, feature_graph, geo_adj)
+    seconds, peak_rss = {}, {}
+
+    def timed(phase: str, func, *args):
+        """func(*args), its wall time and the peak RSS at its end recorded
+        under phase."""
+        start = time.perf_counter()
+        result = func(*args)
+        seconds[phase] = time.perf_counter() - start
+        peak_rss[phase] = peak_rss_mib()
+        return result
+
+    neighbors, radius = timed("knn", knn, features, params.min_samples)
+    feature_graph = timed("mutual", mutual_graph, neighbors)
+    intersected = timed("intersect", hadamard_intersect, feature_graph, geo_adj)
     feature_edges = feature_graph.n_edges
     del feature_graph  # not held through components and big brother
-    components = _timed(seconds, "components", connected_components, intersected)
-    density = _timed(seconds, "density", knn_density, radius, features.shape[1], params)
-    bb = _timed(seconds, "big_brother", big_brother, features, density, components,
-                neighbors, radius)
-    centers = _timed(seconds, "centers", select_centers, density, bb, components, params)
-    labeling = _timed(seconds, "assign", assign_clusters, bb, centers, components, params)
-    labeling = _timed(seconds, "merge", merge_clusters, labeling, centers, density, features,
-                      params)
+    components = timed("components", connected_components, intersected)
+    density = timed("density", knn_density, radius, features.shape[1], params)
+    bb = timed("big_brother", big_brother, features, density, components, neighbors, radius)
+    centers = timed("centers", select_centers, density, bb, components, params)
+    labeling = timed("assign", assign_clusters, bb, centers, components, params)
+    labeling = timed("merge", merge_clusters, labeling, centers, density, features, params)
     return FitResult(labeling=labeling, components=components, density=density,
                      big_brother=bb, centers=centers, intersected=intersected,
-                     feature_edges=feature_edges, seconds=seconds)
+                     feature_edges=feature_edges, seconds=seconds, peak_rss_mib=peak_rss)

@@ -1,11 +1,16 @@
 """Sparse neighborhood graphs: mutual kNN construction, intersection, components.
 
 Graphs are stored as sorted undirected edge arrays over vertex indices.
+Vertex ids are int32 (VERTEX) everywhere in this module: knn's lists and
+every graph's edges, so a graph has at most MAX_VERTICES = 2^31 vertices.
 Mutuality and intersection sort edge keys u * n + v and keep the keys that
 occur twice (_shared_edges); only components use a scipy.sparse matrix.
-Each builder writes its keys into one preallocated int64 array and sorts
-it in place, so beside its input and output it holds that array and a
-one-byte mask per key, never a second array of the keys' size.
+A key reaches n^2, past 32 bits, so keys are int64 and every product that
+forms one is taken in int64. Each builder writes its keys into one
+preallocated int64 array and sorts it in place; _shared_edges then writes
+the int32 edges from the sorted keys a chunk at a time. So beside its
+input and output a builder holds that array and a one-byte mask per key,
+never a second array of the keys' size.
 Haversine kNN is computed exactly by embedding (lat, lon) on the unit sphere
 and querying a kd-tree with chord distance, monotone in great-circle distance.
 
@@ -63,6 +68,12 @@ FP_MARGIN = 1e-9
 # Rows in flight at once in knn at width k+2, scaled down as the width
 # grows; bounds its (rows, width, d) temporaries.
 _BLOCK_ROWS = 512
+# Vertex ids, and the most vertices they can number.
+VERTEX = np.int32
+MAX_VERTICES = 2**31
+# Sorted keys per chunk that _shared_edges turns into edges; bounds its
+# int64 temporary of the shared keys to 512 KiB.
+_KEY_CHUNK = 1 << 16
 # Threads map_blocks runs on at most: the cores this process may use.
 THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -85,14 +96,22 @@ def map_blocks(func, rows, budget: int) -> list:
 
 @dataclass(frozen=True)
 class SparseAdjacency:
-    """Undirected graph over n vertices; edges as an (m, 2) array with u < v,
-    lexicographically sorted, no self-loops, no duplicates."""
+    """Undirected graph over n <= MAX_VERTICES vertices; edges as an (m, 2)
+    int32 (VERTEX) array with u < v, lexicographically sorted, no
+    self-loops, no duplicates. Raises ParameterError for a larger n, or for
+    an id given in a wider type that int32 cannot hold."""
 
     n: int
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        _check_vertex_count(self.n)
+        edges = np.asarray(self.edges).reshape(-1, 2)
+        if edges.dtype != VERTEX:
+            bounds = np.iinfo(VERTEX)
+            if edges.size and not bounds.min <= edges.min() <= edges.max() <= bounds.max:
+                raise ParameterError("edge vertex id out of the int32 range")
+            edges = edges.astype(VERTEX)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -101,6 +120,12 @@ class SparseAdjacency:
 
     def edge_set(self) -> set:
         return {(int(u), int(v)) for u, v in self.edges}
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParameterError(f"{n} vertices exceed the {MAX_VERTICES} that int32 vertex ids "
+                             "can number")
 
 
 def _sphere_embed(latlon: np.ndarray) -> np.ndarray:
@@ -171,7 +196,7 @@ def _tree_distance(diff: np.ndarray) -> np.ndarray:
 def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors per point, ties broken by ascending index.
 
-    Returns an (n, k) int64 index array, each row ordered by (distance,
+    Returns an (n, k) int32 (VERTEX) index array, each row ordered by (distance,
     index), and each point's k-th-neighbor radius: the (k+1)-th distance,
     self included, that a kd-tree on the points as given reports.
 
@@ -207,12 +232,14 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     smallest over its candidates, self included, which hold every point
     that near once the row is settled.
 
-    Raises DataError for non-finite points, or for points spread so widely
-    that their squared distances overflow (the tree would report such a
-    neighbor as missing).
+    Raises ParameterError for more than MAX_VERTICES points, and DataError
+    for non-finite points, or for points spread so widely that their
+    squared distances overflow (the tree would report such a neighbor as
+    missing).
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
+    _check_vertex_count(n)
     if n < 2:
         raise ParameterError(f"need at least 2 points, got {n}")
     if k < 1:
@@ -233,7 +260,7 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     rotated = np.einsum("ij,jk->ik", centred, axes)
     del centred
     tree = cKDTree(rotated)
-    neighbors = np.empty((n, k), dtype=np.int64)
+    neighbors = np.empty((n, k), dtype=VERTEX)
     cut = np.empty(n)
 
     def query(rows: np.ndarray) -> np.ndarray:
@@ -269,13 +296,20 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _shared_edges(n: int, keys: np.ndarray) -> SparseAdjacency:
     """Graph over n vertices of the edges u < v whose key u * n + v occurs
-    twice in keys, which holds no key more than twice; sorts keys in place.
-    Beside keys it holds a byte per key (the equality mask), then 24 bytes
-    per edge: the shared keys and the edge array they are split into."""
+    twice in the int64 keys, which hold no key more than twice; sorts keys
+    in place. Beside keys it holds a byte per key (the equality mask), the
+    int32 edges (8 bytes per edge) and, while it writes them, the int64
+    shared keys of one _KEY_CHUNK of the sorted keys."""
     keys.sort()
-    twice = keys[1:][keys[1:] == keys[:-1]]
-    edges = np.empty((twice.size, 2), dtype=np.int64)
-    np.divmod(twice, n, out=(edges[:, 0], edges[:, 1]))
+    shared = keys[1:] == keys[:-1]
+    edges = np.empty((np.count_nonzero(shared), 2), dtype=VERTEX)
+    done = 0
+    for start in range(0, shared.size, _KEY_CHUNK):
+        stop = start + _KEY_CHUNK
+        twice = keys[start + 1:stop + 1][shared[start:stop]]
+        part = edges[done:done + twice.size]
+        np.divmod(twice, n, out=(part[:, 0], part[:, 1]))
+        done += twice.size
     return SparseAdjacency(n=n, edges=edges)
 
 
@@ -283,8 +317,9 @@ def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:
     """Mutual graph of an (n, k) array whose rows each list k distinct other
     vertices: edge (i, j) iff j is in row i and i is in row j, that is, iff
     the pair's key min * n + max is listed twice. The keys are written into
-    one (n, k) int64 array, _BLOCK_ROWS rows at a time, so no other array of
-    the lists' size is alive while they are formed."""
+    one (n, k) int64 array, _BLOCK_ROWS rows at a time and against int64 row
+    ids, so in int64 whatever the lists' type; no other array of the lists'
+    size is alive while they are formed."""
     n = neighbors.shape[0]
     keys = np.empty(neighbors.shape, dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
@@ -316,12 +351,13 @@ def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> S
 def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacency:
     """Edge-wise intersection of two graphs over the same vertex set, in
     whatever order each lists its edges. Both graphs' keys are written into
-    one int64 array, which _shared_edges sorts in place."""
+    one int64 array, which _shared_edges sorts in place; the int32 ids are
+    multiplied in int64, since their product would wrap in int32."""
     if a.n != b.n:
         raise ParameterError(f"vertex count mismatch: {a.n} != {b.n}")
     keys = np.empty(a.n_edges + b.n_edges, dtype=np.int64)
     for part, g in zip(np.split(keys, [a.n_edges]), (a, b)):
-        np.multiply(g.edges[:, 0], g.n, out=part)
+        np.multiply(g.edges[:, 0], g.n, out=part, dtype=np.int64)
         part += g.edges[:, 1]
     return _shared_edges(a.n, keys)
 
@@ -359,26 +395,29 @@ _HEADER = struct.Struct("<4sQQ")
 def dump_adjacency(adj: SparseAdjacency, path) -> None:
     """Binary layout (little-endian): magic 'SADJ', n: u64, m: u64, then m
     (u32, u32) pairs with u < v in lexicographic order."""
-    if adj.n >= 2**32:
-        raise DataError(f"{path}: {adj.n} vertices do not fit u32 vertex indices")
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, adj.n, adj.n_edges))
         fh.write(adj.edges.astype("<u4").tobytes())
 
 
 def load_adjacency(path) -> SparseAdjacency:
-    """Read a dump_adjacency file, checking its size, edge order and range."""
+    """Read a dump_adjacency file, checking its size, vertex count, edge
+    order and range; the u32 pairs are narrowed to int32 only once checked
+    to lie in u < v < n <= MAX_VERTICES."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size or data[:4] != _MAGIC:
         raise DataError(f"not an adjacency file: {path}")
     _, n, m = _HEADER.unpack_from(data)
+    if n > MAX_VERTICES:
+        raise DataError(f"{path}: {n} vertices exceed the {MAX_VERTICES} that int32 vertex ids "
+                        "can number")
     if len(data) != _HEADER.size + 8 * m:
         raise DataError(f"{path}: {m} edges need {_HEADER.size + 8 * m} bytes, "
                         f"file has {len(data)}")
-    edges = np.frombuffer(data, dtype="<u4", offset=_HEADER.size).reshape(m, 2).astype(np.int64)
-    u, v = edges.T
+    pairs = np.frombuffer(data, dtype="<u4", offset=_HEADER.size).reshape(m, 2)
+    u, v = pairs.T
     if not (np.all(u < v) and np.all(v < n)):
         raise DataError(f"{path}: edge out of range (need u < v < n={n})")
     if np.any((u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))):
         raise DataError(f"{path}: edges not in strict lexicographic order")
-    return SparseAdjacency(n=int(n), edges=edges)
+    return SparseAdjacency(n=int(n), edges=pairs.astype(VERTEX))

@@ -25,7 +25,6 @@ import json
 import json.encoder
 import math
 import re
-import resource
 import time
 import warnings
 from collections import Counter
@@ -536,7 +535,7 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                     path.unlink(missing_ok=True)
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
-            peak_rss[name] = _max_rss_mib()
+            peak_rss[name] = cpf.peak_rss_mib()
     return (seconds, write_seconds, peak_rss, written,
             list(dict.fromkeys(str(w.message) for w in raised)))
 
@@ -576,11 +575,6 @@ stage_summarize = partial(run_stage, "summarize")
 stage_export = partial(run_stage, "export")
 
 
-def _max_rss_mib() -> float:
-    """The process's peak resident set size so far (ru_maxrss is in KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage on one store, writing each artifact once; abort
     (removing this run's outputs) on error.
@@ -595,7 +589,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     the intersected degrees. Its warnings are those the stages raised, each
     once, then a degenerate result's, which says how many outliers were
     stranded by min_component_size and gives the median intersected degree;
-    fit_seconds times each phase of cpf.fit, and
+    fit_seconds times each phase of cpf.fit, fit_peak_rss_mib is the peak
+    RSS at the end of each phase, and
     write_seconds each artifact's writer (inside its stage's stage_seconds).
     peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
@@ -604,7 +599,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     before it raised the peak. threads is the most threads the kNN and
     big-brother passes run on (graph.THREADS, the usable cores).
     """
-    start_rss = _max_rss_mib()
+    start_rss = cpf.peak_rss_mib()
     s = _Store(config)
     seconds, write_seconds, stage_rss, _, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
@@ -614,7 +609,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                        include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
-    peak_rss = _max_rss_mib()
+    peak_rss = cpf.peak_rss_mib()
     floor = config.cpf.component_size_floor
     n_stranded = sum(size for size in sizes if size < floor)
     degree = np.bincount(fit.intersected.edges.ravel(), minlength=n)
@@ -648,6 +643,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
         "write_seconds": {k: round(v, 4) for k, v in write_seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
+        "fit_peak_rss_mib": {k: round(v, 1) for k, v in fit.peak_rss_mib.items()},
         "peak_rss_mib": round(peak_rss, 1),
         "peak_rss_growth_mib": round(peak_rss - start_rss, 1),
         "stage_peak_rss_mib": {k: round(v, 1) for k, v in stage_rss.items()},

@@ -517,16 +517,16 @@ def _traced_peak(func, *args):
 
 def test_graph_builders_memory_bounded_by_sizes():
     # Beside its input, each builder may hold one int64 key per listed
-    # entry or input edge plus its one-byte equality mask, and 24 bytes per
-    # output edge (the shared keys, then the (m, 2) int64 edges), plus 1 MiB.
-    # A second array of the keys' size would exceed it.
+    # entry or input edge plus its one-byte equality mask, and 8 bytes per
+    # output edge (the (m, 2) int32 edges), plus 1 MiB. A second array of
+    # the keys' size, a copy of all shared keys or int64 edges would exceed it.
     n, k = 8000, 75
     lists = [knn(np.random.default_rng(seed).uniform(size=(n, 2)), k)[0] for seed in (0, 1)]
     a, peak = _traced_peak(mutual_graph, lists[0])
-    assert peak < 9 * n * k + 24 * a.n_edges + 2**20
+    assert peak < 9 * n * k + 8 * a.n_edges + 2**20
     b = mutual_graph(lists[1])
     both, peak = _traced_peak(hadamard_intersect, a, b)
-    assert peak < 9 * (a.n_edges + b.n_edges) + 24 * both.n_edges + 2**20
+    assert peak < 9 * (a.n_edges + b.n_edges) + 8 * both.n_edges + 2**20
     assert both.edge_set() == a.edge_set() & b.edge_set()
 
 
@@ -689,8 +689,56 @@ def test_load_rejects_unordered_edges(tmp_path):
             load_adjacency(path)
 
 
-def test_dump_rejects_vertex_count_beyond_u32(tmp_path):
+def test_vertex_count_beyond_int32_ids_rejected():
+    # n = 2^31 is the most int32 ids can number; one more is refused
+    # before any point or edge is read.
+    top = graph.MAX_VERTICES
+    assert top == 2**31
+    assert SparseAdjacency(n=top, edges=[[0, top - 1]]).edges.dtype == np.int32
+    with pytest.raises(ParameterError, match="int32"):
+        SparseAdjacency(n=top + 1, edges=[[0, 1]])
+    with pytest.raises(ParameterError, match="int32"):
+        SparseAdjacency(n=top, edges=np.array([[0, top]], dtype=np.int64))
+    with pytest.raises(ParameterError, match="int32"):
+        knn(np.broadcast_to(np.zeros(2), (top + 1, 2)), 3)
+
+
+def _write_adjacency(path, n, pairs):
+    pairs = np.array(pairs, dtype="<u4").reshape(-1, 2)
+    path.write_bytes(graph._HEADER.pack(graph._MAGIC, n, len(pairs)) + pairs.tobytes())
+
+
+def test_load_rejects_ids_beyond_int32_before_narrowing(tmp_path):
     path = tmp_path / "adj.bin"
-    with pytest.raises(SpatialCpfError, match="adj.bin"):
-        dump_adjacency(SparseAdjacency(n=2**32 + 2, edges=[[0, 2**32 + 1]]), path)
-    assert not path.exists()
+    _write_adjacency(path, 2**31 + 1, [[0, 1]])
+    with pytest.raises(DataError, match="adj.bin"):
+        load_adjacency(path)
+    # u32 ids that int32 would read as negative: u < v fails or v >= n.
+    for pairs in ([[2**31, 1]], [[0, 2**31]], [[1, 2**32 - 1]]):
+        _write_adjacency(path, 2**31, pairs)
+        with pytest.raises(DataError, match="adj.bin"):
+            load_adjacency(path)
+    _write_adjacency(path, 2**31, [[0, 2**31 - 1], [2**31 - 2, 2**31 - 1]])
+    loaded = load_adjacency(path)
+    assert loaded.edges.dtype == np.int32
+    assert loaded.edges.tolist() == [[0, 2**31 - 1], [2**31 - 2, 2**31 - 1]]
+
+
+def test_keys_of_ids_near_n_do_not_wrap():
+    # n^2 > 2^32: the key u * n + v of a pair near n - 1 needs more than 32
+    # bits, so an int32 product would wrap. Each row lists 4 of the offsets
+    # +-1, +-2, +-3, taken mod n, so lists and edges cross from n - 1 to 0.
+    n = 70_000
+    offsets = np.array([1, -1, 2, -2, 3, -3])
+    lists, graphs = [], []
+    for seed in (0, 1):
+        pick = np.argsort(np.random.default_rng(seed).uniform(size=(n, 6)), axis=1)[:, :4]
+        lists.append(((np.arange(n)[:, None] + offsets[pick]) % n).astype(np.int32))
+        graphs.append(mutual_graph(lists[-1]))
+        assert graphs[-1].edges.tolist() == sorted(map(list, oracle_cpf.mutual_edges(
+            lists[-1].tolist())))
+        assert graphs[-1].edges.max() == n - 1
+    a, b = graphs
+    both = hadamard_intersect(a, b)
+    assert both.edges.tolist() == sorted(map(list, a.edge_set() & b.edge_set()))
+    assert both.edges.max() == n - 1

@@ -88,6 +88,12 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert list(stage_rss) == list(pipeline.STAGES)
     values = list(stage_rss.values())
     assert 0 < values[0] and values == sorted(values) and values[-1] <= report["peak_rss_mib"]
+    # The peak at the end of each fit phase, inside the cluster stage.
+    fit_rss = report["fit_peak_rss_mib"]
+    assert list(fit_rss) == list(report["fit_seconds"])
+    phases = list(fit_rss.values())
+    assert stage_rss["graph"] <= phases[0] and phases == sorted(phases)
+    assert phases[-1] <= stage_rss["cluster"]
     assert report["threads"] == graph.THREADS >= 1
     assert json.loads(config.path(FILES["report"]).read_text()) == report
 
