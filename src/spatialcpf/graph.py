@@ -5,12 +5,15 @@ Vertex ids are int32 (VERTEX) everywhere in this module: knn's lists and
 every graph's edges, so a graph has at most MAX_VERTICES = 2^31 vertices.
 Mutuality and intersection sort edge keys u * n + v and keep the keys that
 occur twice (_shared_edges); only components use a scipy.sparse matrix.
-A key reaches n^2, past 32 bits, so keys are int64 and every product that
-forms one is taken in int64. Each builder writes its keys into one
-preallocated int64 array and sorts it in place; _shared_edges then writes
-the int32 edges from the sorted keys a chunk at a time. So beside its
-input and output a builder holds that array and a one-byte mask per key,
-never a second array of the keys' size.
+Every key is below n^2, so keys are of the narrowest unsigned type that
+holds n^2 - 1 (_key_type: uint32 for 256 < n <= 65,536, uint64 above it
+up to MAX_VERTICES), and every product that forms one is taken in that type,
+given explicitly; ids are below n, so no product or sum wraps. Each
+builder writes its keys into one preallocated array of that type and
+sorts it in place; _shared_edges then writes the int32 edges from the
+sorted keys a chunk at a time. So beside its input and output a builder
+holds that array and a one-byte mask per key, never a second array of the
+keys' size.
 Haversine kNN is computed exactly by embedding (lat, lon) on the unit sphere
 and querying a kd-tree with chord distance, monotone in great-circle distance.
 
@@ -72,7 +75,7 @@ _BLOCK_ROWS = 512
 VERTEX = np.int32
 MAX_VERTICES = 2**31
 # Sorted keys per chunk that _shared_edges turns into edges; bounds its
-# int64 temporary of the shared keys to 512 KiB.
+# temporary of the shared keys to 256 KiB at 32 bits, 512 KiB at 64.
 _KEY_CHUNK = 1 << 16
 # Threads map_blocks runs on at most: the cores this process may use.
 THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -294,12 +297,20 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return neighbors, cut
 
 
+def _key_type(n: int) -> np.dtype:
+    """The narrowest unsigned type that holds every key u * n + v of ids
+    u, v < n, that is n^2 - 1: uint8 up to n = 16, uint16 up to 256, uint32
+    up to 65,536, uint64 above it. It depends on n alone."""
+    return np.min_scalar_type(max(n * n - 1, 0))
+
+
 def _shared_edges(n: int, keys: np.ndarray) -> SparseAdjacency:
     """Graph over n vertices of the edges u < v whose key u * n + v occurs
-    twice in the int64 keys, which hold no key more than twice; sorts keys
-    in place. Beside keys it holds a byte per key (the equality mask), the
-    int32 edges (8 bytes per edge) and, while it writes them, the int64
-    shared keys of one _KEY_CHUNK of the sorted keys."""
+    twice in keys, of _key_type(n), which hold no key more than twice;
+    sorts keys in place. Beside keys it holds a byte per key (the equality
+    mask), the int32 edges (8 bytes per edge) and, while it writes them,
+    the shared keys of one _KEY_CHUNK of the sorted keys. Each key is below
+    n^2, so its quotient and remainder by n are ids below n."""
     keys.sort()
     shared = keys[1:] == keys[:-1]
     edges = np.empty((np.count_nonzero(shared), 2), dtype=VERTEX)
@@ -308,7 +319,7 @@ def _shared_edges(n: int, keys: np.ndarray) -> SparseAdjacency:
         stop = start + _KEY_CHUNK
         twice = keys[start + 1:stop + 1][shared[start:stop]]
         part = edges[done:done + twice.size]
-        np.divmod(twice, n, out=(part[:, 0], part[:, 1]))
+        np.divmod(twice, keys.dtype.type(n), out=(part[:, 0], part[:, 1]))
         done += twice.size
     return SparseAdjacency(n=n, edges=edges)
 
@@ -317,17 +328,21 @@ def mutual_graph(neighbors: np.ndarray) -> SparseAdjacency:
     """Mutual graph of an (n, k) array whose rows each list k distinct other
     vertices: edge (i, j) iff j is in row i and i is in row j, that is, iff
     the pair's key min * n + max is listed twice. The keys are written into
-    one (n, k) int64 array, _BLOCK_ROWS rows at a time and against int64 row
-    ids, so in int64 whatever the lists' type; no other array of the lists'
-    size is alive while they are formed."""
+    one (n, k) array of _key_type(n), _BLOCK_ROWS rows at a time: each
+    block of lists is converted to that type and combined with row ids of
+    that type, so every key is formed in it whatever the lists' type; as
+    min < n and max < n, min * n + max < n^2 never wraps. No other array of
+    the lists' size is alive while the keys are formed."""
     n = neighbors.shape[0]
-    keys = np.empty(neighbors.shape, dtype=np.int64)
+    key = _key_type(n)
+    keys = np.empty(neighbors.shape, dtype=key)
     for start in range(0, n, _BLOCK_ROWS):
-        block, out = neighbors[start:start + _BLOCK_ROWS], keys[start:start + _BLOCK_ROWS]
-        row = np.arange(start, start + block.shape[0], dtype=np.int64)[:, None]
-        np.minimum(block, row, out=out)
-        out *= n
-        out += np.maximum(block, row)
+        ids, out = neighbors[start:start + _BLOCK_ROWS].astype(key), keys[start:start + _BLOCK_ROWS]
+        row = np.arange(start, start + ids.shape[0], dtype=key)[:, None]
+        np.minimum(ids, row, out=out)
+        np.maximum(ids, row, out=ids)
+        out *= key.type(n)
+        out += ids
     return _shared_edges(n, keys.ravel())
 
 
@@ -351,14 +366,17 @@ def mutual_knn_graph(points: np.ndarray, k: int, metric: str = "euclidean") -> S
 def hadamard_intersect(a: SparseAdjacency, b: SparseAdjacency) -> SparseAdjacency:
     """Edge-wise intersection of two graphs over the same vertex set, in
     whatever order each lists its edges. Both graphs' keys are written into
-    one int64 array, which _shared_edges sorts in place; the int32 ids are
-    multiplied in int64, since their product would wrap in int32."""
+    one array of _key_type(n), which _shared_edges sorts in place. The
+    int32 ids are cast to that type inside the product and the sum, which
+    are taken in it (an int32 product would wrap); the cast is exact, as
+    0 <= u < v < n, and u * n + v < n^2 never wraps."""
     if a.n != b.n:
         raise ParameterError(f"vertex count mismatch: {a.n} != {b.n}")
-    keys = np.empty(a.n_edges + b.n_edges, dtype=np.int64)
+    key = _key_type(a.n)
+    keys = np.empty(a.n_edges + b.n_edges, dtype=key)
     for part, g in zip(np.split(keys, [a.n_edges]), (a, b)):
-        np.multiply(g.edges[:, 0], g.n, out=part, dtype=np.int64)
-        part += g.edges[:, 1]
+        np.multiply(g.edges[:, 0], key.type(g.n), out=part, dtype=key, casting="unsafe")
+        np.add(part, g.edges[:, 1], out=part, dtype=key, casting="unsafe")
     return _shared_edges(a.n, keys)
 
 
@@ -397,7 +415,7 @@ def dump_adjacency(adj: SparseAdjacency, path) -> None:
     (u32, u32) pairs with u < v in lexicographic order."""
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, adj.n, adj.n_edges))
-        fh.write(adj.edges.astype("<u4").tobytes())
+        fh.write(np.ascontiguousarray(adj.edges, dtype="<u4"))
 
 
 def load_adjacency(path) -> SparseAdjacency:

@@ -516,17 +516,18 @@ def _traced_peak(func, *args):
 
 
 def test_graph_builders_memory_bounded_by_sizes():
-    # Beside its input, each builder may hold one int64 key per listed
-    # entry or input edge plus its one-byte equality mask, and 8 bytes per
-    # output edge (the (m, 2) int32 edges), plus 1 MiB. A second array of
-    # the keys' size, a copy of all shared keys or int64 edges would exceed it.
+    # Beside its input, each builder may hold one key per listed entry or
+    # input edge, 4 bytes at n = 8000 (n^2 < 2^32), plus its one-byte
+    # equality mask, and 8 bytes per output edge (the (m, 2) int32 edges),
+    # plus 1 MiB. int64 keys, a second array of the keys' size, a copy of
+    # all shared keys or int64 edges would exceed it.
     n, k = 8000, 75
     lists = [knn(np.random.default_rng(seed).uniform(size=(n, 2)), k)[0] for seed in (0, 1)]
     a, peak = _traced_peak(mutual_graph, lists[0])
-    assert peak < 9 * n * k + 8 * a.n_edges + 2**20
+    assert peak < 5 * n * k + 8 * a.n_edges + 2**20
     b = mutual_graph(lists[1])
     both, peak = _traced_peak(hadamard_intersect, a, b)
-    assert peak < 9 * (a.n_edges + b.n_edges) + 8 * both.n_edges + 2**20
+    assert peak < 5 * (a.n_edges + b.n_edges) + 8 * both.n_edges + 2**20
     assert both.edge_set() == a.edge_set() & b.edge_set()
 
 
@@ -726,13 +727,36 @@ def test_load_rejects_ids_beyond_int32_before_narrowing(tmp_path):
 
 def test_keys_of_ids_near_n_do_not_wrap():
     # n^2 > 2^32: the key u * n + v of a pair near n - 1 needs more than 32
-    # bits, so an int32 product would wrap. Each row lists 4 of the offsets
-    # +-1, +-2, +-3, taken mod n, so lists and edges cross from n - 1 to 0.
-    n = 70_000
+    # bits, so an int32 product would wrap.
+    _check_keys_near_n(70_000)
+
+
+def test_key_type_is_narrowest_unsigned_holding_n_squared():
+    for n, key in ((0, np.uint8), (1, np.uint8), (16, np.uint8), (17, np.uint16),
+                   (256, np.uint16), (257, np.uint32), (65_536, np.uint32),
+                   (65_537, np.uint64), (graph.MAX_VERTICES, np.uint64)):
+        assert graph._key_type(n) == key, n
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 257, 65_536, 65_537])
+def test_keys_at_key_type_boundaries(n):
+    # The largest n whose keys fit 8, 16 and 32 bits, and the first that
+    # needs a wider type: a key type chosen one vertex too narrow wraps
+    # the keys of pairs near n - 1, as does a product taken in int32.
+    _check_keys_near_n(n)
+
+
+def _check_keys_near_n(n):
+    """mutual_graph on two lists over n vertices and hadamard_intersect of
+    the two graphs equal the oracles. Each row lists the offsets +-1 and 2
+    of +-2, +-3, taken mod n, so lists and edges cross from n - 1 to 0, and
+    both graphs hold each pair (i, i + 1 mod n), (n - 2, n - 1) too, whose
+    key is the largest one."""
     offsets = np.array([1, -1, 2, -2, 3, -3])
     lists, graphs = [], []
     for seed in (0, 1):
-        pick = np.argsort(np.random.default_rng(seed).uniform(size=(n, 6)), axis=1)[:, :4]
+        far = 2 + np.argsort(np.random.default_rng(seed).uniform(size=(n, 4)), axis=1)[:, :2]
+        pick = np.hstack([np.broadcast_to([0, 1], (n, 2)), far])
         lists.append(((np.arange(n)[:, None] + offsets[pick]) % n).astype(np.int32))
         graphs.append(mutual_graph(lists[-1]))
         assert graphs[-1].edges.tolist() == sorted(map(list, oracle_cpf.mutual_edges(
@@ -741,4 +765,5 @@ def test_keys_of_ids_near_n_do_not_wrap():
     a, b = graphs
     both = hadamard_intersect(a, b)
     assert both.edges.tolist() == sorted(map(list, a.edge_set() & b.edge_set()))
-    assert both.edges.max() == n - 1
+    assert both.edges[-1].tolist() == [n - 2, n - 1]
+    assert [0, n - 1] in both.edges.tolist()
