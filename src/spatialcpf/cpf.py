@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.sparse import csgraph
 from scipy.spatial.distance import cdist
 
 from .errors import InternalConsistencyError, ParameterError, check_settings, setting
-from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency,
+from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency, component_roots,
                     connected_components, hadamard_intersect, knn, map_blocks,
                     mutual_graph)
 
@@ -302,12 +301,11 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
         ratio = np.exp(-np.abs(dens[:, None] - dens[None, :]))
         linked = (cdist(pts, pts) <= params.merge_threshold) & (
             ratio >= params.density_ratio_threshold)
-        _, group = csgraph.connected_components(linked, directed=False)
         # Every center's cluster takes the cluster of its group's first center.
-        first = np.unique(group, return_index=True)[1]
+        first = component_roots(centers.size, np.argwhere(linked))
         cluster_of_center = labels[centers]
         remap = np.arange(labels.max() + 1)
-        remap[cluster_of_center] = cluster_of_center[first[group]]
+        remap[cluster_of_center] = cluster_of_center[first]
         mask = labels >= 0
         labels[mask] = remap[labels[mask]]
     return ClusterLabeling(labels=_relabel_by_size(labels))

@@ -24,14 +24,15 @@ def _chunks(reader, rows: int):
 
 
 def read_csv(path, parse):
-    """parse(header, chunks) of the UTF-8 CSV file at path: header is its
+    """parse(header, chunks) of the UTF-8 CSV file at path, a leading
+    byte-order mark skipped (Excel's "CSV UTF-8" writes one): header is its
     first row (None if empty) and chunks yields _chunks of CHUNK_ROWS rows,
     so parse checks each rule once per chunk over whole columns. If that
     raises, the error is dropped and parse runs again on one row a chunk,
     whose error, the first bad row's in file order, is raised. Text that is
     not UTF-8 raises SchemaError, a line csv cannot read RowParseError."""
     for rows_per_chunk in (CHUNK_ROWS, 1):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 return parse(next(reader, None), _chunks(reader, rows_per_chunk))

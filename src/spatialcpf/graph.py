@@ -4,7 +4,8 @@ Graphs are stored as sorted undirected edge arrays over vertex indices.
 Vertex ids are int32 (VERTEX) everywhere in this module: knn's lists and
 every graph's edges, so a graph has at most MAX_VERTICES = 2^31 vertices.
 Mutuality and intersection sort edge keys u * n + v and keep the keys that
-occur twice (_shared_edges); only components use a scipy.sparse matrix.
+occur twice (_shared_edges); components are labelled by hooking and pointer
+jumping in numpy (component_roots), with no sparse matrix.
 Every key is below n^2, so keys are of the narrowest unsigned type that
 holds n^2 - 1 (_key_type: uint32 for 256 < n <= 65,536, uint64 above it
 up to MAX_VERTICES), and every product that forms one is taken in that type,
@@ -57,8 +58,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
@@ -394,15 +393,36 @@ class ComponentLabels:
         return len(self.component_sizes)
 
 
+def component_roots(n: int, edges: np.ndarray) -> np.ndarray:
+    """Each vertex's component's smallest member, as an int32 array of n.
+
+    edges is an (m, 2) array of ids below n, in either order, self-loops
+    and repeats allowed. Each round replaces every edge by its endpoints'
+    roots, drops the edges whose roots already agree, hooks each remaining
+    edge's larger root onto the smallest root it is joined to, then
+    pointer-jumps every vertex to its root (root = root[root] until no
+    change). No vertex ever points above itself or out of its component,
+    and each round hooks at least one root, so the rounds end, with each
+    component's vertices all pointing at its smallest member.
+    """
+    root = np.arange(n, dtype=VERTEX)
+    u, v = np.asarray(edges).reshape(-1, 2).T
+    while True:
+        u, v = root[u], root[v]
+        cross = u != v
+        if not cross.any():
+            return root
+        u, v = np.minimum(u[cross], v[cross]), np.maximum(u[cross], v[cross])
+        np.minimum.at(root, v, u)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+
+
 def connected_components(adj: SparseAdjacency) -> ComponentLabels:
     """Components of the graph; ids contiguous from 0, ordered by smallest member."""
-    u, v = adj.edges.T
-    matrix = sparse.csr_matrix((np.ones(adj.n_edges), (u, v)), shape=(adj.n, adj.n))
-    _, roots = csgraph.connected_components(matrix, directed=False)
-    _, first_idx, inverse = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first_idx))
-    labels = order[inverse]
-    sizes = {int(c): int(s) for c, s in zip(*np.unique(labels, return_counts=True))}
+    _, labels, counts = np.unique(component_roots(adj.n, adj.edges), return_inverse=True,
+                                  return_counts=True)
+    sizes = dict(enumerate(counts.tolist()))
     return ComponentLabels(labels=labels, component_sizes=sizes)
 
 

@@ -1,7 +1,8 @@
 """CSV ingestion of geochemical soil-sample tables and feature standardization.
 
-The input is a comma-delimited UTF-8 file with one header row. Each data row
-carries a site identifier, planar ITM coordinates in meters within
+The input is a comma-delimited UTF-8 file with one header row; a leading
+byte-order mark is skipped. Each data row carries a non-blank site
+identifier, unique in the file, planar ITM coordinates in meters within
 geodesy.EASTING_RANGE and NORTHING_RANGE, and concentrations in mg/kg for
 the 15 elements in ELEMENTS. Values prefixed with "<" mark measurements
 below the detection limit.
@@ -129,10 +130,11 @@ def _concentrations(columns, bdl_policy: str) -> np.ndarray:
 
 def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
     """The table from fileio.read_csv's header and chunks. The rules run in
-    the order a row's first failure is named (width, repeated site id, ITM
-    coordinate non-numeric, non-finite or out of range, each concentration
-    in ELEMENTS order). An error names the chunk's first row, so only the
-    one-row run's is raised. A row of blank cells is skipped."""
+    the order a row's first failure is named (width, blank site id,
+    repeated site id, ITM coordinate non-numeric, non-finite or out of
+    range, each concentration in ELEMENTS order). An error names the
+    chunk's first row, so only the one-row run's is raised. A row of blank
+    cells is skipped."""
     if header is None:
         raise SchemaError(f"empty file: {path}")
     idx = _column_index(header, path)
@@ -147,6 +149,8 @@ def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
             raise RowParseError(path, line, f"row has {short} cells, header has {len(header)}")
         cells = list(zip(*rows))
         ids = list(map(str.strip, cells[idx["site_id"]]))
+        if not all(ids):
+            raise RowParseError(path, line, "blank site_id")
         seen.update(ids)
         if len(seen) < len(site_ids) + len(ids):
             raise DataError(f"{path}: line {line}: duplicate site_id {ids[0]!r}")

@@ -21,6 +21,7 @@ can hold reads back unchanged (_quote).
 
 from __future__ import annotations
 
+import gc
 import json
 import json.encoder
 import math
@@ -28,6 +29,7 @@ import re
 import time
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 from itertools import repeat
@@ -505,6 +507,22 @@ STAGES = {
 }
 
 
+@contextmanager
+def _gc_frozen():
+    """Move every object the garbage collector tracks so far into its
+    permanent generation for the body, and back after it, so that no full
+    collection spends its time scanning what the imports and the caller
+    left behind. A freeze the caller made is left as it is."""
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float],
                                                 dict[str, float], list[Path], list[str]]:
     """Run the named stages in order on s; return each one's seconds, the
@@ -513,9 +531,10 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
     written and the Python warnings the stages raised, each message once.
     A stage writes the outputs that no later stage in names rewrites, to
     the --out path if given, else where they are read. On an error the
-    files this run wrote are removed, and StageError names the stage."""
+    files this run wrote are removed, and StageError names the stage. The
+    stages run with the objects tracked before them frozen (_gc_frozen)."""
     written, seconds, write_seconds, peak_rss = [], {}, {}, {}
-    with warnings.catch_warnings(record=True) as raised:
+    with _gc_frozen(), warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
         for i, name in enumerate(names):
             stage, start = STAGES[name], time.perf_counter()

@@ -1,10 +1,11 @@
 """Row-by-row survey parser, the oracle for ingest.parse_g5_csv.
 
 The loop parse_g5_csv ran before it parsed by columns: each row is checked
-in turn, in the order a row's first failure is reported (width, duplicate
-site id, coordinates, then each concentration in ELEMENTS order), and a row
-of blank cells is skipped. Its error names the row's line as csv.reader
-counts lines, so a quoted cell that spans lines moves the count on.
+in turn, in the order a row's first failure is reported (width, blank site
+id, duplicate site id, coordinates, then each concentration in ELEMENTS
+order), and a row of blank cells is skipped. A leading byte-order mark is
+skipped. Its error names the row's line as csv.reader counts lines, so a
+quoted cell that spans lines moves the count on.
 parse_g5_csv must equal it exactly: the same table, bit for bit, or the same
 error class and message.
 """
@@ -21,7 +22,7 @@ from spatialcpf.ingest import ELEMENTS, SampleTable, _column_index, _parse_conce
 
 def parse(path, bdl_policy="half_dl") -> SampleTable:
     """The table the row loop parses from the file at path."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return row_loop(csv.reader(fh), path, bdl_policy)
 
 
@@ -50,6 +51,8 @@ def row_loop(reader, path, bdl_policy: str) -> SampleTable:
             raise RowParseError(
                 path, line_number, f"row has {len(row)} cells, header has {len(header)}")
         site_id = row[idx["site_id"]].strip()
+        if not site_id:
+            raise RowParseError(path, line_number, "blank site_id")
         if site_id in seen_ids:
             raise DataError(f"{path}: line {line_number}: duplicate site_id {site_id!r}")
         seen_ids.add(site_id)

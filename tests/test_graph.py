@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import Counter
 import threading
 import time
 import tracemalloc
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 import oracle_cpf
 from oracle_graph import knn_loop
 from spatialcpf import graph
 from spatialcpf.errors import DataError, ParameterError, SpatialCpfError
-from spatialcpf.graph import (SparseAdjacency, connected_components,
+from spatialcpf.graph import (SparseAdjacency, component_roots, connected_components,
                               dump_adjacency, hadamard_intersect, knn,
                               load_adjacency, mutual_graph, mutual_knn_graph)
 
@@ -644,6 +646,71 @@ def test_components_invariant_under_edge_order():
     base = connected_components(SparseAdjacency(n=7, edges=np.array(edges)))
     shuffled = connected_components(SparseAdjacency(n=7, edges=np.array(edges[::-1])))
     assert list(base.labels) == list(shuffled.labels)
+
+
+def bfs_roots(labels):
+    """Each vertex's component's smallest member, from bfs_components'
+    labels, which number the components by their smallest members."""
+    first = {}
+    for i, c in enumerate(labels):
+        first.setdefault(c, i)
+    return [first[c] for c in labels]
+
+
+def _check_components(n, pairs, flips):
+    """connected_components of the u < v pairs in the given order, and
+    component_roots of them with the pairs where flips is set given as
+    (v, u), against bfs_components."""
+    want = bfs_components(n, pairs)
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    cc = connected_components(SparseAdjacency(n=n, edges=edges))
+    assert cc.labels.tolist() == want
+    assert cc.component_sizes == Counter(want)
+    edges[flips] = edges[flips, ::-1]
+    assert component_roots(n, edges).tolist() == bfs_roots(want)
+
+
+def test_components_of_one_vertex():
+    cc = connected_components(make_graph(1, []))
+    assert cc.labels.tolist() == [0] and cc.component_sizes == {0: 1}
+    assert component_roots(1, np.empty((0, 2), dtype=np.int32)).tolist() == [0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_components_match_bfs_on_drawn_graphs(n, data):
+    # Isolated vertices, n = 1 and edges in any order, either end first.
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), unique=True))
+    pairs = data.draw(st.permutations(pairs))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    _check_components(n, pairs, np.array(flips, dtype=bool))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1500, 2500), paths=st.integers(1, 4))
+def test_components_of_shuffled_paths(seed, n, paths):
+    # Paths over shuffled ids: each hooking round joins only a few stretches
+    # of a path, so the labeller needs several rounds.
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n)
+    cuts = set(rng.choice(np.arange(1, n), size=paths - 1, replace=False).tolist())
+    pairs = [tuple(sorted((int(ids[i - 1]), int(ids[i])))) for i in range(1, n) if i not in cuts]
+    order = rng.permutation(len(pairs))
+    _check_components(n, [pairs[i] for i in order], rng.random(len(pairs)) < 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_component_roots_of_linked_matrix(data, n):
+    # The form merge_clusters passes: np.argwhere of a symmetric boolean
+    # matrix with its diagonal set, so both (i, j) and (j, i) and self-loops.
+    linked = data.draw(arrays(bool, (n, n)))
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    pairs = np.argwhere(linked)
+    want = bfs_roots(bfs_components(n, pairs.tolist()))
+    assert component_roots(n, pairs).tolist() == want
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -102,6 +102,25 @@ def test_parse_duplicate_site_id(tmp_path):
         parse_g5_csv(path)
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_parse_blank_site_id_names_its_line(tmp_path, blank):
+    # One blank id is rejected, and two are named as blank, not as repeated.
+    path = tmp_path / "t.csv"
+    write_rows(path, HEADER, [sample_row("A1"), sample_row(blank), sample_row(blank)])
+    assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path) == (
+        RowParseError, f"{path}: line 3: blank site_id")
+
+
+def test_parse_skips_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_rows(plain, HEADER, [sample_row("A1"), sample_row("B2", sb="<0.5")])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = outcome(parse_g5_csv, plain)
+    assert not isinstance(want[0], type)
+    assert outcome(parse_g5_csv, marked) == outcome(oracle_ingest.parse, marked) == want
+
+
 def test_parse_case_insensitive_headers(tmp_path):
     path = tmp_path / "t.csv"
     header = ["site_id", "easting", "northing", *(e.upper() for e in ELEMENTS)]
@@ -243,7 +262,8 @@ def survey_tables(draw, bdl_policy):
 
 
 # A fault the row loop rejects, placed in one cell or row of a valid table.
-FAULTS = ("short_row", "duplicate_id", "nan", "inf", "out_of_range", "below_dl", "text")
+FAULTS = ("short_row", "blank_id", "duplicate_id", "nan", "inf", "out_of_range", "below_dl",
+          "text")
 
 
 def inject(rows, fault, r, j, bdl_policy):
@@ -260,6 +280,8 @@ def inject(rows, fault, r, j, bdl_policy):
         return [header] + data
     if fault == "short_row":
         del row[max(site, east, element):]
+    elif fault == "blank_id":
+        row[site] = " "
     elif fault == "duplicate_id":
         data.insert(r % len(data) + 1, list(row))
     elif fault in ("nan", "inf"):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -134,6 +135,58 @@ def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
     report = json.loads(result.stdout)
     assert report["n_samples"] == 4278
     assert 0 < report["peak_rss_mib"] < 256
+
+
+def test_import_leaves_csgraph_unloaded():
+    # Components are labelled in numpy: scipy.sparse.csgraph, with the
+    # modules it pulls in, would add about 3 MiB to every run's import.
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", "import sys, spatialcpf.cli; "
+                             "print('scipy.sparse.csgraph' in sys.modules)"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_runs_freeze_gc_and_leave_callers_freeze(tmp_path, survey_csv, monkeypatch, caller_froze):
+    # The stages run with the objects tracked before them frozen. After every
+    # run, failed or not, the caller's freeze stands as it was: none if it
+    # made none, else its objects still frozen (the count drops only by the
+    # frozen objects the run freed).
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    failing = PipelineConfig.from_file(make_config(tmp_path, survey_csv, cpf={"min_samples": 400}))
+    seen, fit = [], pipeline.cpf.fit
+    monkeypatch.setattr(pipeline.cpf, "fit", lambda *a: seen.append(gc.get_freeze_count()) or fit(*a))
+    sentinel = [object()]
+    if caller_froze:
+        gc.freeze()
+    before = gc.get_freeze_count()
+
+    def check():
+        if caller_froze:
+            assert 0 < gc.get_freeze_count() <= before
+            # gc.get_objects() lists no object of the permanent generation.
+            assert not any(o is sentinel for o in gc.get_objects())
+        else:
+            assert gc.get_freeze_count() == before == 0
+
+    try:
+        run_pipeline(config)
+        check()
+        for stage in ("ingest", "project", "graph", "cluster"):
+            pipeline.run_stage(stage, config)
+            check()
+        with pytest.raises(ParameterError):
+            pipeline.run_stage("graph", failing)
+        check()
+        with pytest.raises(StageError):
+            run_pipeline(failing)
+        check()
+        assert len(seen) == 2 and min(seen) > 0
+    finally:
+        if caller_froze:
+            gc.unfreeze()
 
 
 def test_report_flag_count_rule(tmp_path, survey_csv):
