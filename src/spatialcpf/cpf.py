@@ -5,8 +5,8 @@ geographic graph yields both the feature mutual kNN graph and the kNN
 density radii; intersect the feature graph with the geographic graph, split
 into connected components, estimate kNN densities, link each sample to its
 nearest higher-density neighbor within its component ("big brother"), pick
-cluster centers from the omega/density quantile rule, follow the big-brother
-chains to the centers by pointer jumping, then merge near-duplicate clusters.
+cluster centers from the omega/density quantile rule, label the components
+of the big-brother links by their centers, then merge near-duplicate clusters.
 Samples in components smaller than min_component_size are labeled -1. Each
 per-component or per-cluster pass takes its samples from group_by_label.
 
@@ -248,25 +248,22 @@ def assign_clusters(bb: BigBrother, centers: np.ndarray,
     """Label each sample with the cluster of the center its big-brother chain
     reaches; small components hold no center, so their samples stay -1.
 
-    Pointer jumping (up = up[up]) follows every chain at once: a sample points
-    at its parent, a center at itself and a chain's end at a sink. It stops
-    after a round with no change, or after n.bit_length() + 1 rounds, so a
-    parent cycle cannot hang it; a qualifying sample left off every center
-    raises InternalConsistencyError. Cluster ids here follow ascending center
-    index; merge_clusters re-indexes by size afterwards.
+    Each non-center sample with a parent links to it, so every component of
+    the links holds at most one center, where its chains end.
+    graph.component_roots labels the components, and each sample takes the
+    cluster of the center in its own. A component without a center (chains
+    ending off every center, or a parent cycle) stays -1, and a qualifying
+    sample in one raises InternalConsistencyError. Cluster ids here follow
+    ascending center index; merge_clusters re-indexes by size afterwards.
     """
     n = components.n
-    # Slot n is the sink: the cluster of every chain that misses all centers.
-    cluster = np.full(n + 1, OUTLIER, dtype=np.int64)
-    cluster[centers] = np.arange(centers.size)
-    up = np.append(np.where(bb.parent < 0, n, bb.parent), n)
-    up[centers] = centers
-    for _ in range(n.bit_length() + 1):
-        jumped = up[up]
-        if np.array_equal(jumped, up):
-            break
-        up = jumped
-    labels = cluster[up[:n]]
+    chained = bb.parent >= 0
+    chained[centers] = False
+    links = np.flatnonzero(chained)
+    root = component_roots(n, np.column_stack((links, bb.parent[links])))
+    cluster = np.full(n, OUTLIER, dtype=np.int64)
+    cluster[root[centers]] = np.arange(centers.size)
+    labels = cluster[root]
     qualifying = np.bincount(components.labels)[components.labels] >= params.component_size_floor
     stranded = np.flatnonzero(qualifying & (labels == OUTLIER))
     if stranded.size:

@@ -4,15 +4,15 @@ The input is a comma-delimited UTF-8 file with one header row; a leading
 byte-order mark is skipped. Each data row carries a non-blank site
 identifier, unique in the file, planar ITM coordinates in meters within
 geodesy.EASTING_RANGE and NORTHING_RANGE, and concentrations in mg/kg for
-the 15 elements in ELEMENTS. Values prefixed with "<" mark measurements
-below the detection limit.
+the 15 elements in ELEMENTS, none negative. Values prefixed with "<" mark
+measurements below the detection limit.
 
 parse_g5_csv reads the file through fileio.read_csv, CHUNK_ROWS rows at a
 time: each column is converted by one float() map, and only a column holding
-a "<DL", bad or non-finite cell is parsed cell by cell. Every rule is checked
-once per chunk over whole columns. A file that breaks one is parsed again one
-row at a time by the same code, whose error names the first bad row in file
-order, its line and its first bad cell.
+a "<DL", bad, non-finite or negative cell is parsed cell by cell. Every rule
+is checked once per chunk over whole columns. A file that breaks one is
+parsed again one row at a time by the same code, whose error names the
+first bad row in file order, its line and its first bad cell.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def _column_index(header: list[str], path) -> dict[str, int]:
 
 
 def _parse_concentration(raw: str, element: str, bdl_policy: str) -> float:
-    """A finite concentration, "<DL" giving DL/2; ValueError names a bad cell."""
+    """A finite concentration, not negative, "<DL" giving DL/2; ValueError
+    names a bad cell."""
     raw = raw.strip()
     below = raw.startswith("<")
     if below and bdl_policy == "reject":
@@ -96,6 +97,8 @@ def _parse_concentration(raw: str, element: str, bdl_policy: str) -> float:
         raise ValueError(f"{what} for {element}: {raw!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"non-finite concentration for {element}: {raw!r}")
+    if value < 0:
+        raise ValueError(f"negative concentration for {element}: {raw!r}")
     return value / 2.0 if below else value
 
 
@@ -115,14 +118,14 @@ def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
 def _concentrations(columns, bdl_policy: str) -> np.ndarray:
     """(15, rows) concentrations of a chunk's ELEMENTS columns: float() of
     each cell, but _parse_concentration of each cell of a column holding a
-    "<DL", bad or non-finite cell, column by column in ELEMENTS order."""
+    "<DL", bad, non-finite or negative cell, column by column in ELEMENTS order."""
     values = []
     for element, cells in zip(ELEMENTS, columns):
         try:
             column = list(map(float, cells))
         except ValueError:
             column = [math.nan]
-        if not math.isfinite(sum(column)):  # or the sum overflows, each value finite
+        if not math.isfinite(sum(column)) or min(column) < 0:  # or the sum overflows
             column = [_parse_concentration(cell, element, bdl_policy) for cell in cells]
         values.append(column)
     return np.array(values)

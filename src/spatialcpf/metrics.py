@@ -47,74 +47,67 @@ def calinski_harabasz(features: np.ndarray, labeling: ClusterLabeling,
     return (between / (k - 1)) / (within / (n - k))
 
 
-@dataclass(frozen=True)
-class BoxStats:
-    size: int
-    median: float
-    q1: float
-    q3: float
-    iqr: float
-    whisker_low: float
-    whisker_high: float
-    outlier_values: tuple[float, ...]
+# The statistics of each summary row, in the order summary.csv lists them.
+STATISTICS = ("size", "q1", "median", "q3", "iqr", "whisker_low", "whisker_high")
 
 
 @dataclass(frozen=True)
 class ClusterSummary:
-    """stats[(cluster_id, element)] -> BoxStats in raw mg/kg. When built with
-    log10_export, log10_stats carries the same keys computed on log10 values
-    (for plotting against log-scaled axes); otherwise it is empty."""
+    """Box-plot statistics as a table of columns, one row per (scale,
+    cluster, element) in file order: scale "raw" (mg/kg), then "log10" when
+    built with log10_export; clusters ascending, the outlier set (-1) first;
+    elements in ELEMENTS order. stats maps each STATISTICS name to its
+    column (size int64, the rest float64); beyond_whiskers holds each row's
+    values outside the whiskers' fences, ascending, as a list of floats."""
+    scale: list
+    cluster: np.ndarray
+    element: list
     stats: dict
-    log10_stats: dict
+    beyond_whiskers: list
 
 
-def _box_stats(values: np.ndarray) -> BoxStats:
-    q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])  # linear interpolation
+def _box_plots(values: np.ndarray) -> tuple[dict, list]:
+    """stats and beyond_whiskers of each column of values (a group's rows),
+    all columns at once: linear-interpolation quartiles, fences 1.5 IQR
+    beyond them, and the whiskers at the extreme values inside."""
+    values = np.sort(values, axis=0)
+    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75], axis=0)
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    inside = values[(values >= lo_fence) & (values <= hi_fence)]
-    beyond = values[(values < lo_fence) | (values > hi_fence)]
-    return BoxStats(
-        size=values.size,
-        median=float(med), q1=float(q1), q3=float(q3), iqr=float(iqr),
-        whisker_low=float(inside.min()), whisker_high=float(inside.max()),
-        outlier_values=tuple(float(v) for v in np.sort(beyond)),
-    )
+    with np.errstate(over="ignore"):  # a fence past the largest float holds every value
+        inside = (values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)
+    stats = {"size": np.full(values.shape[1], values.shape[0]), "q1": q1, "median": median,
+             "q3": q3, "iqr": iqr, "whisker_low": np.where(inside, values, np.inf).min(axis=0),
+             "whisker_high": np.where(inside, values, -np.inf).max(axis=0)}
+    return stats, [column[~kept].tolist() for column, kept in zip(values.T, inside.T)]
 
 
 def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
                     log10_export: bool = False) -> ClusterSummary:
-    """Per-cluster, per-element box-plot statistics on raw mg/kg values.
-
-    The outlier set (label -1) is summarized as its own group. Under
-    log10_export, a parallel set of statistics on log10(value) is added;
-    non-positive raw values are lifted to the column's smallest positive
-    value first so the log is always defined.
+    """Per-cluster, per-element box-plot statistics, one whole-array pass per
+    cluster and scale. The outlier set (label -1) is a group of its own; an
+    empty cluster below n_clusters warns and has no rows. Under log10_export
+    a zero is lifted to its column's smallest positive value before the log.
     """
     if table.n != labeling.n:
         raise ParameterError("table and labeling are not aligned")
     raw = table.concentrations
-    logged = None
+    scales = [("raw", raw)]
     if log10_export:
-        safe = raw.copy()
-        for j in range(safe.shape[1]):
-            col = safe[:, j]
-            positive = col[col > 0]
-            if positive.size == 0:
-                raise ParameterError(
-                    f"no positive values for {ELEMENTS[j]}; cannot log-transform")
-            col[col <= 0] = positive.min()
-        logged = np.log10(safe)
-    stats = {}
-    log10_stats = {}
-    groups = dict(group_by_label(labeling.labels))
+        smallest = np.where(raw > 0, raw, np.inf).min(axis=0)
+        if np.isinf(smallest).any():
+            element = ELEMENTS[np.isinf(smallest).argmax()]
+            raise ParameterError(f"no positive values for {element}; cannot log-transform")
+        scales.append(("log10", np.log10(np.where(raw > 0, raw, smallest))))
+    groups = group_by_label(labeling.labels)
+    present = {c for c, _ in groups}
     for c in range(labeling.n_clusters):
-        if c not in groups:
+        if c not in present:
             warnings.warn(f"cluster {c} is empty; excluded from summary")
-    for c, members in groups.items():
-        for j, element in enumerate(ELEMENTS):
-            stats[(c, element)] = _box_stats(raw[members, j])
-            if logged is not None:
-                log10_stats[(c, element)] = _box_stats(logged[members, j])
-    return ClusterSummary(stats=stats, log10_stats=log10_stats)
+    keys = [(scale, c) for scale, _ in scales for c, _ in groups]
+    parts = [_box_plots(values[members]) for _, values in scales for _, members in groups]
+    return ClusterSummary(
+        scale=[scale for scale, _ in keys for _ in ELEMENTS],
+        cluster=np.repeat([c for _, c in keys], len(ELEMENTS)),
+        element=list(ELEMENTS) * len(keys),
+        stats={name: np.concatenate([stats[name] for stats, _ in parts]) for name in STATISTICS},
+        beyond_whiskers=[beyond for _, column in parts for beyond in column])

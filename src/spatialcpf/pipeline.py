@@ -32,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -304,13 +304,17 @@ def read_labeling(path) -> dict:
 
 
 def write_summary(summary: metrics.ClusterSummary, path) -> Path:
-    """Long-format per-cluster, per-element statistics CSV."""
-    rows = [(c, element, scale, stat_name, getattr(s, stat_name))
-            for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats))
-            for (c, element), s in sorted(stats.items())
-            for stat_name in ("size", "q1", "median", "q3", "iqr", "whisker_low", "whisker_high")]
+    """Long-format statistics CSV: one line per statistic, in STATISTICS
+    order, of each summary row in its order."""
+    per_row = len(metrics.STATISTICS)
+    # Python numbers, so that a size reads "60" among the floats.
+    values = zip(*(summary.stats[name].tolist() for name in metrics.STATISTICS))
     return _write_csv(path, ["cluster", "element", "scale", "statistic", "value"],
-                      list(zip(*rows)))
+                      [np.repeat(summary.cluster, per_row),
+                       np.repeat(summary.element, per_row).tolist(),
+                       np.repeat(summary.scale, per_row).tolist(),
+                       list(metrics.STATISTICS) * len(summary.element),
+                       list(chain.from_iterable(values))])
 
 
 # One feature as json.dumps(feature, separators=(",", ":"), sort_keys=True)
@@ -353,13 +357,12 @@ def export_geojson(site_ids, labels, coords, log_density, path,
 
 
 def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
-    """Box-plot reconstruction data: one row per (cluster, element, scale)."""
-    rows = [(c, element, scale, s.size, s.q1, s.median, s.q3, s.whisker_low, s.whisker_high,
-             ";".join(map(repr, s.outlier_values)))
-            for scale, stats in (("raw", summary.stats), ("log10", summary.log10_stats))
-            for (c, element), s in sorted(stats.items())]
-    return _write_csv(path, ["cluster", "element", "scale", "size", "q1", "median", "q3",
-                             "whisker_low", "whisker_high", "beyond_whiskers"], list(zip(*rows)))
+    """Box-plot reconstruction data: one line per summary row, in its order."""
+    stats = ("size", "q1", "median", "q3", "whisker_low", "whisker_high")
+    return _write_csv(path, ["cluster", "element", "scale", *stats, "beyond_whiskers"],
+                      [summary.cluster, summary.element, summary.scale,
+                       *map(summary.stats.get, stats),
+                       [";".join(map(repr, beyond)) for beyond in summary.beyond_whiskers]])
 
 
 # ---------------------------------------------------------------- stages

@@ -1,9 +1,11 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spatialcpf.ingest import ELEMENTS
+from spatialcpf.metrics import STATISTICS
 
 
 def two_blob_dataset(seed, n_per_blob=200, separation=20.0):
@@ -65,3 +67,13 @@ def survey_csv(tmp_path):
     path = tmp_path / "survey.csv"
     write_survey_csv(path, *surrogate_survey(n=400, seed=7))
     return path
+
+
+def summary_row(summary, cluster, element, scale="raw"):
+    """The statistics and beyond_whiskers of a ClusterSummary's one row for
+    (scale, cluster, element), as attributes."""
+    keys = list(zip(summary.scale, summary.cluster.tolist(), summary.element))
+    assert keys.count((scale, cluster, element)) == 1
+    row = keys.index((scale, cluster, element))
+    return SimpleNamespace(beyond_whiskers=summary.beyond_whiskers[row],
+                           **{name: summary.stats[name][row] for name in STATISTICS})

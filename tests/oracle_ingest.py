@@ -3,9 +3,10 @@
 The loop parse_g5_csv ran before it parsed by columns: each row is checked
 in turn, in the order a row's first failure is reported (width, blank site
 id, duplicate site id, coordinates, then each concentration in ELEMENTS
-order), and a row of blank cells is skipped. A leading byte-order mark is
-skipped. Its error names the row's line as csv.reader counts lines, so a
-quoted cell that spans lines moves the count on.
+order, a negative one rejected as a bad one), and a row of blank cells is
+skipped. A leading byte-order mark is skipped. Its error names the row's
+line as csv.reader counts lines, so a quoted cell that spans lines moves
+the count on.
 parse_g5_csv must equal it exactly: the same table, bit for bit, or the same
 error class and message.
 """
@@ -32,6 +33,14 @@ def _read_header(reader, path) -> tuple[list[str], dict[str, int]]:
     except StopIteration:
         raise SchemaError(f"empty file: {path}")
     return header, _column_index(header, path)
+
+
+def _concentration(cell: str, element: str, bdl_policy: str) -> float:
+    """The cell's concentration; ValueError for a bad cell or a negative value."""
+    value = _parse_concentration(cell, element, bdl_policy)
+    if value < 0:
+        raise ValueError(f"negative concentration for {element}: {cell.strip()!r}")
+    return value
 
 
 def row_loop(reader, path, bdl_policy: str) -> SampleTable:
@@ -67,7 +76,7 @@ def row_loop(reader, path, bdl_policy: str) -> SampleTable:
             raise RowParseError(path, line_number, f"ITM coordinate out of range: "
                                                    f"easting={easting}, northing={northing}")
         try:
-            concentrations.append([_parse_concentration(row[col], element, bdl_policy)
+            concentrations.append([_concentration(row[col], element, bdl_policy)
                                    for element, col in element_cols])
         except ValueError as exc:
             raise RowParseError(path, line_number, str(exc)) from None

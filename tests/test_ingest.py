@@ -111,6 +111,20 @@ def test_parse_blank_site_id_names_its_line(tmp_path, blank):
         RowParseError, f"{path}: line 3: blank site_id")
 
 
+@pytest.mark.parametrize("cell, named", [("-9999", "'-9999'"), ("-0.5", "'-0.5'"),
+                                          ("<-2", "'<-2'")])
+def test_parse_negative_concentration_names_line_and_element(tmp_path, cell, named):
+    # A negative value, such as the -9999 missing-value code, is rejected;
+    # zero, and a zero written with a minus sign, are valid.
+    path = tmp_path / "t.csv"
+    write_rows(path, HEADER, [sample_row("A1", sb="0"), sample_row("B2", sb="-0.0"),
+                              sample_row("C3", sb=cell)])
+    assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path) == (
+        RowParseError, f"{path}: line 4: negative concentration for Sb: {named}")
+    write_rows(path, HEADER, [sample_row("A1", sb="0"), sample_row("B2", sb="-0.0")])
+    assert parse_g5_csv(path).concentrations[:, ELEMENTS.index("Sb")].tolist() == [0.0, 0.0]
+
+
 def test_parse_skips_byte_order_mark(tmp_path):
     # Excel's "CSV UTF-8" starts the file with a byte-order mark.
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -263,7 +277,7 @@ def survey_tables(draw, bdl_policy):
 
 # A fault the row loop rejects, placed in one cell or row of a valid table.
 FAULTS = ("short_row", "blank_id", "duplicate_id", "nan", "inf", "out_of_range", "below_dl",
-          "text")
+          "negative", "text")
 
 
 def inject(rows, fault, r, j, bdl_policy):
@@ -290,6 +304,8 @@ def inject(rows, fault, r, j, bdl_policy):
         row[east] = "-1.0" if j % 2 else "2e6"
     elif fault == "below_dl":
         row[element] = "<0.5" if bdl_policy == "reject" else "<0.5x"
+    elif fault == "negative":
+        row[element] = "-9999" if j % 2 else " -1e-300"
     else:
         row[element] = "1.0x"
     return [header] + data

@@ -1,13 +1,19 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import surrogate_survey, write_survey_csv
+import oracle_summary
+from conftest import summary_row, surrogate_survey, write_survey_csv
 from spatialcpf.cpf import ClusterLabeling
-from spatialcpf.errors import ParameterError
+from spatialcpf.errors import ParameterError, SpatialCpfError
 from spatialcpf.ingest import ELEMENTS, SampleTable, parse_g5_csv
 from spatialcpf.metrics import calinski_harabasz, cluster_summary
+from spatialcpf.pipeline import export_plot_data, write_summary
 
 
 def ch_oracle(features, labels):
@@ -90,7 +96,7 @@ def test_summary_single_sample_cluster(tmp_path):
     table = make_table(tmp_path, n=5)
     labels = ClusterLabeling(labels=np.array([0, 1, 1, 1, 1]))
     summary = cluster_summary(table, labels)
-    s = summary.stats[(0, "As")]
+    s = summary_row(summary, 0, "As")
     value = table.concentrations[0, ELEMENTS.index("As")]
     assert s.median == s.q1 == s.q3 == pytest.approx(value)
     assert s.iqr == 0.0
@@ -110,11 +116,12 @@ def test_summary_quartile_ordering_and_sizes(tmp_path):
     rng = np.random.default_rng(0)
     labels = ClusterLabeling(labels=rng.integers(0, 3, 60))
     summary = cluster_summary(table, labels)
-    for element in ELEMENTS:
-        assert sum(stats.size for (_, e), stats in summary.stats.items() if e == element) == 60
-    for stats in summary.stats.values():
-        assert stats.q1 <= stats.median <= stats.q3
-        assert stats.whisker_low <= stats.median <= stats.whisker_high
+    element = np.array(summary.element)
+    for name in ELEMENTS:
+        assert summary.stats["size"][element == name].sum() == 60
+    s = summary.stats
+    assert np.all((s["q1"] <= s["median"]) & (s["median"] <= s["q3"]))
+    assert np.all((s["whisker_low"] <= s["median"]) & (s["median"] <= s["whisker_high"]))
 
 
 def test_summary_q3_monotone_when_adding_maximum():
@@ -130,9 +137,9 @@ def test_summary_outlier_group_and_log10(tmp_path):
     labels = np.zeros(30, dtype=int)
     labels[25:] = -1
     summary = cluster_summary(table, ClusterLabeling(labels=labels), log10_export=True)
-    assert (-1, "Zn") in summary.stats
-    raw = summary.stats[(0, "Zn")]
-    logged = summary.log10_stats[(0, "Zn")]
+    summary_row(summary, -1, "Zn")
+    raw = summary_row(summary, 0, "Zn")
+    logged = summary_row(summary, 0, "Zn", scale="log10")
     assert logged.size == raw.size
     values = table.concentrations[:25, ELEMENTS.index("Zn")]
     assert logged.median == pytest.approx(np.quantile(np.log10(values), 0.5))
@@ -146,10 +153,10 @@ def test_summary_warns_of_empty_cluster_and_keeps_the_rest(tmp_path):
     with pytest.warns(UserWarning) as raised:
         summary = cluster_summary(table, ClusterLabeling(labels=labels))
     assert [str(w.message) for w in raised] == ["cluster 1 is empty; excluded from summary"]
-    assert {c for c, _ in summary.stats} == {0, 2, -1}
+    assert set(summary.cluster.tolist()) == {0, 2, -1}
     zn = table.concentrations[:, ELEMENTS.index("Zn")]
     for c in (0, 2, -1):
-        stats = summary.stats[(c, "Zn")]
+        stats = summary_row(summary, c, "Zn")
         assert stats.size == np.sum(labels == c)
         assert stats.median == np.quantile(zn[labels == c], 0.5)
 
@@ -162,6 +169,86 @@ def test_summary_beyond_whisker_points(tmp_path):
     table = SampleTable(site_ids=table.site_ids, itm=table.itm, concentrations=conc)
     labels = ClusterLabeling(labels=np.zeros(12, dtype=int))
     summary = cluster_summary(table, labels)
-    s = summary.stats[(0, "Mn")]
-    assert 1e6 in s.outlier_values
+    s = summary_row(summary, 0, "Mn")
+    assert 1e6 in s.beyond_whiskers
     assert s.whisker_high < 1e6
+
+
+def test_summary_value_on_fence_is_inside():
+    # {1, 2, 3, 4, 7}: Q1 2, Q3 4, so the upper fence is 4 + 1.5 * 2 = 7 and
+    # 7 is the whisker; 7.5 lies beyond it.
+    for top, whisker, beyond in ((7.0, 7.0, []), (7.5, 4.0, [7.5])):
+        conc = np.tile([[1.0], [2.0], [3.0], [4.0], [top]], (1, len(ELEMENTS)))
+        table = SampleTable(site_ids=tuple("ABCDE"), itm=np.tile([6e5, 7.5e5], (5, 1)),
+                            concentrations=conc)
+        summary = cluster_summary(table, ClusterLabeling(labels=np.zeros(5, dtype=int)))
+        s = summary_row(summary, 0, "Cu")
+        assert (s.q1, s.q3, s.whisker_low, s.whisker_high) == (2.0, 4.0, 1.0, whisker)
+        assert s.beyond_whiskers == beyond
+
+
+@st.composite
+def summary_columns(draw, n):
+    """An (n, 15) concentration matrix, each column drawn as one of: a
+    constant, small integers (many ties, and values exactly on a fence),
+    zeros among positive values, or any finite non-negative floats."""
+    columns = []
+    for _ in ELEMENTS:
+        kind = draw(st.sampled_from(["constant", "integers", "zeros", "floats"]))
+        if kind == "constant":
+            columns.append([draw(st.floats(0.0, 1e4))] * n)
+        elif kind == "integers":
+            scale = draw(st.sampled_from([1.0, 0.25, 1e3]))
+            columns.append([scale * v for v in draw(st.lists(st.integers(0, 8),
+                                                             min_size=n, max_size=n))])
+        else:
+            low = 0.0 if kind == "floats" else 1.0
+            column = draw(st.lists(st.floats(low, allow_infinity=False),
+                                   min_size=n, max_size=n))
+            if kind == "zeros":
+                column = [v if draw(st.booleans()) else 0.0 for v in column]
+            columns.append(column)
+    return np.array(columns, dtype=float).T
+
+
+def summary_files(summary, tmp_path):
+    """summary.csv and plot_data.csv as the pipeline writes them, as text."""
+    return tuple(write(summary, tmp_path / name).read_text(encoding="utf-8")
+                 for write, name in ((write_summary, "summary.csv"),
+                                     (export_plot_data, "plot_data.csv")))
+
+
+def summary_outcome(summarize):
+    """summarize()'s result and the UserWarnings it raised, or its error's
+    class and message."""
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        try:
+            result = summarize()
+        except SpatialCpfError as exc:
+            return type(exc), str(exc)
+    return result, [str(w.message) for w in raised if w.category is UserWarning]
+
+
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).
+@settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "150")), deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 20), n_labels=st.integers(0, 4),
+       log10_export=st.booleans())
+def test_summary_files_equal_oracle(tmp_path, data, n, n_labels, log10_export):
+    # Labels in [-1, n_labels): n_labels 0 gives only outliers; a label
+    # below the largest that no sample draws is an empty cluster.
+    labels = np.array(data.draw(st.lists(st.integers(-1, n_labels - 1), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    conc = data.draw(summary_columns(n))
+    table = SampleTable(site_ids=tuple(map(str, range(n))), itm=np.zeros((n, 2)),
+                        concentrations=conc)
+    labeling = ClusterLabeling(labels=labels)
+
+    def oracle_files():
+        summary = oracle_summary.cluster_summary(conc, labels, labeling.n_clusters, log10_export)
+        return oracle_summary.summary_text(summary), oracle_summary.plot_data_text(summary)
+
+    got = summary_outcome(lambda: summary_files(
+        cluster_summary(table, labeling, log10_export=log10_export), tmp_path))
+    assert got == summary_outcome(oracle_files)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle_geojson
-from conftest import surrogate_survey, write_survey_csv
+from conftest import summary_row, surrogate_survey, write_survey_csv
 from spatialcpf import graph, ingest, pipeline
 from spatialcpf.cli import main
 from spatialcpf.cpf import ClusterLabeling, CpfParams
@@ -557,7 +557,7 @@ def test_plot_data_iqr_zero_whiskers_equal_median(tmp_path):
                         itm=np.tile([600000.0, 750000.0], (4, 1)),
                         concentrations=np.full((4, 15), 5.0))
     summary = cluster_summary(table, ClusterLabeling(labels=np.zeros(4, dtype=int)))
-    s = summary.stats[(0, "Mn")]
+    s = summary_row(summary, 0, "Mn")
     assert s.iqr == 0.0
     assert s.whisker_low == s.whisker_high == s.median == 5.0
 
