@@ -12,12 +12,19 @@ time: each column is converted by one float() map, and only a column holding
 a "<DL", bad, non-finite or negative cell is parsed cell by cell. Every rule
 is checked once per chunk over whole columns. A file that breaks one is
 parsed again one row at a time by the same code, whose error names the
-first bad row in file order, its line and its first bad cell.
+first bad row in file order, its line and its first bad cell. A zero
+written with a minus sign reads as 0.0, so no value is a negative zero.
+
+It can also hand on the text of each chunk it accepts, from which the
+pipeline writes samples.csv: the stripped site ids, then each number cell
+as it is where it is a plain decimal (_PLAIN), whose value is float() of
+its text, else repr() of its value.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,6 +41,9 @@ ELEMENTS = (
     "Ni", "Pb", "Sb", "Sn", "U", "V", "Zn",
 )
 
+# The numeric columns, in SampleTable's order: its itm, then its concentrations.
+_NUMBERS = ("easting", "northing", *ELEMENTS)
+
 # Header names accepted (case-insensitively) for each required column, in the
 # order the columns are looked up.
 DEFAULT_ALIASES = {
@@ -42,6 +52,16 @@ DEFAULT_ALIASES = {
     "easting": ("easting", "easting_itm", "itm_e", "x_itm", "x"),
     "northing": ("northing", "northing_itm", "itm_n", "y_itm", "y"),
 }
+
+
+# A plain ASCII decimal with no minus sign, whose value is float() of its
+# text: a "<DL" cell (halved) does not match, and a cell with a minus sign
+# that parses is a zero (negative values are rejected), read as 0.0.
+# _PLAIN_COLUMN matches a chunk column's cells joined by commas; no cell
+# that float() reads holds a comma.
+_PLAIN = r"\+?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_PLAIN_CELL = re.compile(_PLAIN)
+_PLAIN_COLUMN = re.compile(f"{_PLAIN}(?:,{_PLAIN})*")
 
 
 @dataclass(frozen=True)
@@ -102,17 +122,23 @@ def _parse_concentration(raw: str, element: str, bdl_policy: str) -> float:
     return value / 2.0 if below else value
 
 
-def parse_g5_csv(path, bdl_policy: str = "half_dl") -> SampleTable:
+def parse_g5_csv(path, bdl_policy: str = "half_dl", text=None) -> SampleTable:
     """Parse a G5-style CSV into a SampleTable, preserving file row order.
 
     bdl_policy "half_dl" substitutes "<DL" markers with DL/2; "reject" raises
     a row-level error instead. Column names are matched case-insensitively
     against DEFAULT_ALIASES. An error names the first bad row in file order,
     its line and its first bad cell.
+
+    text, when given, is called as each parse of the file starts (read_csv
+    parses it again after an error) and returns the function that is then
+    called with each accepted chunk's text columns, in file order: the
+    stripped site ids, then easting, northing and ELEMENTS, each cell as
+    _cell_text gives it.
     """
     if bdl_policy not in ("half_dl", "reject"):
         raise ValueError(f"unknown bdl_policy: {bdl_policy}")
-    return read_csv(path, partial(_parse_rows, path=path, bdl_policy=bdl_policy))
+    return read_csv(path, partial(_parse_rows, path=path, bdl_policy=bdl_policy, text=text))
 
 
 def _concentrations(columns, bdl_policy: str) -> np.ndarray:
@@ -131,17 +157,29 @@ def _concentrations(columns, bdl_policy: str) -> np.ndarray:
     return np.array(values)
 
 
-def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
+def _cell_text(cells: tuple[str, ...], values: np.ndarray) -> tuple[str, ...] | list[str]:
+    """The text of a chunk column: each cell that is a plain decimal as it
+    is, any other as repr() of its value. One match decides a column whose
+    cells are all plain."""
+    if _PLAIN_COLUMN.fullmatch(",".join(cells)):
+        return cells
+    return [cell if _PLAIN_CELL.fullmatch(cell) else repr(value)
+            for cell, value in zip(cells, values.tolist())]
+
+
+def _parse_rows(header, chunks, path, bdl_policy: str, text=None) -> SampleTable:
     """The table from fileio.read_csv's header and chunks. The rules run in
     the order a row's first failure is named (width, blank site id,
     repeated site id, ITM coordinate non-numeric, non-finite or out of
     range, each concentration in ELEMENTS order). An error names the
     chunk's first row, so only the one-row run's is raised. A row of blank
-    cells is skipped."""
+    cells is skipped. Each accepted chunk's text columns go to the function
+    text() returns (see parse_g5_csv)."""
     if header is None:
         raise SchemaError(f"empty file: {path}")
     idx = _column_index(header, path)
     width = max(idx.values()) + 1
+    write = text() if text else None
     site_ids, seen, blocks = [], set(), []
     for line, rows in chunks:
         rows = [row for row in rows if any(map(str.strip, row))]
@@ -169,10 +207,14 @@ def _parse_rows(header, chunks, path, bdl_policy: str) -> SampleTable:
             raise RowParseError(path, line, "ITM coordinate out of range: easting={}, "
                                             "northing={}".format(*itm[:, 0].tolist()))
         try:
-            blocks.append(np.concatenate([itm, _concentrations(
-                (cells[idx[element]] for element in ELEMENTS), bdl_policy)]))
+            block = np.concatenate([itm, _concentrations(
+                (cells[idx[element]] for element in ELEMENTS), bdl_policy)])
         except ValueError as exc:
             raise RowParseError(path, line, str(exc)) from None
+        block += 0.0  # -0.0 + 0.0 is 0.0
+        blocks.append(block)
+        if write:
+            write([ids, *map(_cell_text, (cells[idx[name]] for name in _NUMBERS), block)])
     if not site_ids:
         raise SchemaError(f"no records in {path}")
     values = np.concatenate(blocks, axis=1)

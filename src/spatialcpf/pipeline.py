@@ -8,15 +8,18 @@ each result passes to the next in memory and each artifact is written once.
 run_stage runs a single stage; the store reads its inputs from their files
 through each artifact's one reader, so running the stages one at a time
 gives byte-identical exports. Floats are written with repr() (shortest
-round-trip form), so the CSV intermediates are lossless. The staged CSV
-files are read by columns through fileio.read_csv (_read_columns).
+round-trip form), so the CSV intermediates are lossless; samples.csv keeps
+the survey's own text of a number where that reads back as its value. The
+staged CSV files are read by columns through fileio.read_csv (_read_columns).
 
-Every writer works on columns, _ROWS rows or features at a time: a
-numeric column's cells are formatted by one map over its values (_reprs,
-one spelling of the non-finite floats for CSV and one for JSON), and each
-CSV row is its cells joined by commas. A text cell is quoted as csv.writer
-quotes it, and also when it holds a CR, so that any site id the survey CSV
-can hold reads back unchanged (_quote).
+The ingest stage writes samples.csv as it parses the survey, from the text
+of each chunk ingest accepts (_ingest). Every other writer works on
+columns, _ROWS rows or features at a time: a numeric column's cells are
+formatted by one map over its values (_reprs, one spelling of the
+non-finite floats for CSV and one for JSON). Each CSV row is its cells
+joined by commas (_write_rows). A text cell is quoted as csv.writer quotes
+it, and also when it holds a CR, so that any site id the survey CSV can
+hold reads back unchanged (_quote).
 """
 
 from __future__ import annotations
@@ -187,18 +190,22 @@ def _quote(column) -> list[str]:
             for cell in cells]
 
 
+def _write_rows(fh, columns) -> None:
+    """Write the rows of the equal-length columns of CSV cells, each one
+    line of its cells joined by commas."""
+    fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
 def _write_csv(path, header, columns) -> Path:
     """Write the header and the equal-length columns, _ROWS rows at a time:
     an array's cells by _reprs, any other column's (text or Python numbers)
-    by _quote, and each row one line of its cells joined by commas."""
+    by _quote, and the rows by _write_rows."""
     with atomic_open(path, encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _ROWS):
-            # The cells are built inside zip(), so one chunk's are held at a time.
-            for row in zip(*(_reprs(column[start:start + _ROWS], _CSV)
+            _write_rows(fh, [_reprs(column[start:start + _ROWS], _CSV)
                              if isinstance(column, np.ndarray)
-                             else _quote(column[start:start + _ROWS]) for column in columns)):
-                fh.write(",".join(row) + "\n")
+                             else _quote(column[start:start + _ROWS]) for column in columns])
     return Path(path)
 
 
@@ -372,14 +379,21 @@ class _Store(dict):
     no stage of the run has produced comes from _SOURCES on first use: an
     artifact is read from the path passed for it, else from output_dir. An
     artifact read back through _READERS must cover the sites of samples, row
-    for row (a graph: as many vertices), or DataError names both files."""
+    for row (a graph: as many vertices), or DataError names both files.
+    written lists the files the run has written, write_seconds the seconds
+    of each one's writing by FILES key."""
 
     def __init__(self, config: PipelineConfig, paths=None, out=None):
         super().__init__()
         self.config, self.paths, self.out = config, paths or {}, out or {}
+        self.written, self.write_seconds = [], {}
 
     def path(self, key) -> Path:
         return Path(self.paths.get(key) or self.config.path(FILES[key]))
+
+    def output(self, key) -> Path:
+        """Where the artifact is written: its --out path, else where it is read."""
+        return Path(self.out.get(key) or self.path(key))
 
     def __missing__(self, key):
         if key not in _READERS:
@@ -421,11 +435,9 @@ _SOURCES = {
         log10_export=s.config.log10_export),
 }
 
-# Each artifact's one writer, called with the store and the path.
+# Each artifact's one writer, called with the store and the path; the
+# ingest stage writes samples.csv itself.
 _WRITERS = {
-    "samples": lambda s, path: _write_csv(
-        path, ["site_id", "easting", "northing", *ingest.ELEMENTS],
-        [s["samples"].site_ids, *s["samples"].itm.T, *s["samples"].concentrations.T]),
     "coords": lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
                                          [s["samples"].site_ids, *s["coords"].T]),
     "adjacency": lambda s, path: graph.dump_adjacency(s["adjacency"], path),
@@ -440,8 +452,28 @@ _WRITERS = {
 
 
 def _ingest(s: _Store) -> None:
-    s["samples"] = ingest.parse_g5_csv(s.paths.get("input") or s.config.input,
-                                       bdl_policy=s.config.bdl_policy)
+    """Parse the survey and write samples.csv as the parse goes, one
+    accepted chunk's text columns at a time (see ingest.parse_g5_csv):
+    a number keeps the survey's own text where that reads as its value.
+    Each parse starts the file over, so read_csv's one-row run after an
+    error leaves no row written twice."""
+    path, seconds = s.output("samples"), []
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
+        def start():
+            fh.seek(0)
+            fh.truncate()
+            fh.write(",".join(["site_id", "easting", "northing", *ingest.ELEMENTS]) + "\n")
+            return write
+
+        def write(columns):
+            began = time.perf_counter()
+            _write_rows(fh, [_quote(columns[0]), *columns[1:]])
+            seconds.append(time.perf_counter() - began)
+
+        s["samples"] = ingest.parse_g5_csv(s.paths.get("input") or s.config.input,
+                                           bdl_policy=s.config.bdl_policy, text=start)
+    s.written.append(path)
+    s.write_seconds["samples"] = sum(seconds)
 
 
 def _project(s: _Store) -> None:
@@ -489,8 +521,9 @@ def _summarize(s: _Store) -> None:
 class Stage(NamedTuple):
     """One step of the chain: the artifacts --in overrides (or a function of
     the config giving them), the artifacts it writes (--out overrides the
-    first) and its function on the store. A stage without one only writes
-    values it reads or the store derives (export)."""
+    first) and its function on the store, which writes any of them that
+    has no _WRITERS entry (ingest's samples). A stage without one only
+    writes values it reads or the store derives (export)."""
     inputs: tuple | Callable[[PipelineConfig], tuple]
     outputs: tuple
     run: Callable[[_Store], None] | None = None
@@ -533,10 +566,11 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
     the process's peak RSS in MiB at the end of each stage, the files
     written and the Python warnings the stages raised, each message once.
     A stage writes the outputs that no later stage in names rewrites, to
-    the --out path if given, else where they are read. On an error the
-    files this run wrote are removed, and StageError names the stage. The
-    stages run with the objects tracked before them frozen (_gc_frozen)."""
-    written, seconds, write_seconds, peak_rss = [], {}, {}, {}
+    the --out path if given, else where they are read (s.output). On an
+    error the files this run wrote are removed, and StageError names the
+    stage. The stages run with the objects tracked before them frozen
+    (_gc_frozen)."""
+    seconds, peak_rss = {}, {}
     with _gc_frozen(), warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
         for i, name in enumerate(names):
@@ -546,19 +580,18 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                 if stage.run:
                     stage.run(s)
                 for key in stage.outputs:
-                    if key not in rewritten:
-                        path = Path(s.out.get(key) or s.path(key))
-                        write_start = time.perf_counter()
+                    if key in _WRITERS and key not in rewritten:
+                        path, write_start = s.output(key), time.perf_counter()
                         _WRITERS[key](s, path)
-                        write_seconds[key] = time.perf_counter() - write_start
-                        written.append(path)
+                        s.write_seconds[key] = time.perf_counter() - write_start
+                        s.written.append(path)
             except Exception as exc:
-                for path in written:
+                for path in s.written:
                     path.unlink(missing_ok=True)
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
             peak_rss[name] = cpf.peak_rss_mib()
-    return (seconds, write_seconds, peak_rss, written,
+    return (seconds, s.write_seconds, peak_rss, s.written,
             list(dict.fromkeys(str(w.message) for w in raised)))
 
 

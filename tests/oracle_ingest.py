@@ -4,9 +4,9 @@ The loop parse_g5_csv ran before it parsed by columns: each row is checked
 in turn, in the order a row's first failure is reported (width, blank site
 id, duplicate site id, coordinates, then each concentration in ELEMENTS
 order, a negative one rejected as a bad one), and a row of blank cells is
-skipped. A leading byte-order mark is skipped. Its error names the row's
-line as csv.reader counts lines, so a quoted cell that spans lines moves
-the count on.
+skipped. A zero written with a minus sign reads as 0.0. A leading
+byte-order mark is skipped. Its error names the row's line as csv.reader
+counts lines, so a quoted cell that spans lines moves the count on.
 parse_g5_csv must equal it exactly: the same table, bit for bit, or the same
 error class and message.
 """
@@ -36,11 +36,12 @@ def _read_header(reader, path) -> tuple[list[str], dict[str, int]]:
 
 
 def _concentration(cell: str, element: str, bdl_policy: str) -> float:
-    """The cell's concentration; ValueError for a bad cell or a negative value."""
+    """The cell's concentration, 0.0 for a negative zero; ValueError for a
+    bad cell or a negative value."""
     value = _parse_concentration(cell, element, bdl_policy)
     if value < 0:
         raise ValueError(f"negative concentration for {element}: {cell.strip()!r}")
-    return value
+    return 0.0 if value == 0 else value
 
 
 def row_loop(reader, path, bdl_policy: str) -> SampleTable:
@@ -81,7 +82,7 @@ def row_loop(reader, path, bdl_policy: str) -> SampleTable:
         except ValueError as exc:
             raise RowParseError(path, line_number, str(exc)) from None
         site_ids.append(site_id)
-        itm.append((easting, northing))
+        itm.append((0.0 if easting == 0 else easting, 0.0 if northing == 0 else northing))
 
     if not site_ids:
         raise SchemaError(f"no records in {path}")

@@ -1,5 +1,8 @@
 import csv
+import os
+import re
 import tracemalloc
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle_ingest
+import oracle_samples
 from conftest import surrogate_survey, write_survey_csv
 from spatialcpf import fileio, ingest, pipeline
 from spatialcpf.errors import (DataError, DegenerateColumnError, RowParseError,
@@ -121,8 +125,15 @@ def test_parse_negative_concentration_names_line_and_element(tmp_path, cell, nam
                               sample_row("C3", sb=cell)])
     assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path) == (
         RowParseError, f"{path}: line 4: negative concentration for Sb: {named}")
-    write_rows(path, HEADER, [sample_row("A1", sb="0"), sample_row("B2", sb="-0.0")])
-    assert parse_g5_csv(path).concentrations[:, ELEMENTS.index("Sb")].tolist() == [0.0, 0.0]
+    # A zero written with a minus sign reads as 0.0, as a coordinate too, on
+    # the column pass (As, easting) and cell by cell (Sb, beside a "<DL").
+    rows = [sample_row("A1", sb="0"), sample_row("B2", sb="-0.0"), sample_row("C3", sb="<-0")]
+    rows[1][1], rows[2][3] = "-0e3", "-0"
+    write_rows(path, HEADER, rows)
+    assert outcome(parse_g5_csv, path) == outcome(oracle_ingest.parse, path)
+    table = parse_g5_csv(path)
+    assert table.concentrations[:, ELEMENTS.index("Sb")].tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(table.itm).any() and not np.signbit(table.concentrations).any()
 
 
 def test_parse_skips_byte_order_mark(tmp_path):
@@ -231,11 +242,22 @@ def write_csv_rows(path, rows):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+# Spellings float() reads of numbers in [0, 1000]: plain decimals that are
+# not repr()'s, and cells that are not plain (padded, "_", non-ASCII digits,
+# zeros written with a minus sign).
+SPELLINGS = ("45", "4.50", "1E3", "+2", ".5", "5.", " 7 ", "1_0", "\u0663", "-0", "-0.0",
+             "-.0e2", "0", "0.0", "1e-5", "+1.5E+2")
+
+
 @st.composite
 def number_cells(draw, low, high):
-    """The text of a float in [low, high], in one of the forms float() reads."""
+    """The text of a float in [low, high], in one of the forms float() reads,
+    or (high at least 1000) one of SPELLINGS."""
     value = draw(st.floats(low, high))
-    form = draw(st.sampled_from(["repr", "padded", "underscore", "integer", "exponent"]))
+    forms = ["repr", "padded", "underscore", "integer", "exponent"]
+    form = draw(st.sampled_from(forms + (["spelled"] if high >= 1000 else [])))
+    if form == "spelled":
+        return draw(st.sampled_from(SPELLINGS))
     if form == "padded":
         return draw(st.sampled_from([" ", "\t", "  "])) + repr(value) + " "
     if form == "underscore":
@@ -420,20 +442,118 @@ def test_blank_rows_stay_on_the_chunked_run(tmp_path, monkeypatch):
 
 
 def test_parse_and_samples_write_memory_bounded(tmp_path):
-    # 8000 rows: parsing holds fileio.CHUNK_ROWS rows of text at a time and the
-    # writer formats pipeline._ROWS rows at a time. Holding every row at once
-    # peaks at about 17 MiB parsing and 10 MiB writing.
+    # 8000 rows: parsing holds fileio.CHUNK_ROWS rows of text at a time, and
+    # the ingest stage writes each chunk's text to samples.csv as it goes.
+    # Holding every row at once peaks at about 17 MiB parsing, and holding
+    # the text until the write adds about 10 MiB to the stage.
     path = tmp_path / "survey.csv"
     write_survey_csv(path, *surrogate_survey(n=8000, seed=0))
+    config = pipeline.PipelineConfig.from_dict({"input": str(path), "output_dir": str(tmp_path)})
     tracemalloc.start()
     try:
-        table = parse_g5_csv(path)
+        parse_g5_csv(path)
         parse_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        pipeline._WRITERS["samples"]({"samples": table}, tmp_path / "samples.csv")
-        write_peak = tracemalloc.get_traced_memory()[1] - before
+        pipeline.stage_ingest(config)
+        ingest_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert parse_peak < 8 * 2**20
-    assert write_peak < 4 * 2**20
+    assert ingest_peak - parse_peak < 4 * 2**20
+
+
+# ------------------------------------------------ samples.csv from the survey's text
+
+# A cell whose own text samples.csv keeps: a plain ASCII decimal whose
+# float() is the value ingest keeps, bit for bit.
+PLAIN_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# SPATIALCPF_FUZZ_EXAMPLES sets the round trip's examples (CI runs 3000).
+SAMPLES_ROUND_TRIP = settings(
+    max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "80")), deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def ingest_to(tmp_path, survey, name, chunk_rows=fileio.CHUNK_ROWS) -> bytes:
+    """The bytes of the samples.csv the ingest stage writes from survey."""
+    config = pipeline.PipelineConfig.from_dict({"input": str(survey),
+                                                "output_dir": str(tmp_path)})
+    with mock.patch.object(fileio, "CHUNK_ROWS", chunk_rows):
+        return pipeline.stage_ingest(config, out_path=tmp_path / name).read_bytes()
+
+
+@SAMPLES_ROUND_TRIP
+@given(data=st.data())
+def test_samples_csv_round_trips(tmp_path, data):
+    rows = data.draw(survey_tables("half_dl"))
+    survey = tmp_path / "survey.csv"
+    idx = ingest._column_index(rows[0], survey)
+    data_rows = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
+    # Site ids that need quoting, unique once stripped.
+    for r, row in enumerate(data_rows):
+        row[idx["site_id"]] = data.draw(st.text(st.sampled_from('Sa ,"\r\n\t'))) + f"#{r}"
+    # With CRLF line ends, csv.writer quotes a cell holding a CR or an LF.
+    with open(survey, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows(rows)
+    written = [ingest_to(tmp_path, survey, f"samples{k}.csv", k) for k in (1, 3, 256)]
+    assert written[0] == written[1] == written[2]
+    samples = tmp_path / "samples256.csv"
+    table = parse_g5_csv(survey)
+    # It reads back as the survey's table, bit for bit (signs of zero too).
+    assert outcome(parse_g5_csv, samples) == outcome(lambda: table)
+    with open(samples, encoding="utf-8", newline="") as fh:
+        header, *out_rows = csv.reader(fh)
+    assert header == ["site_id", "easting", "northing", *ELEMENTS]
+    assert len(out_rows) == len(data_rows)
+    values = np.column_stack([table.itm, table.concentrations]).tolist()
+    for row, out, row_values in zip(data_rows, out_rows, values):
+        assert out[0] == row[idx["site_id"]].strip()
+        for name, cell, value in zip(("easting", "northing", *ELEMENTS), out[1:], row_values):
+            text = row[idx[name]]
+            own = (PLAIN_DECIMAL.fullmatch(text) is not None
+                   and float(text).hex() == value.hex())
+            assert cell == (text if own else repr(value)), (name, text, value)
+    # Ingesting samples.csv writes it again, byte for byte.
+    assert ingest_to(tmp_path, samples, "again.csv") == written[0]
+    # On a survey of repr() spellings, it is what the repr writer writes.
+    reprs = tmp_path / "reprs.csv"
+    oracle_samples.write(table, reprs)
+    assert ingest_to(tmp_path, reprs, "from_reprs.csv") == reprs.read_bytes()
+
+
+def test_samples_written_once_when_parse_runs_again(tmp_path, monkeypatch):
+    # The chunked parse fails after two chunks, which ingest wrote; read_csv
+    # parses again one row a chunk, and samples.csv starts over.
+    survey = tmp_path / "survey.csv"
+    write_survey_csv(survey, *surrogate_survey(n=600, seed=2))
+    want = ingest_to(tmp_path, survey, "want.csv")
+    parse_rows, calls = ingest._parse_rows, []
+
+    def fail_after(header, chunks, **kwargs):
+        calls.append(kwargs)
+        if len(calls) > 1:
+            return parse_rows(header, chunks, **kwargs)
+
+        def two_then_fail():
+            yield from islice(chunks, 2)
+            raise ValueError("injected")
+        return parse_rows(header, two_then_fail(), **kwargs)
+    monkeypatch.setattr(ingest, "_parse_rows", fail_after)
+    assert ingest_to(tmp_path, survey, "got.csv") == want
+    assert len(calls) == 2
+
+
+def test_staged_run_parses_samples_without_text(tmp_path, survey_csv, monkeypatch):
+    # Only the ingest stage takes the survey's text; a stage that reads
+    # samples.csv back asks for none.
+    config = pipeline.PipelineConfig.from_dict({"input": str(survey_csv),
+                                                "output_dir": str(tmp_path)})
+    pipeline.stage_ingest(config)
+    texts, parse = [], ingest.parse_g5_csv
+
+    def recording(*args, **kwargs):
+        texts.append(kwargs.get("text"))
+        return parse(*args, **kwargs)
+    monkeypatch.setattr(ingest, "parse_g5_csv", recording)
+    pipeline.stage_project(config)
+    assert texts == [None]
