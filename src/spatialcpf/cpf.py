@@ -14,11 +14,14 @@ The big-brother step reuses the feature kNN lists: a sample whose nearest
 denser same-component list entry lies strictly inside its k-th-neighbor
 radius takes that entry, since no sample off the list can be as close. Only
 the remaining samples (component peaks, duplicates, ties at the radius) are
-measured against their component's denser members with cdist, in bounded
-row blocks, so no component needs an m-by-m distance matrix. Each list
-distance is computed once, as a column-by-column sum of squared differences;
-that sum is the value cdist gives the same pair, so omega does not depend
-on which of the two measured it.
+measured against their component's denser members, in bounded row blocks,
+so no component needs an m-by-m distance matrix. Every feature distance --
+a list entry, a fallback block, two centers in merge_clusters -- comes from
+one kernel, _distances: squared differences summed column by column in
+order, then the square root. So omega does not depend on which pass
+measured a pair, and each value equals scipy's cdist for the pair bit for
+bit (the tests hold the kernel to cdist; the run imports no scipy distance
+code).
 
 The feature kNN (graph.knn) and the big-brother pass over the kNN lists
 run in row blocks on every usable core (graph.map_blocks). Each sample's
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InternalConsistencyError, ParameterError, check_settings, setting
 from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency, component_roots,
@@ -131,6 +133,21 @@ def knn_density(radius: np.ndarray, d: int, params: CpfParams) -> DensityEstimat
     return DensityEstimate(r_k=r_k, log_density=log_density)
 
 
+def _distances(features: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between features[rows] and features[cols], the
+    two index arrays broadcast against each other: the squared differences
+    summed column by column in order, then the square root. Written into
+    out (of the broadcast shape) when given."""
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    else:
+        out.fill(0.0)
+    for column in features.T:
+        out += (column[cols] - column[rows]) ** 2
+    return np.sqrt(out, out=out)
+
+
 def big_brother(features: np.ndarray, density: DensityEstimate,
                 components: ComponentLabels, neighbors: np.ndarray,
                 radius: np.ndarray) -> BigBrother:
@@ -148,18 +165,18 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
     each block of them widened to int64 on its own. Every sample off i's
     list lies at least radius[i] from i, so when i's nearest qualifying list
     entry is strictly inside radius[i], every qualifying sample that close
-    is on the list and the list decides parent and omega. The list pass measures each entry
-    once, summing squared differences column by column in order, which is
-    cdist's value for the pair, bit for bit. The kd-tree's radius rounds
-    differently, so it is shrunk by FP_MARGIN before the test. This list
-    pass runs in row blocks on every usable core with _LIST_ROWS samples in
-    flight at once (graph.map_blocks), each block writing only its own
-    samples. The rest -- samples without a qualifying list entry, with
-    radius 0 (duplicates) or with the nearest entry at the radius -- are
-    measured with cdist against all denser members of their component, in
-    row blocks of about _BLOCK_ENTRIES distances (one row at the least), so
-    memory stays O(n k + block) rather than O(m^2) for a component of m
-    samples.
+    is on the list and the list decides parent and omega. The list pass
+    measures each entry once with _distances, as the fallback below does,
+    so both give a pair the same value, bit for bit. The kd-tree's radius
+    rounds differently, so it is shrunk by FP_MARGIN before the test. This
+    list pass runs in row blocks on every usable core with _LIST_ROWS
+    samples in flight at once (graph.map_blocks), each block writing only
+    its own samples. The rest -- samples without a qualifying list entry,
+    with radius 0 (duplicates) or with the nearest entry at the radius --
+    are measured with _distances against all denser members of their
+    component, in row blocks of about _BLOCK_ENTRIES distances (one row at
+    the least) written into one buffer per component, so memory stays
+    O(n k + block) rather than O(m^2) for a component of m samples.
     """
     features = np.asarray(features, dtype=float)
     neighbors = np.asarray(neighbors)
@@ -181,10 +198,7 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
         their radius."""
         listed = neighbors[rows].astype(np.int64)
         qualifies = (comp[listed] == comp[rows, None]) & (rank[listed] < rank[rows, None])
-        dist = np.zeros(listed.shape)
-        for column in features.T:
-            dist += (column[listed] - column[rows, None]) ** 2
-        dist = np.where(qualifies, np.sqrt(dist), np.inf)
+        dist = np.where(qualifies, _distances(features, rows[:, None], listed), np.inf)
         best = dist.min(axis=1)
         resolved = best < radius[rows] * (1.0 - FP_MARGIN)
         parent[rows[resolved]] = np.where(dist == best[:, None], listed, n).min(axis=1)[resolved]
@@ -204,12 +218,15 @@ def big_brother(features: np.ndarray, density: DensityEstimate,
         if rows.size == 0:
             continue
         lo = first[rows[0]]
-        step = max(1, _BLOCK_ENTRIES // int(slot[rows[-1]] - lo))
+        widest = int(slot[rows[-1]] - lo)
+        step = max(1, _BLOCK_ENTRIES // widest)
+        buffer = np.empty(step * widest)
         for b in range(0, rows.size, step):
             block = rows[b:b + step]
             width = slot[block] - lo
             cols = grouped[lo:lo + width[-1]]
-            dist = cdist(features[block], features[cols])
+            dist = _distances(features, block[:, None], cols,
+                              out=buffer[:block.size * cols.size].reshape(block.size, cols.size))
             valid = np.arange(cols.size) < width[:, None]
             dist[~valid] = np.inf
             best = dist.min(axis=1)
@@ -293,10 +310,9 @@ def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
     features = np.asarray(features, dtype=float)
     labels = labeling.labels.copy()
     if centers.size >= 2 and params.merge_threshold > 0.0:
-        pts = features[centers]
         dens = density.log_density[centers]
         ratio = np.exp(-np.abs(dens[:, None] - dens[None, :]))
-        linked = (cdist(pts, pts) <= params.merge_threshold) & (
+        linked = (_distances(features, centers[:, None], centers) <= params.merge_threshold) & (
             ratio >= params.density_ratio_threshold)
         # Every center's cluster takes the cluster of its group's first center.
         first = component_roots(centers.size, np.argwhere(linked))

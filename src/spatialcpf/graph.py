@@ -47,21 +47,60 @@ while it queries). The rows in flight at once are fixed and split among the
 threads, so memory does not grow with the core count. A block writes only
 its own rows, and the rows left unsettled are gathered in block order, so
 the result does not depend on the thread count or on how the rows are split.
+
+cKDTree is taken from scipy's kd-tree extension module, loaded on its own
+(_load_ckdtree) rather than through the scipy.spatial package, whose
+__init__ also loads qhull, scipy.linalg, scipy.special and the distance
+module: about 15 MiB of import RSS that no run uses. The extension still
+imports scipy.sparse itself. Where the extension is not found, the public
+import serves the same class.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
+
+
+def _load_ckdtree() -> type:
+    """scipy's cKDTree class, from the extension module scipy.spatial._ckdtree
+    loaded without running the scipy.spatial package. The module name and
+    its place in scipy's directory are scipy internals: where the extension
+    is not found there, the class comes from `from scipy.spatial import
+    cKDTree`, the same class at the cost of the package's imports. The
+    module is registered under its own name, so a later import of
+    scipy.spatial takes this same module (and class) from sys.modules, and
+    one scipy.spatial already imported is used as it is."""
+    name = "scipy.spatial._ckdtree"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "spatial")])
+        if spec is None:
+            from scipy.spatial import cKDTree
+            return cKDTree
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module.cKDTree
+
+
+cKDTree = _load_ckdtree()
 
 # Relative slack between the kd-tree's distances and numpy's, which sum the
 # squares in different orders; far wider than their actual gap. knn adds

@@ -169,17 +169,22 @@ def test_big_brother_matches_oracle(seed, n, k, d, points, split, density_from):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 20),
        exponent=st.floats(-3, 3), duplicates=st.integers(0, 20))
 def test_list_pass_distance_equals_cdist(seed, n, d, exponent, duplicates):
-    # big_brother's list pass sums squared differences column by column and
-    # takes omega from that sum; its fallback and the oracle use cdist. The
-    # two must agree bit for bit, or omega would depend on which one measured.
+    # big_brother and merge_clusters measure every distance with
+    # cpf._distances; the oracle uses cdist. The two must agree bit for bit,
+    # or omega and the merges would depend on which one measured.
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, d)) * 10.0 ** (exponent + rng.uniform(-0.5, 0.5, d))
     features[rng.integers(0, n, duplicates)] = features[rng.integers(0, n, duplicates)]
-    rows, listed = np.arange(n), np.tile(np.arange(n), (n, 1))
-    dist = np.zeros(listed.shape)
-    for column in features.T:
-        dist += (column[listed] - column[rows, None]) ** 2
-    np.testing.assert_array_equal(np.sqrt(dist), cdist(features, features))
+    rows = np.arange(n)
+    want = cdist(features, features)
+    np.testing.assert_array_equal(cpf._distances(features, rows[:, None], rows), want)
+    # As the list pass calls it, on (n, k) lists, and into a buffer as the
+    # fallback does.
+    listed = np.tile(rows, (n, 1))
+    np.testing.assert_array_equal(cpf._distances(features, rows[:, None], listed), want)
+    out = np.full((n, n), np.nan)
+    assert cpf._distances(features, rows[:, None], rows, out=out) is out
+    np.testing.assert_array_equal(out, want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,15 +137,67 @@ def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
     assert 0 < report["peak_rss_mib"] < 256
 
 
-def test_import_leaves_csgraph_unloaded():
-    # Components are labelled in numpy: scipy.sparse.csgraph, with the
-    # modules it pulls in, would add about 3 MiB to every run's import.
+def run_python(code: str) -> str:
+    """The standard output of code run in a fresh interpreter that imports
+    this checkout's spatialcpf."""
     env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).resolve().parents[1])}
-    result = subprocess.run([sys.executable, "-c", "import sys, spatialcpf.cli; "
-                             "print('scipy.sparse.csgraph' in sys.modules)"],
-                            capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_import_leaves_unused_scipy_unloaded():
+    # Components are labelled in numpy, and graph loads scipy's kd-tree
+    # extension without the scipy.spatial package; cpf measures distances in
+    # numpy. Each of these modules, with what it pulls in, would add to
+    # every run's import RSS: csgraph about 3 MiB, the rest about 17 MiB.
+    unused = ["scipy.sparse.csgraph", "scipy.spatial", "scipy.spatial.distance", "scipy.linalg"]
+    loaded = run_python(f"import sys, spatialcpf.cli; "
+                        f"print([m for m in {unused!r} if m in sys.modules])")
+    assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("first, second", [("spatialcpf.graph", "scipy.spatial"),
+                                           ("scipy.spatial", "spatialcpf.graph")])
+def test_kd_tree_class_is_scipys_in_either_import_order(first, second):
+    # Loaded alone, the extension is registered under its own name, so
+    # scipy.spatial imported later takes the same module; imported earlier,
+    # its module is the one graph uses.
+    out = run_python(f"import {first}, {second}, spatialcpf.graph, scipy.spatial; "
+                     "print(spatialcpf.graph.cKDTree is scipy.spatial.cKDTree)")
+    assert out.strip() == "True"
+
+
+def test_kd_tree_falls_back_to_public_import():
+    # Where scipy's layout holds no kd-tree extension for graph's own lookup,
+    # graph takes the class from scipy.spatial: the same class and the same
+    # knn result. The lookup is patched only for graph's call, so that
+    # scipy.spatial's own import of the extension still finds it.
+    rng = np.random.default_rng(5)
+    points = np.round(rng.normal(size=(60, 3)), 1)
+    out = run_python(f"""
+import importlib.machinery, json, sys
+import numpy as np
+find_spec, missed = importlib.machinery.PathFinder.find_spec, []
+def lookup(name, path=None, target=None):
+    if name == "scipy.spatial._ckdtree" and not missed:
+        missed.append(name)
+        return None
+    return find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = lookup
+from spatialcpf import graph
+package_loaded = "scipy.spatial" in sys.modules
+import scipy.spatial
+neighbors, radius = graph.knn(np.array({points.tolist()!r}), 4)
+print(json.dumps([missed, package_loaded, graph.cKDTree is scipy.spatial.cKDTree,
+                  neighbors.tolist(), radius.tolist()]))
+""")
+    missed, package_loaded, same_class, neighbors, radius = json.loads(out)
+    assert missed == ["scipy.spatial._ckdtree"] and package_loaded and same_class
+    want_neighbors, want_radius = graph.knn(points, 4)
+    np.testing.assert_array_equal(neighbors, want_neighbors)
+    np.testing.assert_array_equal(radius, want_radius)
 
 
 @pytest.mark.parametrize("caller_froze", [False, True])
