@@ -1,16 +1,18 @@
 """Pipeline orchestration: config parsing, the stage chain, and exports.
 
-STAGES declares each stage of ingest -> project -> graph -> cluster ->
-refine -> summarize -> export once: the artifacts --in overrides, the
-artifacts it writes and its function on a run's store of artifacts. One
-runner serves both entries. run_pipeline runs every stage on one store, so
-each result passes to the next in memory and each artifact is written once.
-run_stage runs a single stage; the store reads its inputs from their files
-through each artifact's one reader, so running the stages one at a time
-gives byte-identical exports. Floats are written with repr() (shortest
-round-trip form), so the CSV intermediates are lossless; samples.csv keeps
-the survey's own text of a number where that reads back as its value. The
-staged CSV files are read by columns through fileio.read_csv (_read_columns).
+ARTIFACTS declares each file of a run once: its name, its one reader and
+its one writer. STAGES declares each stage of ingest -> project -> graph ->
+cluster -> refine -> summarize -> export once: the artifacts --in
+overrides, the artifacts it writes and its function on a run's store of
+artifacts. One runner serves both entries. run_pipeline runs every stage
+on one store, so each result passes to the next in memory and each
+artifact is written once. run_stage runs a single stage; the store reads
+its inputs from their files through their ARTIFACTS readers, so running
+the stages one at a time gives byte-identical exports. Floats are written
+with repr() (shortest round-trip form), so the CSV intermediates are
+lossless; samples.csv keeps the survey's own text of a number where that
+reads back as its value. The staged CSV files are read by columns through
+fileio.read_csv (_read_columns).
 
 The ingest stage writes samples.csv as it parses the survey, from the text
 of each chunk ingest accepts (_ingest). Every other writer works on
@@ -141,17 +143,6 @@ class PipelineConfig:
     def path(self, name: str) -> Path:
         return Path(self.output_dir) / name
 
-
-FILES = {
-    "samples": "samples.csv",
-    "coords": "coords.csv",
-    "adjacency": "geo_adjacency.bin",
-    "labeling": "labeling.csv",
-    "summary": "summary.csv",
-    "plot_data": "plot_data.csv",
-    "geojson": "clusters.geojson",
-    "report": "report.json",
-}
 
 # A run whose share of outlier samples exceeds this warns of a degenerate result.
 DEGENERATE_OUTLIER_FRACTION = 0.5
@@ -331,19 +322,16 @@ _FEATURE = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},"properties":{%s
             '"iforest_flag":%s,"log_density":%s,"site_id":%s},"type":"Feature"}')
 
 
-def export_geojson(site_ids, labels, coords, log_density, path,
-                   scores=None, flags=None) -> Path:
-    """GeoJSON FeatureCollection of Point features in (lon, lat) order,
-    written as json.dumps(doc, separators=(",", ":"), sort_keys=True) would
-    write it, _ROWS features at a time. Each feature fills the _FEATURE
-    template: site ids JSON-escaped to ASCII, floats by _reprs in the _JSON
-    spelling, and a NaN score as null. Without log densities each is
-    null, without scores the member is left out, without flags each is false."""
-    labels = np.asarray(labels, dtype=np.int64)
-    coords = np.asarray(coords, dtype=float)
-    log_density = np.asarray(log_density, dtype=float)
-    scores = None if scores is None else np.asarray(scores, dtype=float)
-    path = Path(path)
+def export_geojson(lab: dict, coords: np.ndarray, path) -> Path:
+    """GeoJSON FeatureCollection of one Point feature per row of the
+    labeling columns lab (keyed as read_labeling keys them) at the
+    (latitude, longitude) rows of coords, in (lon, lat) order, written as
+    json.dumps(doc, separators=(",", ":"), sort_keys=True) would write it,
+    _ROWS features at a time. Each feature fills the _FEATURE template: site
+    ids JSON-escaped to ASCII, floats by _reprs in the _JSON spelling, and a
+    NaN score as null. Before refine has added its anomaly_score and
+    iforest_flag columns, the score member is left out and each flag is false."""
+    site_ids, refined = lab["site_ids"], "anomaly_score" in lab
     with atomic_open(path, encoding="utf-8") as fh:
         # The document's two keys, sorted, around the features.
         fh.write('{"features":[')
@@ -351,16 +339,17 @@ def export_geojson(site_ids, labels, coords, log_density, path,
             chunk = slice(start, start + _ROWS)
             features = zip(
                 _reprs(coords[chunk, 1], _JSON), _reprs(coords[chunk, 0], _JSON),
-                repeat("") if scores is None else map(
-                    '"anomaly_score":%s,'.__mod__, _reprs(scores[chunk], _JSON | {"nan": "null"})),
-                _reprs(labels[chunk], _JSON),
-                repeat("false") if flags is None else map(
-                    ("false", "true").__getitem__, np.asarray(flags[chunk], dtype=bool).tolist()),
-                _reprs(log_density[chunk], _JSON) if len(log_density) else repeat("null"),
+                map('"anomaly_score":%s,'.__mod__,
+                    _reprs(lab["anomaly_score"][chunk], _JSON | {"nan": "null"}))
+                if refined else repeat(""),
+                _reprs(lab["labels"][chunk], _JSON),
+                map(("false", "true").__getitem__, lab["iforest_flag"][chunk].tolist())
+                if refined else repeat("false"),
+                _reprs(lab["log_density"][chunk], _JSON),
                 map(json.encoder.encode_basestring_ascii, site_ids[chunk]))
             fh.write(("," if start else "") + ",".join(map(_FEATURE.__mod__, features)))
         fh.write('],"type":"FeatureCollection"}')
-    return path
+    return Path(path)
 
 
 def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
@@ -374,14 +363,48 @@ def export_plot_data(summary: metrics.ClusterSummary, path) -> Path:
 
 # ---------------------------------------------------------------- stages
 
+class Artifact(NamedTuple):
+    """One file of a run: its name under output_dir, its reader (the value
+    and the site_id column of its rows, or a graph's vertex count) and its
+    one writer, called with the store and the path."""
+    file: str
+    read: Callable[[Path], tuple] | None = None
+    write: Callable[[_Store, Path], Path] | None = None
+
+
+# Every artifact of a run, by the key the store and the stages use. The
+# ingest stage writes samples.csv itself, and _SOURCES parses it back;
+# run_pipeline writes report.json. Readers and writers look the module's
+# functions up when called, so a wrapper set on the module is called instead.
+ARTIFACTS = {
+    "samples": Artifact("samples.csv"),
+    "coords": Artifact("coords.csv", lambda path: _read_coords(path),
+                       lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
+                                                  [s["samples"].site_ids, *s["coords"].T])),
+    "adjacency": Artifact("geo_adjacency.bin",
+                          lambda path: (adj := graph.load_adjacency(path), adj.n),
+                          lambda s, path: graph.dump_adjacency(s["adjacency"], path)),
+    "labeling": Artifact("labeling.csv",
+                         lambda path: (lab := read_labeling(path), lab["site_ids"]),
+                         lambda s, path: write_labeling(s["labeling"], path)),
+    "summary": Artifact("summary.csv", write=lambda s, path: write_summary(s["summary"], path)),
+    "plot_data": Artifact("plot_data.csv",
+                          write=lambda s, path: export_plot_data(s["summary"], path)),
+    "geojson": Artifact("clusters.geojson",
+                        write=lambda s, path: export_geojson(s["labeling"], s["coords"], path)),
+    "report": Artifact("report.json"),
+}
+FILES = {key: a.file for key, a in ARTIFACTS.items()}
+
+
 class _Store(dict):
-    """One run's artifacts by FILES key, plus "features" and "fit". A value
-    no stage of the run has produced comes from _SOURCES on first use: an
-    artifact is read from the path passed for it, else from output_dir. An
-    artifact read back through _READERS must cover the sites of samples, row
-    for row (a graph: as many vertices), or DataError names both files.
-    written lists the files the run has written, write_seconds the seconds
-    of each one's writing by FILES key."""
+    """One run's artifacts by ARTIFACTS key, plus "features" and "fit". A
+    value no stage of the run has produced comes from _SOURCES, else from its
+    artifact's reader, on first use; an artifact is read from the path passed
+    for it, else from output_dir. An artifact read back must cover the sites
+    of samples, row for row (a graph: as many vertices), or DataError names
+    both files. written lists the files the run has written, write_seconds
+    the seconds of each one's writing by artifact key."""
 
     def __init__(self, config: PipelineConfig, paths=None, out=None):
         super().__init__()
@@ -389,18 +412,18 @@ class _Store(dict):
         self.written, self.write_seconds = [], {}
 
     def path(self, key) -> Path:
-        return Path(self.paths.get(key) or self.config.path(FILES[key]))
+        return Path(self.paths.get(key) or self.config.path(ARTIFACTS[key].file))
 
     def output(self, key) -> Path:
         """Where the artifact is written: its --out path, else where it is read."""
         return Path(self.out.get(key) or self.path(key))
 
     def __missing__(self, key):
-        if key not in _READERS:
+        if key in _SOURCES:
             value = self[key] = _SOURCES[key](self)
             return value
         path, where = self.path(key), self.path("samples")
-        value, sites = _READERS[key](path)
+        value, sites = ARTIFACTS[key].read(path)
         samples = self["samples"]
         size, ids = (sites, ()) if isinstance(sites, int) else (len(sites), sites)
         if size != samples.n:
@@ -414,16 +437,9 @@ class _Store(dict):
         return value
 
 
-# The artifacts a stage may read back from a file. Each reader returns the
-# artifact and the site_id column of its rows, or a graph's vertex count.
-_READERS = {
-    # Looked up when called, so a wrapper set on the module is called instead.
-    "coords": lambda path: _read_coords(path),
-    "adjacency": lambda path: (adj := graph.load_adjacency(path), adj.n),
-    "labeling": lambda path: (lab := read_labeling(path), lab["site_ids"]),
-}
-
-# How the store gets any other value that no stage of the run has produced.
+# How the store gets a value that no stage of the run has produced and no
+# checked file gives: samples.csv's parse, the reference that every file read
+# back is checked against, and the values derived from the others.
 _SOURCES = {
     "samples": lambda s: ingest.parse_g5_csv(s.path("samples")),
     # The (n, 15) concentrations by FEATURE_CHOICES name.
@@ -433,21 +449,6 @@ _SOURCES = {
     "summary": lambda s: metrics.cluster_summary(
         s["samples"], cpf.ClusterLabeling(labels=s["labeling"]["labels"]),
         log10_export=s.config.log10_export),
-}
-
-# Each artifact's one writer, called with the store and the path; the
-# ingest stage writes samples.csv itself.
-_WRITERS = {
-    "coords": lambda s, path: _write_csv(path, ["site_id", "latitude", "longitude"],
-                                         [s["samples"].site_ids, *s["coords"].T]),
-    "adjacency": lambda s, path: graph.dump_adjacency(s["adjacency"], path),
-    "labeling": lambda s, path: write_labeling(s["labeling"], path),
-    "summary": lambda s, path: write_summary(s["summary"], path),
-    "geojson": lambda s, path: export_geojson(
-        s["labeling"]["site_ids"], s["labeling"]["labels"], s["coords"],
-        s["labeling"]["log_density"], path, scores=s["labeling"].get("anomaly_score"),
-        flags=s["labeling"].get("iforest_flag")),
-    "plot_data": lambda s, path: export_plot_data(s["summary"], path),
 }
 
 
@@ -522,7 +523,7 @@ class Stage(NamedTuple):
     """One step of the chain: the artifacts --in overrides (or a function of
     the config giving them), the artifacts it writes (--out overrides the
     first) and its function on the store, which writes any of them that
-    has no _WRITERS entry (ingest's samples). A stage without one only
+    has no writer in ARTIFACTS (ingest's samples). A stage without one only
     writes values it reads or the store derives (export)."""
     inputs: tuple | Callable[[PipelineConfig], tuple]
     outputs: tuple
@@ -559,17 +560,15 @@ def _gc_frozen():
         gc.unfreeze()
 
 
-def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float],
-                                                dict[str, float], list[Path], list[str]]:
+def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float], list[str]]:
     """Run the named stages in order on s; return each one's seconds, the
-    seconds of each artifact's writer by FILES key (part of its stage's),
-    the process's peak RSS in MiB at the end of each stage, the files
-    written and the Python warnings the stages raised, each message once.
-    A stage writes the outputs that no later stage in names rewrites, to
-    the --out path if given, else where they are read (s.output). On an
-    error the files this run wrote are removed, and StageError names the
-    stage. The stages run with the objects tracked before them frozen
-    (_gc_frozen)."""
+    process's peak RSS in MiB at the end of each stage and the Python
+    warnings the stages raised, each message once. A stage writes the
+    outputs that no later stage in names rewrites, to the --out path if
+    given, else where they are read (s.output), and s books each file and
+    its writer's seconds (part of its stage's). On an error the files this
+    run wrote are removed, and StageError names the stage. The stages run
+    with the objects tracked before them frozen (_gc_frozen)."""
     seconds, peak_rss = {}, {}
     with _gc_frozen(), warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
@@ -580,9 +579,9 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                 if stage.run:
                     stage.run(s)
                 for key in stage.outputs:
-                    if key in _WRITERS and key not in rewritten:
+                    if ARTIFACTS[key].write and key not in rewritten:
                         path, write_start = s.output(key), time.perf_counter()
-                        _WRITERS[key](s, path)
+                        ARTIFACTS[key].write(s, path)
                         s.write_seconds[key] = time.perf_counter() - write_start
                         s.written.append(path)
             except Exception as exc:
@@ -591,8 +590,7 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
             peak_rss[name] = cpf.peak_rss_mib()
-    return (seconds, s.write_seconds, peak_rss, s.written,
-            list(dict.fromkeys(str(w.message) for w in raised)))
+    return seconds, peak_rss, list(dict.fromkeys(str(w.message) for w in raised))
 
 
 def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
@@ -608,9 +606,9 @@ def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
     if in_path:
         inputs = stage.inputs(config) if callable(stage.inputs) else stage.inputs
         paths.update(dict.fromkeys(inputs, in_path))
+    s = _Store(config, paths, out={stage.outputs[0]: out_path})
     try:
-        *_, written, raised = _run(_Store(config, paths, out={stage.outputs[0]: out_path}),
-                                  [name])
+        *_, raised = _run(s, [name])
     except StageError as exc:
         raise exc.cause
     if messages is None:
@@ -618,7 +616,7 @@ def run_stage(name: str, config: PipelineConfig, in_path=None, out_path=None, *,
             warnings.warn(message, stacklevel=2)
     else:
         messages.extend(raised)
-    return tuple(written) if len(written) > 1 else written[0]
+    return tuple(s.written) if len(s.written) > 1 else s.written[0]
 
 
 stage_ingest = partial(run_stage, "ingest")
@@ -656,7 +654,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     start_rss = cpf.peak_rss_mib()
     s = _Store(config)
-    seconds, write_seconds, stage_rss, _, messages = _run(s, list(STAGES))
+    seconds, stage_rss, messages = _run(s, list(STAGES))
     n, fit = s["samples"].n, s["fit"]
     labeling, sizes = fit.labeling, fit.components.component_sizes.values()
     try:
@@ -696,7 +694,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_isolated": int(np.sum(degree == 0)),
         "intersected_degree_quartiles": quartiles,
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
-        "write_seconds": {k: round(v, 4) for k, v in write_seconds.items()},
+        "write_seconds": {k: round(v, 4) for k, v in s.write_seconds.items()},
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
         "fit_peak_rss_mib": {k: round(v, 1) for k, v in fit.peak_rss_mib.items()},
         "peak_rss_mib": round(peak_rss, 1),
@@ -707,6 +705,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "config": config.to_dict(),
         "seed": config.seed,
     }
-    with atomic_open(config.path(FILES["report"]), encoding="utf-8") as fh:
+    with atomic_open(s.path("report"), encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return report

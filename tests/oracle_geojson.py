@@ -15,7 +15,7 @@ def feature(i, site_ids, labels, coords, log_density, scores=None, flags=None):
     props = {
         "site_id": site_ids[i],
         "cluster": int(labels[i]),
-        "log_density": float(log_density[i]) if len(log_density) else None,
+        "log_density": float(log_density[i]),
     }
     if scores is not None:
         props["anomaly_score"] = (

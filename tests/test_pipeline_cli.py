@@ -343,6 +343,27 @@ def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv
     assert writes == {config.path(name): 1 for name in FILES.values()}
 
 
+def test_staged_reads_and_writes_go_through_module_functions(tmp_path, survey_csv,
+                                                             monkeypatch):
+    # The artifacts' readers and writers look the module's functions up when
+    # called, so a wrapper set on the module (as the benchmark's tracer sets)
+    # sees every staged read and write.
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    for stage in (pipeline.stage_ingest, pipeline.stage_project, pipeline.stage_graph,
+                  pipeline.stage_cluster, pipeline.stage_refine):
+        stage(config)
+    calls = Counter()
+    for name in ("read_labeling", "_read_coords", "_write_csv"):
+        def counted(*args, name=name, fn=getattr(pipeline, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    pipeline.stage_export(config)
+    # labeling.csv and coords.csv read once each; plot_data.csv written by
+    # _write_csv, clusters.geojson by its own template.
+    assert calls == {"read_labeling": 1, "_read_coords": 1, "_write_csv": 1}
+
+
 def test_run_writes_no_numpy_scalar_repr(tmp_path, survey_csv):
     # Under numpy 2 a numpy scalar reaching csv would be written as np.float64(...).
     config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
@@ -513,8 +534,8 @@ def test_config_validation_errors(tmp_path, survey_csv):
 
 def test_geojson_single_point(tmp_path):
     path = tmp_path / "one.geojson"
-    export_geojson(["S1"], np.array([0]), np.array([[53.5, -8.0]]),
-                   np.array([1.5]), path)
+    export_geojson({"site_ids": ["S1"], "labels": np.array([0]), "log_density": np.array([1.5])},
+                   np.array([[53.5, -8.0]]), path)
     doc = json.loads(path.read_text())
     assert doc["type"] == "FeatureCollection"
     feat = doc["features"][0]
@@ -525,7 +546,8 @@ def test_geojson_single_point(tmp_path):
 
 def test_geojson_empty(tmp_path):
     path = tmp_path / "empty.geojson"
-    export_geojson([], np.array([]), np.empty((0, 2)), np.array([]), path)
+    export_geojson({"site_ids": [], "labels": np.array([]), "log_density": np.array([])},
+                   np.empty((0, 2)), path)
     doc = json.loads(path.read_text())
     assert doc == {"type": "FeatureCollection", "features": []}
 
@@ -538,9 +560,10 @@ def test_geojson_chunks_write_one_sorted_compact_document(tmp_path, monkeypatch,
     rng = np.random.default_rng(n)
     scores = rng.uniform(size=n)
     scores[::2] = np.nan
-    path = export_geojson([f"S{i}" for i in range(n)], np.arange(n) % 3 - 1,
-                          rng.normal(size=(n, 2)), rng.normal(size=n), tmp_path / "c.geojson",
-                          scores=scores, flags=rng.uniform(size=n) < 0.5)
+    lab = {"site_ids": [f"S{i}" for i in range(n)], "labels": np.arange(n) % 3 - 1,
+           "log_density": rng.normal(size=n), "anomaly_score": scores,
+           "iforest_flag": rng.uniform(size=n) < 0.5}
+    path = export_geojson(lab, rng.normal(size=(n, 2)), tmp_path / "c.geojson")
     text = path.read_text()
     doc = json.loads(text)
     assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True)
@@ -556,26 +579,28 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e16
                                                  float("nan"), float("inf"), -float("inf")]))
 
 
-@settings(max_examples=200, deadline=None,
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).
+@settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "200")), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(0, 9), chunk=st.sampled_from([1, 2, 4, 1024]),
-       has_density=st.booleans(), has_scores=st.booleans(), has_flags=st.booleans())
-def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk, has_density,
-                                                    has_scores, has_flags):
-    site_ids = data.draw(st.lists(SITE_IDS, min_size=n, max_size=n))
-    labels = np.array(data.draw(st.lists(st.integers(-1, 2**40), min_size=n, max_size=n)),
-                      dtype=np.int64)
+       refined=st.booleans())
+def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk, refined):
+    lab = {"site_ids": data.draw(st.lists(SITE_IDS, min_size=n, max_size=n)),
+           "labels": np.array(data.draw(st.lists(st.integers(-1, 2**40), min_size=n,
+                                                 max_size=n)), dtype=np.int64),
+           "log_density": np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))}
     coords = np.array(data.draw(st.lists(FLOATS, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
-    log_density = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))
-                           if has_density else [])
-    scores = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))) if has_scores else None
-    flags = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-             if has_flags else None)
+    if refined:
+        # Refine adds its scores and flags together.
+        lab["anomaly_score"] = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))
+        lab["iforest_flag"] = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                          max_size=n)), dtype=bool)
     path = tmp_path / "c.geojson"
     with mock.patch.object(pipeline, "_ROWS", chunk):
-        export_geojson(site_ids, labels, coords, log_density, path, scores=scores, flags=flags)
+        export_geojson(lab, coords, path)
     assert path.read_bytes() == oracle_geojson.geojson_text(
-        site_ids, labels, coords, log_density, scores, flags).encode("ascii")
+        lab["site_ids"], lab["labels"], coords, lab["log_density"], lab.get("anomaly_score"),
+        lab.get("iforest_flag")).encode("ascii")
 
 
 def test_geojson_full_run_outlier_count(tmp_path, survey_csv):
