@@ -149,24 +149,73 @@ def run_python(code: str) -> str:
 
 def test_import_leaves_unused_scipy_unloaded():
     # Components are labelled in numpy, and graph loads scipy's kd-tree
-    # extension without the scipy.spatial package; cpf measures distances in
+    # extension without the scipy.spatial package, with stand-ins for the
+    # scipy.sparse and scipy._lib._util it imports; cpf measures distances in
     # numpy. Each of these modules, with what it pulls in, would add to
-    # every run's import RSS: csgraph about 3 MiB, the rest about 17 MiB.
-    unused = ["scipy.sparse.csgraph", "scipy.spatial", "scipy.spatial.distance", "scipy.linalg"]
+    # every run's import RSS: csgraph about 3 MiB, scipy.spatial with
+    # distance and linalg about 15 MiB, scipy.sparse and _util (which brings
+    # _array_api, numpy.f2py and numpy.testing) about 20 MiB.
+    unused = ["scipy.sparse.csgraph", "scipy.spatial", "scipy.spatial.distance", "scipy.linalg",
+              "scipy.sparse", "scipy._lib._util", "scipy._lib._array_api", "numpy.f2py",
+              "numpy.testing"]
     loaded = run_python(f"import sys, spatialcpf.cli; "
                         f"print([m for m in {unused!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
 
 
 @pytest.mark.parametrize("first, second", [("spatialcpf.graph", "scipy.spatial"),
-                                           ("scipy.spatial", "spatialcpf.graph")])
+                                           ("scipy.spatial", "spatialcpf.graph"),
+                                           ("scipy.sparse", "spatialcpf.graph")])
 def test_kd_tree_class_is_scipys_in_either_import_order(first, second):
     # Loaded alone, the extension is registered under its own name, so
     # scipy.spatial imported later takes the same module; imported earlier,
-    # its module is the one graph uses.
-    out = run_python(f"import {first}, {second}, spatialcpf.graph, scipy.spatial; "
-                     "print(spatialcpf.graph.cKDTree is scipy.spatial.cKDTree)")
-    assert out.strip() == "True"
+    # its module is the one graph uses. A scipy.sparse imported earlier is
+    # used as it is, with no stand-in put in its place.
+    out = run_python(f"import {first}; import scipy.sparse as before; import {second}, "
+                     "spatialcpf.graph, scipy.spatial, scipy.sparse; "
+                     "print(spatialcpf.graph.cKDTree is scipy.spatial.cKDTree, "
+                     "before is scipy.sparse, hasattr(before, 'coo_matrix'))")
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_kd_tree_extension_defers_sparse_to_its_use():
+    # After graph's import no stand-in is left: scipy.sparse imports the real
+    # package, which sparse_distance_matrix uses for each output type, and
+    # the extension holds the real _util's copy_if_needed.
+    out = run_python("""
+import json, sys
+from spatialcpf import graph
+left = [name for name in ("scipy.sparse", "scipy._lib._util") if name in sys.modules]
+import scipy.sparse
+import scipy._lib._util
+extension = sys.modules["scipy.spatial._ckdtree"]
+tree = graph.cKDTree([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
+kinds = {kind: type(tree.sparse_distance_matrix(tree, 1.5, output_type=kind)).__name__
+         for kind in ("dok_matrix", "coo_matrix", "dict", "ndarray")}
+sentinel = object()
+print(json.dumps([left, hasattr(scipy.sparse, "coo_matrix"), kinds,
+                  getattr(extension, "copy_if_needed", sentinel)
+                  is getattr(scipy._lib._util, "copy_if_needed", sentinel)]))
+""")
+    left, has_coo, kinds, same_copy = json.loads(out)
+    assert left == [] and has_coo and same_copy
+    assert kinds == {"dok_matrix": "dok_matrix", "coo_matrix": "coo_matrix",
+                     "dict": "dict", "ndarray": "ndarray"}
+
+
+def test_stand_in_forwards_names_it_does_not_hold(monkeypatch):
+    # A stand-in asked for a name it does not hold takes itself out of
+    # sys.modules and returns the real module's attribute; a dunder name,
+    # which the import machinery probes, it does not forward.
+    monkeypatch.delitem(sys.modules, "colorsys", raising=False)
+    stand_in = graph._stand_in("colorsys", held=1)
+    monkeypatch.setitem(sys.modules, "colorsys", stand_in)
+    with pytest.raises(AttributeError):
+        stand_in.__path__
+    assert stand_in.held == 1 and sys.modules["colorsys"] is stand_in
+    forwarded = stand_in.rgb_to_hsv
+    real = sys.modules["colorsys"]
+    assert real is not stand_in and forwarded is real.rgb_to_hsv
 
 
 def test_kd_tree_falls_back_to_public_import():
@@ -198,6 +247,23 @@ print(json.dumps([missed, package_loaded, graph.cKDTree is scipy.spatial.cKDTree
     want_neighbors, want_radius = graph.knn(points, 4)
     np.testing.assert_array_equal(neighbors, want_neighbors)
     np.testing.assert_array_equal(radius, want_radius)
+
+
+def test_kd_tree_load_without_scipy_names_scipy():
+    # Where scipy itself is not found, graph's lookup falls back to the
+    # public import, which names the missing package.
+    out = run_python("""
+import importlib.machinery
+find_spec = importlib.machinery.PathFinder.find_spec
+def lookup(name, path=None, target=None):
+    return None if name == "scipy" else find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = lookup
+try:
+    from spatialcpf import graph
+except ModuleNotFoundError as exc:
+    print(exc)
+""")
+    assert out.strip() == "No module named 'scipy'"
 
 
 @pytest.mark.parametrize("caller_froze", [False, True])
