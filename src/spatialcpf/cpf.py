@@ -31,8 +31,10 @@ so the labels do not depend on the thread count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -46,8 +48,9 @@ from .graph import (FP_MARGIN, ComponentLabels, SparseAdjacency, component_roots
                     mutual_graph)
 
 OUTLIER = -1
-# Distance entries per fallback block in big_brother (8 MiB of float64).
-_BLOCK_ENTRIES = 1 << 20
+# Distance entries per fallback block in big_brother (512 KiB of float64, so
+# a block and its temporaries stay in cache).
+_BLOCK_ENTRIES = 1 << 16
 # Samples in flight at once in big_brother's pass over the kNN lists; bounds
 # its (rows, k) temporaries.
 _LIST_ROWS = 512
@@ -342,15 +345,44 @@ class FitResult:
 
 
 def peak_rss_mib() -> float:
-    """The process's peak resident set size so far (ru_maxrss is in KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    """The process's peak resident set size so far (ru_maxrss is in bytes on
+    macOS, in KiB elsewhere)."""
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+
+def _find_malloc_trim():
+    """glibc's malloc_trim, or None where the C library has no such symbol."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def release_memory() -> None:
+    """Give the heap pages malloc holds free back to the OS (malloc_trim(0),
+    every arena); a no-op where the C library has no malloc_trim. glibc
+    raises its mmap threshold each time a large block is freed, so later
+    numpy temporaries come from the heaps, whose freed pages stay resident
+    until trimmed: without this, RSS climbs stage after stage by memory no
+    step still holds."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> FitResult:
     """Full spatially-constrained CPF run; see module docstring for the phases.
     Each phase is timed under its name in FitResult.seconds, and the peak
     RSS at its end recorded in FitResult.peak_rss_mib: knn, mutual,
-    intersect, components, density, big_brother, centers, assign, merge."""
+    intersect, components, density, big_brother, centers, assign, merge.
+    After each phase the freed heap is given back (release_memory), so a
+    phase whose peak exceeds the one before it raised it by its own live
+    memory, not by what earlier phases freed."""
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
     if geo_adj.n != n:
@@ -362,11 +394,12 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
 
     def timed(phase: str, func, *args):
         """func(*args), its wall time and the peak RSS at its end recorded
-        under phase."""
+        under phase; then the freed heap is released."""
         start = time.perf_counter()
         result = func(*args)
         seconds[phase] = time.perf_counter() - start
         peak_rss[phase] = peak_rss_mib()
+        release_memory()
         return result
 
     neighbors, radius = timed("knn", knn, features, params.min_samples)

@@ -563,7 +563,9 @@ def _gc_frozen():
 def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float], list[str]]:
     """Run the named stages in order on s; return each one's seconds, the
     process's peak RSS in MiB at the end of each stage and the Python
-    warnings the stages raised, each message once. A stage writes the
+    warnings the stages raised, each message once. After each stage the
+    freed heap is given back to the OS (cpf.release_memory), so the next
+    stage's peak starts from the memory still live. A stage writes the
     outputs that no later stage in names rewrites, to the --out path if
     given, else where they are read (s.output), and s books each file and
     its writer's seconds (part of its stage's). On an error the files this
@@ -590,6 +592,7 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
             peak_rss[name] = cpf.peak_rss_mib()
+            cpf.release_memory()
     return seconds, peak_rss, list(dict.fromkeys(str(w.message) for w in raised))
 
 
@@ -649,8 +652,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
     under an earlier run's peak); stage_peak_rss_mib is that peak as it
     stood at the end of each stage, so a stage whose value exceeds the one
-    before it raised the peak. threads is the most threads the kNN and
-    big-brother passes run on (graph.THREADS, the usable cores).
+    before it raised the peak. The freed heap is given back after every
+    stage and fit phase, so such a rise is that step's own live memory
+    above what earlier steps still hold, not pages they freed. threads is
+    the most threads the kNN and big-brother passes run on (graph.THREADS,
+    the usable cores).
     """
     start_rss = cpf.peak_rss_mib()
     s = _Store(config)

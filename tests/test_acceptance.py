@@ -7,7 +7,6 @@ point SPATIALCPF_G5 at it (or place it at data/G5.csv) to enable it.
 
 import math
 import os
-import resource
 import time
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import yaml
 
 from conftest import surrogate_survey, two_blob_dataset, write_survey_csv
 from oracle_tm import itm_oracle
-from spatialcpf.cpf import CpfParams, fit
+from spatialcpf.cpf import CpfParams, fit, peak_rss_mib
 from spatialcpf.geodesy import itm_to_wgs84, wgs84_to_itm
 from spatialcpf.graph import connected_components, mutual_knn_graph
 from spatialcpf.iforest import anomaly_scores, fit_iforest, flag_outliers
@@ -232,13 +231,12 @@ def test_criterion_10_performance(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     run_pipeline(PipelineConfig.from_file(cfg_path))
-    # ru_maxrss is the process's peak RSS in KiB (Linux).
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    assert peak < 1 << 30
+    peak = peak_rss_mib()
+    assert peak < 1024
     try:
         import psutil
     except ImportError:
         pass
     else:
         assert psutil.Process().memory_info().rss < 1 << 30
-    report(f"10 performance: PASS (kNN build {build:.2f} s, peak RSS {peak / 2**20:.0f} MiB)")
+    report(f"10 performance: PASS (kNN build {build:.2f} s, peak RSS {peak:.0f} MiB)")

@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,6 +236,36 @@ def test_big_brother_memory_bounded_on_large_component():
     child = np.flatnonzero(bb.parent >= 0)
     assert np.all(density.log_density[bb.parent[child]] >= density.log_density[child])
     assert np.all(np.isfinite(bb.omega[child]))
+
+
+def test_big_brother_fallback_memory_on_duplicate_rows():
+    # Identical rows have kNN radius 0, so the lists settle no sample and
+    # each is measured against all denser ones in the fallback blocks, of
+    # about _BLOCK_ENTRIES distances each (8 MiB blocks peaked at 16 MiB).
+    n = 2000
+    features = np.zeros((n, 15))
+    neighbors = ((np.arange(n)[:, None] + np.arange(1, 6)) % n).astype(graph.VERTEX)
+    density = DensityEstimate(r_k=np.zeros(n), log_density=np.zeros(n))
+    tracemalloc.start()
+    try:
+        bb = big_brother(features, density, single_component(n), neighbors, np.zeros(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # Equal densities rank by index, and distance ties go to the lower index.
+    assert bb.parent.tolist() == [-1] + [0] * (n - 1)
+    assert bb.omega[0] == np.inf and not bb.omega[1:].any()
+
+
+def test_peak_rss_mib_reads_the_platforms_ru_maxrss_unit(monkeypatch):
+    # getrusage gives ru_maxrss in bytes on macOS and in KiB on Linux.
+    usage = SimpleNamespace(ru_maxrss=3 << 20)
+    monkeypatch.setattr(cpf.resource, "getrusage", lambda who: usage)
+    monkeypatch.setattr(cpf.sys, "platform", "darwin")
+    assert cpf.peak_rss_mib() == 3.0
+    monkeypatch.setattr(cpf.sys, "platform", "linux")
+    assert cpf.peak_rss_mib() == 3072.0
 
 
 # ------------------------------------------------------------- centers

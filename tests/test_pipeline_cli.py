@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracle_geojson
 from conftest import summary_row, surrogate_survey, write_survey_csv
-from spatialcpf import graph, ingest, pipeline
+from spatialcpf import cpf, graph, ingest, pipeline
 from spatialcpf.cli import main
 from spatialcpf.cpf import ClusterLabeling, CpfParams
 from spatialcpf.errors import DataError, ParameterError
@@ -135,6 +135,56 @@ def test_survey_scale_peak_rss_in_fresh_process(tmp_path):
     report = json.loads(result.stdout)
     assert report["n_samples"] == 4278
     assert 0 < report["peak_rss_mib"] < 256
+
+
+def test_release_memory_returns_freed_heap_pages():
+    # Freeing a 16 MiB block raises glibc's mmap threshold, so a thread's
+    # later 1 MiB blocks come from its arena's heap, as graph.map_blocks'
+    # temporaries do, and their pages stay resident once freed.
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("no /proc/self/statm to read RSS from")
+    out = run_python(
+        "import os, threading, numpy as np\n"
+        "from spatialcpf import cpf\n"
+        "def rss_mib():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGESIZE') / 2**20\n"
+        "np.ones(2 << 20)\n"
+        "def work():\n"
+        "    blocks = [np.ones(1 << 17) for _ in range(32)]\n"
+        "thread = threading.Thread(target=work)\n"
+        "thread.start()\n"
+        "thread.join()\n"
+        "before = rss_mib()\n"
+        "cpf.release_memory()\n"
+        "print(cpf._MALLOC_TRIM is not None, before - rss_mib())\n")
+    found, released = out.split()
+    if found == "False":
+        pytest.skip("the C library has no malloc_trim")
+    assert float(released) > 16
+
+
+def test_run_pipeline_releases_memory_after_every_stage_and_fit_phase(
+        tmp_path, survey_csv, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cpf, "_MALLOC_TRIM", calls.append)
+    report = run_pipeline(PipelineConfig.from_file(make_config(tmp_path, survey_csv)))
+    assert calls == [0] * (len(report["stage_seconds"]) + len(report["fit_seconds"])) == [0] * 16
+
+
+def test_artifacts_identical_without_malloc_trim(tmp_path, survey_csv, monkeypatch):
+    # Where the C library has no malloc_trim, release_memory does nothing,
+    # and the run writes the same bytes.
+    configs = [PipelineConfig.from_file(make_config(tmp_path, survey_csv,
+                                                    output_dir=str(tmp_path / name)))
+               for name in ("trimmed", "untrimmed")]
+    run_pipeline(configs[0])
+    monkeypatch.setattr(cpf, "_MALLOC_TRIM", None)
+    run_pipeline(configs[1])
+    names = [name for name in FILES.values() if name != "report.json"]
+    assert len(names) == 7
+    for name in names:
+        assert configs[0].path(name).read_bytes() == configs[1].path(name).read_bytes(), name
 
 
 def run_python(code: str) -> str:
