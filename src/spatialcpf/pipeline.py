@@ -8,7 +8,10 @@ artifacts. One runner serves both entries. run_pipeline runs every stage
 on one store, so each result passes to the next in memory and each
 artifact is written once. run_stage runs a single stage; the store reads
 its inputs from their files through their ARTIFACTS readers, so running
-the stages one at a time gives byte-identical exports. Floats are written
+the stages one at a time gives byte-identical exports. The cluster stage
+takes the report's graph and fit figures as it ends, the one stage that
+holds the fit, and drops the geographic graph, which no later stage reads;
+run_pipeline adds its own figures to them. Floats are written
 with repr() (shortest round-trip form), so the CSV intermediates are
 lossless; samples.csv keeps the survey's own text of a number where that
 reads back as its value. The staged CSV files are read by columns through
@@ -86,8 +89,11 @@ class ChParams:
 class PipelineConfig:
     """The YAML config: one field per top-level key, and one params class
     per nested section (cpf, iforest, calinski_harabasz)."""
-    input: str = setting(MISSING, str, lambda path: Path(path).exists(), "an existing file")
-    output_dir: str = setting("out", str)
+    input: str = setting(MISSING, str, lambda path: Path(path).is_file(), "an existing file")
+    # A directory the run can make its files in: no file on its path.
+    output_dir: str = setting("out", str, lambda path: not any(
+        part.exists() and not part.is_dir() for part in (Path(path), *Path(path).parents)),
+        "a directory path that names no existing file")
     bdl_policy: str = setting("half_dl", str, ("half_dl", "reject"))
     scaling: str = setting("zscore", str, ("zscore", "none"))
     geo_metric: str = setting("haversine", str, ("haversine", "euclidean_degrees", "euclidean_itm"))
@@ -398,18 +404,19 @@ FILES = {key: a.file for key, a in ARTIFACTS.items()}
 
 
 class _Store(dict):
-    """One run's artifacts by ARTIFACTS key, plus "features" and "fit". A
-    value no stage of the run has produced comes from _SOURCES, else from its
+    """One run's artifacts by ARTIFACTS key, plus "features". A value no
+    stage of the run has produced comes from _SOURCES, else from its
     artifact's reader, on first use; an artifact is read from the path passed
     for it, else from output_dir. An artifact read back must cover the sites
     of samples, row for row (a graph: as many vertices), or DataError names
     both files. written lists the files the run has written, write_seconds
-    the seconds of each one's writing by artifact key."""
+    the seconds of each one's writing by artifact key, and report the
+    figures the stages give the run report (cluster's graph and fit figures)."""
 
     def __init__(self, config: PipelineConfig, paths=None, out=None):
         super().__init__()
         self.config, self.paths, self.out = config, paths or {}, out or {}
-        self.written, self.write_seconds = [], {}
+        self.written, self.write_seconds, self.report = [], {}, {}
 
     def path(self, key) -> Path:
         return Path(self.paths.get(key) or self.config.path(ARTIFACTS[key].file))
@@ -491,10 +498,38 @@ def _graph(s: _Store) -> None:
 
 
 def _cluster(s: _Store) -> None:
-    fit = s["fit"] = cpf.fit(s["features"]["standardized"], s["adjacency"], s.config.cpf)
-    s["labeling"] = {"site_ids": s["samples"].site_ids, "labels": fit.labeling.labels,
+    """CPF on the standardized features within the geographic graph. The
+    fit's labeling columns go to the store; its graph and fit figures go to
+    s.report, taken here, where the fit is held. No later stage reads the
+    graph, so it leaves the store, and the fit ends with this stage."""
+    fit = cpf.fit(s["features"]["standardized"], s["adjacency"], s.config.cpf)
+    geo_edges = s.pop("adjacency").n_edges
+    n, labeling = s["samples"].n, fit.labeling
+    s["labeling"] = {"site_ids": s["samples"].site_ids, "labels": labeling.labels,
                      "log_density": fit.density.log_density, "omega": fit.big_brother.omega,
                      "component_id": fit.components.labels}
+    sizes = fit.components.component_sizes.values()
+    degree = np.bincount(fit.intersected.edges.ravel(), minlength=n)
+    s.report.update({
+        "n_clusters": labeling.n_clusters,
+        "cluster_sizes": labeling.cluster_sizes(),
+        "n_outliers": labeling.n_outliers,
+        "geo_edges": geo_edges,
+        "feature_edges": fit.feature_edges,
+        "intersected_edges": fit.intersected.n_edges,
+        "n_components": fit.components.n_components,
+        "largest_component": max(sizes),
+        # JSON object keys are strings.
+        "component_size_histogram": {str(size): count
+                                     for size, count in sorted(Counter(sizes).items())},
+        "n_centers": int(fit.centers.size),
+        "n_stranded": sum(size for size in sizes if size < s.config.cpf.component_size_floor),
+        "geo_edges_kept_fraction": fit.intersected.n_edges / max(geo_edges, 1),
+        "n_isolated": int(np.sum(degree == 0)),
+        "intersected_degree_quartiles": [float(q) for q in np.percentile(degree, [25, 50, 75])],
+        "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
+        "fit_peak_rss_mib": {k: round(v, 1) for k, v in fit.peak_rss_mib.items()},
+    })
 
 
 def _refine(s: _Store) -> None:
@@ -635,20 +670,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage on one store, writing each artifact once; abort
     (removing this run's outputs) on error.
 
-    Returns the run report, which is also written to report.json. It counts
-    the edges of the geographic, feature and intersected graphs, maps each
-    component size to its number of components, and gives the number of
-    centers before merging (n_centers) beside the clusters after it
-    (n_clusters). geo_edges_kept_fraction is the share of geographic edges
-    the intersection keeps, n_isolated the samples it leaves with no edge,
-    and intersected_degree_quartiles the 25th, 50th and 75th percentiles of
-    the intersected degrees. Its warnings are those the stages raised, each
-    once, then a degenerate result's, which says how many outliers were
-    stranded by min_component_size and gives the median intersected degree;
-    fit_seconds times each phase of cpf.fit, fit_peak_rss_mib is the peak
-    RSS at the end of each phase, and
-    write_seconds each artifact's writer (inside its stage's stage_seconds).
-    peak_rss_mib is the process's peak resident set size so far, and
+    Returns the run report, which is also written to report.json: the
+    graph and fit figures the cluster stage took as it ended (s.report, see
+    _cluster; the fit and the geographic graph are not held past it),
+    merged with the run's own, taken once every stage is done. The cluster
+    stage's figures count the edges of the geographic, feature and
+    intersected graphs, map each component size to its number of
+    components, and give the number of centers before merging (n_centers)
+    beside the clusters after it (n_clusters). geo_edges_kept_fraction is
+    the share of geographic edges the intersection keeps, n_isolated the
+    samples it leaves with no edge, and intersected_degree_quartiles the
+    25th, 50th and 75th percentiles of the intersected degrees; fit_seconds
+    times each phase of cpf.fit, and fit_peak_rss_mib is the peak RSS at
+    the end of each phase. The run's own are the sample count, the CH
+    score, the flag count, the timings and RSS, threads, warnings, config
+    and seed. Its warnings are those the stages raised, each once, then a
+    degenerate result's, which says how many outliers were stranded by
+    min_component_size and gives the median intersected degree;
+    write_seconds times each artifact's writer (inside its stage's
+    stage_seconds). peak_rss_mib is the process's peak resident set size so far, and
     peak_rss_growth_mib how far this run raised it (0 when the run stayed
     under an earlier run's peak); stage_peak_rss_mib is that peak as it
     stood at the end of each stage, so a stage whose value exceeds the one
@@ -661,48 +701,29 @@ def run_pipeline(config: PipelineConfig) -> dict:
     start_rss = cpf.peak_rss_mib()
     s = _Store(config)
     seconds, stage_rss, messages = _run(s, list(STAGES))
-    n, fit = s["samples"].n, s["fit"]
-    labeling, sizes = fit.labeling, fit.components.component_sizes.values()
+    n, figures = s["samples"].n, s.report
+    labeling = cpf.ClusterLabeling(labels=s["labeling"]["labels"])
     try:
         ch = metrics.calinski_harabasz(s["features"][config.calinski_harabasz.features], labeling,
                                        include_outliers=config.calinski_harabasz.include_outliers)
     except ParameterError:
         ch = None
     peak_rss = cpf.peak_rss_mib()
-    floor = config.cpf.component_size_floor
-    n_stranded = sum(size for size in sizes if size < floor)
-    degree = np.bincount(fit.intersected.edges.ravel(), minlength=n)
-    quartiles = [float(q) for q in np.percentile(degree, [25, 50, 75])]
-    if labeling.n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
-        messages.append(f"{labeling.n_outliers / n:.0%} of samples ({labeling.n_outliers} of {n}) "
+    n_outliers = figures["n_outliers"]
+    if n_outliers > DEGENERATE_OUTLIER_FRACTION * n:
+        messages.append(f"{n_outliers / n:.0%} of samples ({n_outliers} of {n}) "
                         f"are outliers, above the degenerate-result threshold of "
-                        f"{DEGENERATE_OUTLIER_FRACTION:.0%}; {n_stranded} of them lie in "
-                        f"components smaller than min_component_size ({floor}), and the "
-                        f"median intersected degree is {quartiles[1]:g}")
+                        f"{DEGENERATE_OUTLIER_FRACTION:.0%}; {figures['n_stranded']} of them lie "
+                        f"in components smaller than min_component_size "
+                        f"({config.cpf.component_size_floor}), and the median intersected "
+                        f"degree is {figures['intersected_degree_quartiles'][1]:g}")
     report = {
         "n_samples": n,
-        "n_clusters": labeling.n_clusters,
-        "cluster_sizes": labeling.cluster_sizes(),
-        "n_outliers": labeling.n_outliers,
+        **figures,
         "calinski_harabasz": ch if ch is None or math.isfinite(ch) else "inf",
         "n_flagged": int(np.sum(s["labeling"]["iforest_flag"])),
-        "geo_edges": s["adjacency"].n_edges,
-        "feature_edges": fit.feature_edges,
-        "intersected_edges": fit.intersected.n_edges,
-        "n_components": fit.components.n_components,
-        "largest_component": max(sizes),
-        # JSON object keys are strings.
-        "component_size_histogram": {str(size): count
-                                     for size, count in sorted(Counter(sizes).items())},
-        "n_centers": int(fit.centers.size),
-        "n_stranded": n_stranded,
-        "geo_edges_kept_fraction": fit.intersected.n_edges / max(s["adjacency"].n_edges, 1),
-        "n_isolated": int(np.sum(degree == 0)),
-        "intersected_degree_quartiles": quartiles,
         "stage_seconds": {k: round(v, 4) for k, v in seconds.items()},
         "write_seconds": {k: round(v, 4) for k, v in s.write_seconds.items()},
-        "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
-        "fit_peak_rss_mib": {k: round(v, 1) for k, v in fit.peak_rss_mib.items()},
         "peak_rss_mib": round(peak_rss, 1),
         "peak_rss_growth_mib": round(peak_rss - start_rss, 1),
         "stage_peak_rss_mib": {k: round(v, 1) for k, v in stage_rss.items()},

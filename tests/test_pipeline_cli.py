@@ -97,6 +97,32 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert phases[-1] <= stage_rss["cluster"]
     assert report["threads"] == graph.THREADS >= 1
     assert json.loads(config.path(FILES["report"]).read_text()) == report
+    # The cluster stage's figures and the run's own, none lost in the merge.
+    assert set(report) == {
+        "n_samples", "n_clusters", "cluster_sizes", "n_outliers", "calinski_harabasz",
+        "n_flagged", "geo_edges", "feature_edges", "intersected_edges", "n_components",
+        "largest_component", "component_size_histogram", "n_centers", "n_stranded",
+        "geo_edges_kept_fraction", "n_isolated", "intersected_degree_quartiles",
+        "stage_seconds", "write_seconds", "fit_seconds", "fit_peak_rss_mib", "peak_rss_mib",
+        "peak_rss_growth_mib", "stage_peak_rss_mib", "threads", "warnings", "config", "seed"}
+
+
+def test_run_holds_no_graph_or_fit_past_cluster(tmp_path, survey_csv, monkeypatch):
+    # The cluster stage takes the report's graph and fit figures itself, so
+    # the store holds neither the geographic graph nor a fit once it ends,
+    # and nothing reads the graph back from its file.
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    seen, refine = [], pipeline.STAGES["refine"]
+
+    def run(s):
+        seen.append({key for key in ("adjacency", "fit") if key in s})
+        refine.run(s)
+
+    monkeypatch.setitem(pipeline.STAGES, "refine", refine._replace(run=run))
+    monkeypatch.setattr(graph, "load_adjacency", mock.Mock(side_effect=AssertionError))
+    report = run_pipeline(config)
+    assert seen == [set()]
+    assert report["geo_edges"] > 0
 
 
 def test_report_peak_rss_growth_per_run(tmp_path, survey_csv):
@@ -606,6 +632,9 @@ def test_example_config_comments_list_declared_values():
 
 
 def test_config_validation_errors(tmp_path, survey_csv):
+    # A file where output_dir or a directory above it would be made.
+    taken = tmp_path / "file"
+    taken.write_text("")
     with pytest.raises(ParameterError):
         PipelineConfig.from_dict({"input": str(survey_csv), "geo_metric": "nope"})
     with pytest.raises(ParameterError):
@@ -631,7 +660,11 @@ def test_config_validation_errors(tmp_path, survey_csv):
             ({"log10_export": 0}, "log10_export"),
             ({"calinski_harabasz": {"include_outliers": "no"}}, "include_outliers"),
             ({"input": 5}, "input"),
-            ({"output_dir": ["out"]}, "output_dir")):
+            # A directory exists, but is no survey to read.
+            ({"input": str(tmp_path)}, "^input must be an existing file"),
+            ({"output_dir": ["out"]}, "output_dir"),
+            ({"output_dir": str(taken)}, "^output_dir must be"),
+            ({"output_dir": str(taken / "out")}, "^output_dir must be")):
         with pytest.raises(ParameterError, match=match):
             PipelineConfig.from_dict({"input": str(survey_csv), **overrides})
     # A config built directly is checked as one read from a file.
