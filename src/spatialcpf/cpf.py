@@ -23,6 +23,11 @@ measured a pair, and each value equals scipy's cdist for the pair bit for
 bit (the tests hold the kernel to cdist; the run imports no scipy distance
 code).
 
+Every quantile of a run -- the center rule's here, the summary's quartiles,
+the report's degree quartiles -- is taken by sorted_quantiles from values
+sorted first, by index arithmetic, equal to np.quantile bit for bit; so no
+run loads the numpy.ma module that np.quantile's np.unique reads.
+
 The feature kNN (graph.knn) and the big-brother pass over the kNN lists
 run in row blocks on every usable core (graph.map_blocks). Each sample's
 result there depends only on its own row, never on the block it falls in,
@@ -246,6 +251,28 @@ def group_by_label(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
+def sorted_quantiles(sorted_values: np.ndarray, qs):
+    """np.quantile(sorted_values, qs, axis=0) by its default linear method,
+    bit for bit, from values already sorted along axis 0 and holding no NaN,
+    by index arithmetic alone: the virtual index (n - 1) * q lies gamma past
+    its floor, between that value and the next (both the last where the
+    virtual index reaches n - 1), and is interpolated as numpy's _lerp does,
+    from the far value where gamma >= 0.5. A scalar q gives a scalar (1-D
+    values) or one row. Where -0.0 and 0.0 meet, the sign of a zero may
+    differ from np.quantile's, whose partition can order them otherwise.
+    Unlike np.quantile, it loads no numpy.ma."""
+    n = sorted_values.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    last = virtual >= n - 1
+    prev = np.where(last, -1, np.floor(virtual))
+    gamma = virtual - prev
+    a = sorted_values[prev.astype(np.intp)]
+    b = sorted_values[np.where(last, -1, prev + 1).astype(np.intp)]
+    gamma = gamma.reshape(gamma.shape + (1,) * (sorted_values.ndim - 1))
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)[()]
+
+
 def select_centers(density: DensityEstimate, bb: BigBrother,
                    components: ComponentLabels, params: CpfParams) -> np.ndarray:
     """Centers per qualifying component: omega above the (1 - alpha)-quantile
@@ -258,8 +285,9 @@ def select_centers(density: DensityEstimate, bb: BigBrother,
         dens = density.log_density[members]
         far = np.isinf(omegas)
         if not far.all():
-            far |= omegas > np.quantile(omegas[~far], 1.0 - params.alpha)
-        centers.extend(members[far & (dens >= np.quantile(dens, params.rho))].tolist())
+            far |= omegas > sorted_quantiles(np.sort(omegas[~far]), 1.0 - params.alpha)
+        centers.extend(
+            members[far & (dens >= sorted_quantiles(np.sort(dens), params.rho))].tolist())
     return np.array(sorted(centers), dtype=np.int64)
 
 

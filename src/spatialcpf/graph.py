@@ -53,10 +53,10 @@ cKDTree is taken from scipy's kd-tree extension module, loaded on its own
 __init__ also loads qhull, scipy.linalg, scipy.special and the distance
 module: about 15 MiB of import RSS that no run uses. While it loads, the
 extension's own imports of scipy.sparse and scipy._lib._util meet stand-in
-modules (_stand_in), which spare another 20 MiB and some 280 modules: the
-extension reads scipy.sparse only inside sparse_distance_matrix, where
-scipy's own lazy import brings in the real package, and takes from _util
-only copy_if_needed. Where the extension is not found, the public import
+modules (stand_ins.stand_in), which spare another 20 MiB and some 280
+modules: the extension reads scipy.sparse only inside
+sparse_distance_matrix, where scipy's own lazy import brings in the real
+package, and takes from _util only copy_if_needed. Where the extension is not found, the public import
 serves the same class.
 """
 
@@ -67,8 +67,6 @@ import importlib.util
 import os
 import struct
 import sys
-import threading
-import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,38 +75,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
-
-
-# Guards the check-and-remove of a stand-in in sys.modules, so that no
-# thread removes the real module another thread has just imported.
-_STAND_IN_LOCK = threading.Lock()
-
-
-def _stand_in(name: str, **attrs) -> types.ModuleType:
-    """A module to register as name while the kd-tree extension loads,
-    holding attrs. Asked for any other name, it takes itself out of
-    sys.modules and returns the real module's attribute, so an extension
-    that binds more at start-up, or a thread that imports name meanwhile,
-    still gets real objects. Dunder names are not forwarded: a from-import
-    probes __path__ before it asks for the names it imports."""
-    module = types.ModuleType(name)
-    vars(module).update(attrs)
-
-    def forward(attr: str):
-        if attr.startswith("__") and attr.endswith("__"):
-            raise AttributeError(f"module {name!r} has no attribute {attr!r}")
-        _unregister(module)
-        return getattr(importlib.import_module(name), attr)
-
-    module.__getattr__ = forward
-    return module
-
-
-def _unregister(module: types.ModuleType) -> None:
-    """Take module out of sys.modules if it is still registered there."""
-    with _STAND_IN_LOCK:
-        if sys.modules.get(module.__name__) is module:
-            del sys.modules[module.__name__]
+from .stand_ins import stand_in, standing_in
 
 
 def _load_ckdtree() -> type:
@@ -123,9 +90,10 @@ def _load_ckdtree() -> type:
     already imported is used as it is.
 
     While the extension runs, scipy.sparse and scipy._lib._util, each unless
-    already imported, are stand-ins (_stand_in), removed again once it
-    returns. Its `import scipy.sparse` binds only the scipy package, whose
-    lazy attribute imports the real scipy.sparse in sparse_distance_matrix.
+    already imported, are stand-ins (stand_ins.standing_in), removed again
+    once it returns. Its `import scipy.sparse` binds only the scipy package,
+    whose lazy attribute imports the real scipy.sparse in
+    sparse_distance_matrix.
     The _util stand-in holds a copy of copy_if_needed, the one name the
     extension takes from it at start-up, because forwarding it would import
     the real _util and all it pulls in. The copy follows scipy's own rule
@@ -143,18 +111,13 @@ def _load_ckdtree() -> type:
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         copy_if_needed = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
-        stand_ins = [stand_in for stand_in in (
-            _stand_in("scipy.sparse"),
-            _stand_in("scipy._lib._util", copy_if_needed=copy_if_needed))
-            if sys.modules.setdefault(stand_in.__name__, stand_in) is stand_in]
         try:
-            spec.loader.exec_module(module)
+            with standing_in(stand_in("scipy.sparse"),
+                             stand_in("scipy._lib._util", copy_if_needed=copy_if_needed)):
+                spec.loader.exec_module(module)
         except BaseException:
             del sys.modules[name]
             raise
-        finally:
-            for stand_in in stand_ins:
-                _unregister(stand_in)
     return module.cKDTree
 
 

@@ -6,16 +6,26 @@ contamination quantile with half-up rounding of the flag count.
 
 The forest is stored as flat node arrays, each tree's nodes in preorder,
 and scored one tree at a time, all samples stepping down a level together.
+
+numpy.random is imported on the first fit (_numpy_random) with a stand-in
+secrets module, which holds the one name numpy.random binds from secrets
+at start-up: the real module would load hashlib and OpenSSL, about 3.7 MiB
+of import RSS. Every tree's generator is seeded with explicit entropy, so
+the stand-in's randbits is never called.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
+from .stand_ins import stand_in, standing_in
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,22 @@ def average_path_length(m: int) -> float:
         return 0.0
     harmonic = float(np.sum(1.0 / np.arange(1, m)))
     return 2.0 * harmonic - 2.0 * (m - 1) / m
+
+
+def _numpy_random():
+    """The numpy.random module. Imported here first, and with secrets not yet
+    imported, it loads with a stand-in secrets (stand_ins.standing_in)
+    whose randbits is the function secrets binds, SystemRandom's
+    getrandbits; the stand-in is taken out again once the import ends. If
+    that import fails, the plain import below is taken instead."""
+    if "numpy.random" not in sys.modules:
+        try:
+            with standing_in(stand_in("secrets",
+                                      randbits=random.SystemRandom().getrandbits)):
+                importlib.import_module("numpy.random")
+        except ImportError:
+            pass
+    return importlib.import_module("numpy.random")
 
 
 def _grow(x: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator,
@@ -81,9 +107,10 @@ def fit_iforest(features: np.ndarray, n_trees: int = 100, subsample_size: int = 
     if n < 2 or subsample_size < 2:
         raise ParameterError("need n >= 2 and subsample_size >= 2")
     max_depth = math.ceil(math.log2(subsample_size))
+    default_rng = _numpy_random().default_rng
     nodes, roots = [], []
     for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
+        rng = default_rng([seed, t])
         idx = rng.choice(n, size=subsample_size, replace=subsample_size > n)
         roots.append(_grow(features[idx], 0, max_depth, rng, nodes))
     # The node rows' columns are the model's first five fields, in order.

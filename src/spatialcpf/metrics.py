@@ -1,4 +1,10 @@
-"""Cluster validity scoring and per-cluster descriptive statistics."""
+"""Cluster validity scoring and per-cluster descriptive statistics.
+
+The box plots of each cluster work on one float copy of its rows at a
+time: cluster_summary takes the copy (lifted and logged in place for the
+log10 scale), and _box_plots sorts it in place and reads the quartiles,
+whiskers and the values beyond them off the sorted columns by position.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpf import OUTLIER, ClusterLabeling, group_by_label
+from .cpf import OUTLIER, ClusterLabeling, group_by_label, sorted_quantiles
 from .errors import ParameterError
 from .ingest import ELEMENTS, SampleTable
 
@@ -67,44 +73,61 @@ class ClusterSummary:
 
 
 def _box_plots(values: np.ndarray) -> tuple[dict, list]:
-    """stats and beyond_whiskers of each column of values (a group's rows),
-    all columns at once: linear-interpolation quartiles, fences 1.5 IQR
-    beyond them, and the whiskers at the extreme values inside."""
-    values = np.sort(values, axis=0)
-    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75], axis=0)
+    """stats and beyond_whiskers of each column of values, a group's rows
+    as a fresh copy that is sorted here in place, all columns at once:
+    linear-interpolation quartiles (cpf.sorted_quantiles), fences 1.5 IQR
+    beyond them, and the whiskers at the extreme values inside. A sorted
+    column's values below the lower fence are its first `below`, those above
+    the upper its last `above`, so the whiskers and the values beyond them
+    are read off by position."""
+    values.sort(axis=0)
+    n, columns = values.shape
+    q1, median, q3 = sorted_quantiles(values, (0.25, 0.5, 0.75))
     iqr = q3 - q1
     with np.errstate(over="ignore"):  # a fence past the largest float holds every value
-        inside = (values >= q1 - 1.5 * iqr) & (values <= q3 + 1.5 * iqr)
-    stats = {"size": np.full(values.shape[1], values.shape[0]), "q1": q1, "median": median,
-             "q3": q3, "iqr": iqr, "whisker_low": np.where(inside, values, np.inf).min(axis=0),
-             "whisker_high": np.where(inside, values, -np.inf).max(axis=0)}
-    return stats, [column[~kept].tolist() for column, kept in zip(values.T, inside.T)]
+        below = np.count_nonzero(values < q1 - 1.5 * iqr, axis=0)
+        above = np.count_nonzero(values > q3 + 1.5 * iqr, axis=0)
+    stats = {"size": np.full(columns, n), "q1": q1, "median": median, "q3": q3, "iqr": iqr,
+             "whisker_low": values[below, np.arange(columns)],
+             "whisker_high": values[n - 1 - above, np.arange(columns)]}
+    return stats, [column[:low].tolist() + column[n - high:].tolist()
+                   for column, low, high in zip(values.T, below.tolist(), above.tolist())]
 
 
 def cluster_summary(table: SampleTable, labeling: ClusterLabeling,
                     log10_export: bool = False) -> ClusterSummary:
     """Per-cluster, per-element box-plot statistics, one whole-array pass per
-    cluster and scale. The outlier set (label -1) is a group of its own; an
-    empty cluster below n_clusters warns and has no rows. Under log10_export
-    a zero is lifted to its column's smallest positive value before the log.
-    """
+    cluster and scale, each on its own copy of the cluster's rows. The
+    outlier set (label -1) is a group of its own; an empty cluster below
+    n_clusters warns and has no rows. Under log10_export a zero is lifted
+    to its column's smallest positive value before the log, which each
+    cluster's copy takes in place, so no log10 table of every sample is
+    built."""
     if table.n != labeling.n:
         raise ParameterError("table and labeling are not aligned")
     raw = table.concentrations
-    scales = [("raw", raw)]
+    scales = ["raw"]
     if log10_export:
-        smallest = np.where(raw > 0, raw, np.inf).min(axis=0)
+        smallest = np.min(raw, axis=0, where=raw > 0, initial=np.inf)
         if np.isinf(smallest).any():
             element = ELEMENTS[np.isinf(smallest).argmax()]
             raise ParameterError(f"no positive values for {element}; cannot log-transform")
-        scales.append(("log10", np.log10(np.where(raw > 0, raw, smallest))))
+        scales.append("log10")
     groups = group_by_label(labeling.labels)
     present = {c for c, _ in groups}
     for c in range(labeling.n_clusters):
         if c not in present:
             warnings.warn(f"cluster {c} is empty; excluded from summary")
-    keys = [(scale, c) for scale, _ in scales for c, _ in groups]
-    parts = [_box_plots(values[members]) for _, values in scales for _, members in groups]
+
+    def box_plots(scale: str, members: np.ndarray) -> tuple[dict, list]:
+        rows = raw[members]
+        if scale == "log10":
+            np.copyto(rows, smallest, where=~(rows > 0))
+            np.log10(rows, out=rows)
+        return _box_plots(rows)
+
+    keys = [(scale, c) for scale in scales for c, _ in groups]
+    parts = [box_plots(scale, members) for scale in scales for _, members in groups]
     return ClusterSummary(
         scale=[scale for scale, _ in keys for _ in ELEMENTS],
         cluster=np.repeat([c for _, c in keys], len(ELEMENTS)),

@@ -526,7 +526,8 @@ def _cluster(s: _Store) -> None:
         "n_stranded": sum(size for size in sizes if size < s.config.cpf.component_size_floor),
         "geo_edges_kept_fraction": fit.intersected.n_edges / max(geo_edges, 1),
         "n_isolated": int(np.sum(degree == 0)),
-        "intersected_degree_quartiles": [float(q) for q in np.percentile(degree, [25, 50, 75])],
+        "intersected_degree_quartiles":
+            cpf.sorted_quantiles(np.sort(degree), (0.25, 0.5, 0.75)).tolist(),
         "fit_seconds": {k: round(v, 4) for k, v in fit.seconds.items()},
         "fit_peak_rss_mib": {k: round(v, 1) for k, v in fit.peak_rss_mib.items()},
     })

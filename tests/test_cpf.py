@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -269,6 +270,30 @@ def test_peak_rss_mib_reads_the_platforms_ru_maxrss_unit(monkeypatch):
 
 
 # ------------------------------------------------------------- centers
+
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).
+@settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "150")), deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), columns=st.sampled_from([None, 1, 3]),
+       scalar=st.booleans())
+def test_sorted_quantiles_equal_np_quantile_bytes(data, n, columns, scalar):
+    # Any values but NaN, which no caller holds: ties, huge spreads,
+    # subnormals and +-inf, 1-D or as columns, with a scalar q or a vector.
+    # Adding 0.0 turns -0.0 into 0.0, as ingest does: np.quantile partitions
+    # where the helper's caller sorts, and the two can order 0.0 and -0.0
+    # differently, so the sign of a zero quantile may differ.
+    shape = (n,) if columns is None else (n, columns)
+    value = st.one_of(st.floats(allow_nan=False),
+                      st.sampled_from([0.0, 1.0, 1e308, -1e308, math.inf, -math.inf]))
+    values = np.array(data.draw(st.lists(value, min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))).reshape(shape) + 0.0
+    q = (data.draw(st.floats(0.0, 1.0)) if scalar
+         else np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.quantile(values, q, axis=0)
+        got = cpf.sorted_quantiles(np.sort(values, axis=0), q)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 def test_centers_all_equal_omegas_only_maximum():
     from spatialcpf.cpf import DensityEstimate

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,6 +229,27 @@ def summary_outcome(summarize):
         except SpatialCpfError as exc:
             return type(exc), str(exc)
     return result, [str(w.message) for w in raised if w.category is UserWarning]
+
+
+def test_cluster_summary_memory_bounded():
+    # Each cluster's box plots work on one copy of its rows, lifted, logged
+    # and sorted in place, so no float table of every sample is built. A
+    # whole-table log10 of the lifted values, with the lifted copy beside
+    # it, brings tracemalloc's peak here to about 2.3 MiB.
+    rng = np.random.default_rng(0)
+    n = 8000
+    conc = rng.lognormal(2.0, 1.0, size=(n, len(ELEMENTS)))
+    conc[rng.random(conc.shape) < 0.05] = 0.0
+    table = SampleTable(site_ids=tuple(map(str, range(n))), itm=np.zeros((n, 2)),
+                        concentrations=conc)
+    labeling = ClusterLabeling(labels=np.arange(n) % 2)
+    tracemalloc.start()
+    try:
+        cluster_summary(table, labeling, log10_export=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 # SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracle_geojson
 from conftest import summary_row, surrogate_survey, write_survey_csv
-from spatialcpf import cpf, graph, ingest, pipeline
+from spatialcpf import cpf, graph, ingest, pipeline, stand_ins
 from spatialcpf.cli import main
 from spatialcpf.cpf import ClusterLabeling, CpfParams
 from spatialcpf.errors import DataError, ParameterError
@@ -239,6 +239,40 @@ def test_import_leaves_unused_scipy_unloaded():
     assert loaded.strip() == "[]"
 
 
+def test_run_leaves_numpy_ma_and_openssl_unloaded(tmp_path, survey_csv):
+    # Every quantile of a run is taken by index arithmetic
+    # (cpf.sorted_quantiles), not by np.quantile, whose np.unique loads
+    # numpy.ma; and numpy.random loads with a stand-in secrets, so neither
+    # secrets nor hashlib and OpenSSL's _hashlib is imported. (numpy 1.x
+    # imports numpy.random and numpy.ma with numpy itself, so there the run
+    # can only add none of them.) The stand-in is gone once numpy.random
+    # has loaded, so secrets then imports the real module. With
+    # numpy.random imported before the run, when no stand-in is used, the
+    # forest scores the outliers the same.
+    runs = []
+    for name, before in (("plain", ""), ("preloaded", "import numpy.random")):
+        (tmp_path / name).mkdir()
+        config = make_config(tmp_path / name, survey_csv)
+        runs.append((config, json.loads(run_python(f"""
+import json, sys
+import numpy
+names = ("numpy.ma", "secrets", "hashlib", "_hashlib")
+with_numpy = [m for m in names if m in sys.modules]
+{before}
+from spatialcpf.pipeline import PipelineConfig, run_pipeline
+run_pipeline(PipelineConfig.from_file({str(config)!r}))
+loaded = [m for m in names if m in sys.modules and m not in with_numpy]
+import secrets
+print(json.dumps([loaded, "token_hex" in vars(secrets), len(secrets.token_hex(8))]))
+"""))))
+    (plain, (loaded, real, hex_length)), (preloaded, _) = runs
+    assert loaded == [] and real and hex_length == 16
+    labeling = [PipelineConfig.from_file(config).path(FILES["labeling"])
+                for config in (plain, preloaded)]
+    assert np.isfinite(pipeline.read_labeling(labeling[0])["anomaly_score"]).sum() >= 2
+    assert labeling[0].read_bytes() == labeling[1].read_bytes()
+
+
 @pytest.mark.parametrize("first, second", [("spatialcpf.graph", "scipy.spatial"),
                                            ("scipy.spatial", "spatialcpf.graph"),
                                            ("scipy.sparse", "spatialcpf.graph")])
@@ -284,7 +318,7 @@ def test_stand_in_forwards_names_it_does_not_hold(monkeypatch):
     # sys.modules and returns the real module's attribute; a dunder name,
     # which the import machinery probes, it does not forward.
     monkeypatch.delitem(sys.modules, "colorsys", raising=False)
-    stand_in = graph._stand_in("colorsys", held=1)
+    stand_in = stand_ins.stand_in("colorsys", held=1)
     monkeypatch.setitem(sys.modules, "colorsys", stand_in)
     with pytest.raises(AttributeError):
         stand_in.__path__
