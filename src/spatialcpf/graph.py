@@ -48,25 +48,24 @@ threads, so memory does not grow with the core count. A block writes only
 its own rows, and the rows left unsettled are gathered in block order, so
 the result does not depend on the thread count or on how the rows are split.
 
-cKDTree is taken from scipy's kd-tree extension module, loaded on its own
-(_load_ckdtree) rather than through the scipy.spatial package, whose
-__init__ also loads qhull, scipy.linalg, scipy.special and the distance
-module: about 15 MiB of import RSS that no run uses. While it loads, the
-extension's own imports of scipy.sparse and scipy._lib._util meet stand-in
-modules (stand_ins.stand_in), which spare another 20 MiB and some 280
-modules: the extension reads scipy.sparse only inside
-sparse_distance_matrix, where scipy's own lazy import brings in the real
-package, and takes from _util only copy_if_needed. Where the extension is not found, the public import
-serves the same class.
+cKDTree is taken from scipy's kd-tree extension module, imported
+(_load_ckdtree) while a stand-in scipy.spatial package that holds only the
+real package's __path__ is registered (stand_ins.import_with). So the
+package's __init__, which also loads qhull, scipy.linalg, scipy.special and
+the distance module (about 15 MiB of import RSS that no run uses), never
+runs. The extension's own imports of scipy.sparse and scipy._lib._util meet
+stand-ins too, which spare another 20 MiB and some 280 modules: the
+extension reads scipy.sparse only inside sparse_distance_matrix, where
+scipy's own lazy import brings in the real package, and takes from _util
+only copy_if_needed. Where the extension is not found or fails to import,
+the public import serves the same class.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
 import importlib.util
 import os
 import struct
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,50 +74,44 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .fileio import atomic_open
-from .stand_ins import stand_in, standing_in
+from .stand_ins import import_with, stand_in
 
 
 def _load_ckdtree() -> type:
     """scipy's cKDTree class, from the extension module scipy.spatial._ckdtree
-    loaded without running the scipy.spatial package. The module name and
-    its place in scipy's directory are scipy internals: where scipy or the
-    extension is not found there, the class comes from `from scipy.spatial
-    import cKDTree`, the same class at the cost of the package's imports
-    (or the ModuleNotFoundError of a missing scipy). The module is
-    registered under its own name, so a later import of scipy.spatial takes
-    this same module (and class) from sys.modules, and one scipy.spatial
-    already imported is used as it is.
+    imported without running the scipy.spatial package: the import meets a
+    stand-in scipy.spatial (stand_ins.import_with) whose __path__ is the real
+    package's, so the import system finds the extension where scipy put it.
+    The module name is a scipy internal: where scipy.spatial or the
+    extension is not found, or the import raises ImportError, the class
+    comes from `from scipy.spatial import cKDTree`, the same class at the
+    cost of the package's imports (or the ModuleNotFoundError of a missing
+    scipy). The extension stays registered under its own name, so a later
+    import of scipy.spatial, the real package once the stand-in is gone,
+    takes this same module (and class) from sys.modules, and one
+    scipy.spatial already imported is used as it is.
 
-    While the extension runs, scipy.sparse and scipy._lib._util, each unless
-    already imported, are stand-ins (stand_ins.standing_in), removed again
-    once it returns. Its `import scipy.sparse` binds only the scipy package,
-    whose lazy attribute imports the real scipy.sparse in
-    sparse_distance_matrix.
+    scipy.sparse and scipy._lib._util, each unless already imported, are
+    stand-ins as well while the extension runs. Its `import scipy.sparse`
+    binds only the scipy package, whose lazy attribute imports the real
+    scipy.sparse in sparse_distance_matrix.
     The _util stand-in holds a copy of copy_if_needed, the one name the
     extension takes from it at start-up, because forwarding it would import
     the real _util and all it pulls in. The copy follows scipy's own rule
     (None for numpy >= 2.0.0, else False), so the extension holds the value
     the real module would give it."""
-    name = "scipy.spatial._ckdtree"
-    module = sys.modules.get(name)
-    if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy_spec.submodule_search_locations[0], "spatial")])
-        if spec is None:
-            from scipy.spatial import cKDTree
-            return cKDTree
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        copy_if_needed = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
-        try:
-            with standing_in(stand_in("scipy.sparse"),
-                             stand_in("scipy._lib._util", copy_if_needed=copy_if_needed)):
-                spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]
-            raise
-    return module.cKDTree
+    try:
+        spec = importlib.util.find_spec("scipy.spatial")
+        if spec is not None:
+            copy_if_needed = None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False
+            return import_with("scipy.spatial._ckdtree",
+                               stand_in("scipy.spatial", __path__=spec.submodule_search_locations),
+                               stand_in("scipy.sparse"),
+                               stand_in("scipy._lib._util", copy_if_needed=copy_if_needed)).cKDTree
+    except ImportError:
+        pass
+    from scipy.spatial import cKDTree
+    return cKDTree
 
 
 cKDTree = _load_ckdtree()

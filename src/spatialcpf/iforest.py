@@ -19,13 +19,12 @@ from __future__ import annotations
 import importlib
 import math
 import random
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .stand_ins import stand_in, standing_in
+from .stand_ins import import_with, stand_in
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,15 @@ def average_path_length(m: int) -> float:
 
 def _numpy_random():
     """The numpy.random module. Imported here first, and with secrets not yet
-    imported, it loads with a stand-in secrets (stand_ins.standing_in)
-    whose randbits is the function secrets binds, SystemRandom's
-    getrandbits; the stand-in is taken out again once the import ends. If
-    that import fails, the plain import below is taken instead."""
-    if "numpy.random" not in sys.modules:
-        try:
-            with standing_in(stand_in("secrets",
-                                      randbits=random.SystemRandom().getrandbits)):
-                importlib.import_module("numpy.random")
-        except ImportError:
-            pass
-    return importlib.import_module("numpy.random")
+    imported, it loads with a stand-in secrets (stand_ins.import_with) whose
+    randbits is the function secrets binds, SystemRandom's getrandbits; the
+    stand-in is taken out again once the import ends. If that import fails,
+    the plain import below is taken instead."""
+    try:
+        return import_with("numpy.random",
+                           stand_in("secrets", randbits=random.SystemRandom().getrandbits))
+    except ImportError:
+        return importlib.import_module("numpy.random")
 
 
 def _grow(x: np.ndarray, depth: int, max_depth: int, rng: np.random.Generator,

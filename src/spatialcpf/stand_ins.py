@@ -1,10 +1,11 @@
 """Stand-in modules that spare an import the packages a run never uses.
 
-A loader registers stand_in modules in sys.modules for the length of one
-import (standing_in), so the module it imports binds the few names a
-stand-in holds instead of importing a heavy package it reads only off the
-run's path. graph loads scipy's kd-tree extension this way, and iforest
-numpy.random.
+import_with registers stand_in modules in sys.modules for the length of one
+import, so the module it imports binds the few names a stand-in holds
+instead of importing a heavy package it reads only off the run's path. A
+stand-in package that holds the real package's __path__ lets a submodule
+import without the package's __init__. graph imports scipy's kd-tree
+extension this way, and iforest numpy.random.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import importlib
 import sys
 import threading
 import types
-from contextlib import contextmanager
 
 # Guards the check-and-remove of a stand-in in sys.modules, so that no
 # thread removes the real module another thread has just imported.
@@ -47,15 +47,16 @@ def unregister(module: types.ModuleType) -> None:
             del sys.modules[module.__name__]
 
 
-@contextmanager
-def standing_in(*modules: types.ModuleType):
-    """Register each stand-in under its name for the body, unless a module
-    of that name is already imported, and take out again, however the body
-    ends, each one that is still registered."""
-    registered = [module for module in modules
+def import_with(name: str, *stand_ins: types.ModuleType) -> types.ModuleType:
+    """importlib.import_module(name), with each stand-in registered under its
+    name, unless a module of that name is already imported. However the
+    import ends, each stand-in registered here and still registered is
+    taken out again; a module that fails to load, the import system takes
+    out itself."""
+    registered = [module for module in stand_ins
                   if sys.modules.setdefault(module.__name__, module) is module]
     try:
-        yield
+        return importlib.import_module(name)
     finally:
         for module in registered:
             unregister(module)

@@ -225,7 +225,7 @@ def run_python(code: str) -> str:
 
 def test_import_leaves_unused_scipy_unloaded():
     # Components are labelled in numpy, and graph loads scipy's kd-tree
-    # extension without the scipy.spatial package, with stand-ins for the
+    # extension with stand-ins for the scipy.spatial package and for the
     # scipy.sparse and scipy._lib._util it imports; cpf measures distances in
     # numpy. Each of these modules, with what it pulls in, would add to
     # every run's import RSS: csgraph about 3 MiB, scipy.spatial with
@@ -280,12 +280,17 @@ def test_kd_tree_class_is_scipys_in_either_import_order(first, second):
     # Loaded alone, the extension is registered under its own name, so
     # scipy.spatial imported later takes the same module; imported earlier,
     # its module is the one graph uses. A scipy.sparse imported earlier is
-    # used as it is, with no stand-in put in its place.
+    # used as it is, with no stand-in put in its place. Either way
+    # scipy.spatial is then the real package, not the stand-in graph's
+    # import used (which would forward cKDTree too): it has a file, KDTree
+    # and its distance submodule.
     out = run_python(f"import {first}; import scipy.sparse as before; import {second}, "
-                     "spatialcpf.graph, scipy.spatial, scipy.sparse; "
+                     "spatialcpf.graph, scipy.spatial, scipy.sparse, scipy.spatial.distance; "
                      "print(spatialcpf.graph.cKDTree is scipy.spatial.cKDTree, "
-                     "before is scipy.sparse, hasattr(before, 'coo_matrix'))")
-    assert out.split() == ["True", "True", "True"]
+                     "before is scipy.sparse, hasattr(before, 'coo_matrix'), "
+                     "hasattr(scipy.spatial, '__file__'), hasattr(scipy.spatial, 'KDTree'), "
+                     "callable(scipy.spatial.distance.cdist))")
+    assert out.split() == ["True"] * 6
 
 
 def test_kd_tree_extension_defers_sparse_to_its_use():
@@ -328,11 +333,42 @@ def test_stand_in_forwards_names_it_does_not_hold(monkeypatch):
     assert real is not stand_in and forwarded is real.rgb_to_hsv
 
 
+def test_import_with_imports_a_submodule_without_its_package(tmp_path, monkeypatch):
+    # A stand-in package holding the real package's __path__ lets a submodule
+    # import without the package's __init__, which here raises. Afterwards
+    # no stand-in is left, a module imported before is left as it is, and
+    # the real package imports again. A submodule that raises ImportError
+    # leaves neither a stand-in nor a half-made module behind.
+    package = tmp_path / "throwaway_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("raise RuntimeError('package __init__ ran')\n")
+    (package / "leaf.py").write_text("import json\nfrom throwaway_dep import held\n")
+    (package / "broken.py").write_text("raise ImportError('broken submodule')\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    names = ("throwaway_pkg", "throwaway_pkg.leaf", "throwaway_pkg.broken", "throwaway_dep")
+    package_stand_in = stand_ins.stand_in("throwaway_pkg", __path__=[str(package)])
+    try:
+        leaf = stand_ins.import_with("throwaway_pkg.leaf", package_stand_in,
+                                     stand_ins.stand_in("throwaway_dep", held=1),
+                                     stand_ins.stand_in("json", dumps=None))
+        assert leaf.held == 1 and leaf.json is json and sys.modules["json"] is json
+        assert sys.modules["throwaway_pkg.leaf"] is leaf
+        assert "throwaway_pkg" not in sys.modules and "throwaway_dep" not in sys.modules
+        with pytest.raises(RuntimeError, match="package __init__ ran"):
+            stand_ins.import_with("throwaway_pkg")
+        with pytest.raises(ImportError, match="broken submodule"):
+            stand_ins.import_with("throwaway_pkg.broken", package_stand_in)
+        assert not {"throwaway_pkg", "throwaway_pkg.broken"} & set(sys.modules)
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+
+
 def test_kd_tree_falls_back_to_public_import():
-    # Where scipy's layout holds no kd-tree extension for graph's own lookup,
-    # graph takes the class from scipy.spatial: the same class and the same
-    # knn result. The lookup is patched only for graph's call, so that
-    # scipy.spatial's own import of the extension still finds it.
+    # Where the import system finds no kd-tree extension for graph's own
+    # import, graph takes the class from scipy.spatial: the same class and
+    # the same knn result. The lookup is patched only for graph's import, so
+    # that scipy.spatial's own import of the extension still finds it.
     rng = np.random.default_rng(5)
     points = np.round(rng.normal(size=(60, 3)), 1)
     out = run_python(f"""
@@ -360,8 +396,9 @@ print(json.dumps([missed, package_loaded, graph.cKDTree is scipy.spatial.cKDTree
 
 
 def test_kd_tree_load_without_scipy_names_scipy():
-    # Where scipy itself is not found, graph's lookup falls back to the
-    # public import, which names the missing package.
+    # Where scipy itself is not found, graph's lookup of scipy.spatial fails
+    # and graph falls back to the public import, which names the missing
+    # package.
     out = run_python("""
 import importlib.machinery
 find_spec = importlib.machinery.PathFinder.find_spec
