@@ -5,8 +5,10 @@ geographic graph yields both the feature mutual kNN graph and the kNN
 density radii; intersect the feature graph with the geographic graph, split
 into connected components, estimate kNN densities, link each sample to its
 nearest higher-density neighbor within its component ("big brother"), pick
-cluster centers from the omega/density quantile rule, label the components
-of the big-brother links by their centers, then merge near-duplicate clusters.
+cluster centers from the omega/density quantile rule, link the centers
+that are close and similarly dense, and label the components of one link
+graph -- the big-brother links and the merged center pairs -- by their
+centers.
 Samples in components smaller than min_component_size are labeled -1. Each
 per-component or per-cluster pass takes its samples from group_by_label.
 
@@ -291,26 +293,48 @@ def select_centers(density: DensityEstimate, bb: BigBrother,
     return np.array(sorted(centers), dtype=np.int64)
 
 
-def assign_clusters(bb: BigBrother, centers: np.ndarray,
-                    components: ComponentLabels, params: CpfParams) -> ClusterLabeling:
-    """Label each sample with the cluster of the center its big-brother chain
-    reaches; small components hold no center, so their samples stay -1.
+def merge_clusters(centers: np.ndarray, density: DensityEstimate, features: np.ndarray,
+                   params: CpfParams) -> np.ndarray:
+    """The merged center pairs: an (m, 2) array of sample indices (a, b),
+    a < b, of centers (ascending, as select_centers gives them) no farther
+    apart than merge_threshold in feature space with a density ratio
+    exp(-|log density a - log density b|) of at least
+    density_ratio_threshold. Empty when there are fewer than two centers or
+    merge_threshold is 0."""
+    if centers.size < 2 or params.merge_threshold == 0.0:
+        return np.empty((0, 2), dtype=np.int64)
+    features = np.asarray(features, dtype=float)
+    dens = density.log_density[centers]
+    ratio = np.exp(-np.abs(dens[:, None] - dens[None, :]))
+    linked = (_distances(features, centers[:, None], centers) <= params.merge_threshold) & (
+        ratio >= params.density_ratio_threshold)
+    return centers[np.argwhere(np.triu(linked, 1))]
 
-    Each non-center sample with a parent links to it, so every component of
-    the links holds at most one center, where its chains end.
-    graph.component_roots labels the components, and each sample takes the
-    cluster of the center in its own. A component without a center (chains
-    ending off every center, or a parent cycle) stays -1, and a qualifying
-    sample in one raises InternalConsistencyError. Cluster ids here follow
-    ascending center index; merge_clusters re-indexes by size afterwards.
+
+def assign_clusters(bb: BigBrother, centers: np.ndarray, merged: np.ndarray,
+                    components: ComponentLabels, params: CpfParams) -> ClusterLabeling:
+    """Label each sample with the cluster its big-brother chain reaches;
+    small components hold no center, so their samples stay -1.
+
+    Clusters are the components of one link graph: each non-center sample
+    with a parent links to it, and each merged center pair (merge_clusters)
+    links its two centers. graph.component_roots labels the components, and
+    each component holding a center is a cluster. Clusters are numbered by
+    descending size, ties going to the one whose root (smallest member) is
+    lower. A component without a center (chains ending off every center, or
+    a parent cycle) stays -1, and a qualifying sample in one raises
+    InternalConsistencyError.
     """
     n = components.n
     chained = bb.parent >= 0
     chained[centers] = False
     links = np.flatnonzero(chained)
-    root = component_roots(n, np.column_stack((links, bb.parent[links])))
+    root = component_roots(n, np.concatenate((np.column_stack((links, bb.parent[links])),
+                                              merged)))
+    held = np.flatnonzero(np.bincount(root[centers], minlength=n))
+    by_size = held[np.argsort(-np.bincount(root)[held], kind="stable")]
     cluster = np.full(n, OUTLIER, dtype=np.int64)
-    cluster[root[centers]] = np.arange(centers.size)
+    cluster[by_size] = np.arange(held.size)
     labels = cluster[root]
     qualifying = np.bincount(components.labels)[components.labels] >= params.component_size_floor
     stranded = np.flatnonzero(qualifying & (labels == OUTLIER))
@@ -320,47 +344,15 @@ def assign_clusters(bb: BigBrother, centers: np.ndarray,
     return ClusterLabeling(labels=labels)
 
 
-def _relabel_by_size(labels: np.ndarray) -> np.ndarray:
-    """Re-index non-negative labels to 0..K-1 by descending size; ties break
-    toward the cluster containing the smallest sample index."""
-    out = np.full_like(labels, OUTLIER)
-    clustered = labels >= 0
-    _, first, inverse, sizes = np.unique(labels[clustered], return_index=True,
-                                         return_inverse=True, return_counts=True)
-    rank = np.empty_like(sizes)
-    rank[np.lexsort((first, -sizes))] = np.arange(sizes.size)
-    out[clustered] = rank[inverse]
-    return out
-
-
-def merge_clusters(labeling: ClusterLabeling, centers: np.ndarray,
-                   density: DensityEstimate, features: np.ndarray,
-                   params: CpfParams) -> ClusterLabeling:
-    """Union clusters whose centers are close in feature space and similar in
-    density; transitive closure, then re-index by descending size."""
-    features = np.asarray(features, dtype=float)
-    labels = labeling.labels.copy()
-    if centers.size >= 2 and params.merge_threshold > 0.0:
-        dens = density.log_density[centers]
-        ratio = np.exp(-np.abs(dens[:, None] - dens[None, :]))
-        linked = (_distances(features, centers[:, None], centers) <= params.merge_threshold) & (
-            ratio >= params.density_ratio_threshold)
-        # Every center's cluster takes the cluster of its group's first center.
-        first = component_roots(centers.size, np.argwhere(linked))
-        cluster_of_center = labels[centers]
-        remap = np.arange(labels.max() + 1)
-        remap[cluster_of_center] = cluster_of_center[first]
-        mask = labels >= 0
-        labels[mask] = remap[labels[mask]]
-    return ClusterLabeling(labels=_relabel_by_size(labels))
-
-
 @dataclass(frozen=True)
 class FitResult:
-    """fit's outputs; centers are the picks before merging, feature_edges
-    counts the feature-space mutual kNN graph's edges, seconds holds the
-    wall time of each phase, by name, and peak_rss_mib the process's peak
-    RSS in MiB as it stood at the end of each phase."""
+    """fit's outputs; centers are select_centers' picks, and labeling numbers
+    the components of one link graph (the big-brother links and
+    merge_clusters' center pairs) that hold one, so centers may share a
+    cluster; feature_edges counts the feature-space mutual kNN graph's
+    edges, seconds holds the wall time of each phase, by name, and
+    peak_rss_mib the process's peak RSS in MiB as it stood at the end of
+    each phase."""
     labeling: ClusterLabeling
     components: ComponentLabels
     density: DensityEstimate
@@ -407,7 +399,7 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     """Full spatially-constrained CPF run; see module docstring for the phases.
     Each phase is timed under its name in FitResult.seconds, and the peak
     RSS at its end recorded in FitResult.peak_rss_mib: knn, mutual,
-    intersect, components, density, big_brother, centers, assign, merge.
+    intersect, components, density, big_brother, centers, merge, assign.
     After each phase the freed heap is given back (release_memory), so a
     phase whose peak exceeds the one before it raised it by its own live
     memory, not by what earlier phases freed."""
@@ -439,8 +431,8 @@ def fit(features: np.ndarray, geo_adj: SparseAdjacency, params: CpfParams) -> Fi
     density = timed("density", knn_density, radius, features.shape[1], params)
     bb = timed("big_brother", big_brother, features, density, components, neighbors, radius)
     centers = timed("centers", select_centers, density, bb, components, params)
-    labeling = timed("assign", assign_clusters, bb, centers, components, params)
-    labeling = timed("merge", merge_clusters, labeling, centers, density, features, params)
+    merged = timed("merge", merge_clusters, centers, density, features, params)
+    labeling = timed("assign", assign_clusters, bb, centers, merged, components, params)
     return FitResult(labeling=labeling, components=components, density=density,
                      big_brother=bb, centers=centers, intersected=intersected,
                      feature_edges=feature_edges, seconds=seconds, peak_rss_mib=peak_rss)

@@ -222,9 +222,9 @@ def _parse_rows(header, chunks, path, bdl_policy: str, text=None) -> SampleTable
                        concentrations=values[2:].T.copy())
 
 
-def standardize(matrix: np.ndarray, method: str = "zscore",
-                element_order=ELEMENTS) -> tuple[np.ndarray, ScalingParams]:
-    """Column-wise standardization. Sample std (ddof=1) under zscore."""
+def standardize(matrix: np.ndarray, method: str = "zscore") -> tuple[np.ndarray, ScalingParams]:
+    """Column-wise standardization. Sample std (ddof=1) under zscore. A
+    degenerate column is named by ELEMENTS, or by its index past them."""
     matrix = np.asarray(matrix, dtype=float)
     if method == "none":
         d = matrix.shape[1]
@@ -238,7 +238,7 @@ def standardize(matrix: np.ndarray, method: str = "zscore",
     for what, bad in (("zero-variance", scale == 0.0),
                       ("non-finite mean or standard deviation in",
                        ~(np.isfinite(center) & np.isfinite(scale)))):
-        names = [element_order[j] if j < len(element_order) else str(j)
+        names = [ELEMENTS[j] if j < len(ELEMENTS) else str(j)
                  for j in np.flatnonzero(bad)]
         if names:
             raise DegenerateColumnError(f"{what} column(s): {', '.join(names)}")

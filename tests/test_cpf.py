@@ -14,12 +14,16 @@ from scipy.spatial.distance import cdist
 import oracle_cpf
 from conftest import two_blob_dataset
 from spatialcpf import cpf, graph
-from spatialcpf.cpf import (OUTLIER, BigBrother, ClusterLabeling, CpfParams,
+from spatialcpf.cpf import (OUTLIER, BigBrother, CpfParams,
                             DensityEstimate, assign_clusters, big_brother, fit,
                             group_by_label, knn_density, merge_clusters, select_centers)
 from spatialcpf.errors import DataError, InternalConsistencyError, ParameterError
 from spatialcpf.graph import (ComponentLabels, SparseAdjacency, connected_components,
                               knn, mutual_graph, mutual_knn_graph)
+
+
+# No merged center pairs: merge_clusters' result with nothing linked.
+NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
 def single_component(n):
@@ -320,7 +324,7 @@ def test_centers_two_bridged_blobs_yield_two():
     centers = select_centers(density, bb, comps, params)
     assert len(centers) == 2
     assert any(c < 20 for c in centers) and any(c >= 20 for c in centers)
-    labeling = assign_clusters(bb, centers, comps, params)
+    labeling = assign_clusters(bb, centers, NO_PAIRS, comps, params)
     sets = [set(np.flatnonzero(labeling.labels == c)) for c in range(2)]
     assert {frozenset(s) for s in sets} == {frozenset(range(20)), frozenset(range(20, 40))}
 
@@ -334,7 +338,7 @@ def test_small_components_give_no_centers_and_outlier_labels():
     params = CpfParams(min_samples=2, min_component_size=2)
     centers = select_centers(density, bb, comps, params)
     assert len(centers) == 0
-    labeling = assign_clusters(bb, centers, comps, params)
+    labeling = assign_clusters(bb, centers, NO_PAIRS, comps, params)
     assert np.all(labeling.labels == OUTLIER)
 
 
@@ -345,7 +349,8 @@ def test_assign_single_center_single_component():
     comps = single_component(30)
     bb = big_brother(features, density, comps, *knn(features, 5))
     center = np.array([int(np.argmax(density.log_density))])
-    labeling = assign_clusters(bb, center, comps, CpfParams(min_samples=5, min_component_size=5))
+    labeling = assign_clusters(bb, center, NO_PAIRS, comps,
+                               CpfParams(min_samples=5, min_component_size=5))
     assert np.all(labeling.labels == 0)
 
 
@@ -365,7 +370,8 @@ def test_assign_component_without_center_names_first_stranded_sample():
     bb = BigBrother(parent=np.array([-1, 3, 0, -1]), omega=np.array([np.inf, 1.0, 1.0, np.inf]))
     with pytest.raises(InternalConsistencyError,
                        match=r"^big-brother chain from sample 1 does not reach a center$"):
-        assign_clusters(bb, np.array([0]), comps, CpfParams(min_samples=1, min_component_size=2))
+        assign_clusters(bb, np.array([0]), NO_PAIRS, comps,
+                        CpfParams(min_samples=1, min_component_size=2))
 
 
 @pytest.mark.parametrize("parent", [[1, 0], [1, 2, 3, 0], [1, 2, 0, 1, 3]],
@@ -377,7 +383,7 @@ def test_assign_parent_cycle_raises_promptly(parent):
 
     def call():
         try:
-            assign_clusters(bb, np.array([], dtype=np.int64), single_component(n),
+            assign_clusters(bb, np.array([], dtype=np.int64), NO_PAIRS, single_component(n),
                             CpfParams(min_samples=1, min_component_size=1))
         except InternalConsistencyError as exc:
             raised.append(str(exc))
@@ -392,69 +398,80 @@ def test_assign_parent_cycle_raises_promptly(parent):
 
 # --------------------------------------------------------------- merge
 
-def _toy_labeling():
+def _toy_centers():
     from spatialcpf.cpf import DensityEstimate
     features = np.array([[0.0], [1.0], [10.0], [11.0]])
-    labels = ClusterLabeling(labels=np.array([0, 0, 1, 1]))
     centers = np.array([0, 2])
     density = DensityEstimate(r_k=np.ones(4), log_density=np.array([2.0, 1.0, 1.9, 1.0]))
-    return features, labels, centers, density
+    return features, centers, density
+
+
+def star(parent_of):
+    """A BigBrother in which each member's parent is its center (-1 at a
+    center)."""
+    parent = np.array(parent_of, dtype=np.int64)
+    return BigBrother(parent=parent, omega=np.where(parent < 0, np.inf, 1.0))
 
 
 def test_merge_threshold_zero_no_change():
-    features, labels, centers, density = _toy_labeling()
-    out = merge_clusters(labels, centers, density, features,
-                         CpfParams(min_samples=2, merge_threshold=0.0))
+    features, centers, density = _toy_centers()
+    params = CpfParams(min_samples=2, merge_threshold=0.0)
+    pairs = merge_clusters(centers, density, features, params)
+    assert pairs.shape == (0, 2)
+    out = assign_clusters(star([-1, 0, -1, 2]), centers, pairs, single_component(4), params)
     assert out.n_clusters == 2
 
 
 def test_merge_ratio_threshold_one_distinct_densities_no_change():
-    features, labels, centers, density = _toy_labeling()
-    out = merge_clusters(labels, centers, density, features,
-                         CpfParams(min_samples=2, merge_threshold=100.0,
-                                   density_ratio_threshold=1.0))
+    features, centers, density = _toy_centers()
+    params = CpfParams(min_samples=2, merge_threshold=100.0, density_ratio_threshold=1.0)
+    pairs = merge_clusters(centers, density, features, params)
+    assert pairs.shape == (0, 2)
+    out = assign_clusters(star([-1, 0, -1, 2]), centers, pairs, single_component(4), params)
     assert out.n_clusters == 2
 
 
 def test_merge_both_predicates_hold():
     from spatialcpf.cpf import DensityEstimate
     features = np.array([[0.0], [1.0], [0.5], [1.5]])
-    labels = ClusterLabeling(labels=np.array([0, 1, 0, 1]))
     centers = np.array([0, 1])
     # distance 1.0 <= 2.0 and exp(-|ln 0.9|) ratio = 0.9 >= 0.7
     density = DensityEstimate(r_k=np.ones(4),
                               log_density=np.array([0.0, math.log(0.9), 0.0, 0.0]))
-    out = merge_clusters(labels, centers, density, features,
-                         CpfParams(min_samples=2, merge_threshold=2.0,
-                                   density_ratio_threshold=0.7))
+    params = CpfParams(min_samples=2, merge_threshold=2.0, density_ratio_threshold=0.7)
+    pairs = merge_clusters(centers, density, features, params)
+    assert pairs.tolist() == [[0, 1]]
+    out = assign_clusters(star([-1, -1, 0, 1]), centers, pairs,
+                          single_component(4), params)
     assert out.n_clusters == 1
 
 
 def test_merge_transitive_closure():
     from spatialcpf.cpf import DensityEstimate
     features = np.array([[0.0], [1.0], [2.0], [50.0]])
-    labels = ClusterLabeling(labels=np.array([0, 1, 2, 3]))
     centers = np.array([0, 1, 2, 3])
     density = DensityEstimate(r_k=np.ones(4), log_density=np.zeros(4))
+    params = CpfParams(min_samples=2, merge_threshold=1.5, density_ratio_threshold=0.5)
     # 0-1 and 1-2 merge; 3 stays.
-    out = merge_clusters(labels, centers, density, features,
-                         CpfParams(min_samples=2, merge_threshold=1.5,
-                                   density_ratio_threshold=0.5))
+    pairs = merge_clusters(centers, density, features, params)
+    assert pairs.tolist() == [[0, 1], [1, 2]]
+    out = assign_clusters(star([-1, -1, -1, -1]), centers, pairs, single_component(4), params)
     assert out.n_clusters == 2
     assert out.labels[0] == out.labels[1] == out.labels[2]
     assert out.labels[3] != out.labels[0]
 
 
 def test_relabel_by_descending_size():
-    from spatialcpf.cpf import DensityEstimate
-    features = np.array([[0.0], [100.0], [101.0], [102.0]])
-    labels = ClusterLabeling(labels=np.array([0, 1, 1, 1]))
-    centers = np.array([0, 1])
-    density = DensityEstimate(r_k=np.ones(4), log_density=np.zeros(4))
-    out = merge_clusters(labels, centers, density, features,
-                         CpfParams(min_samples=2, merge_threshold=0.0))
+    params = CpfParams(min_samples=2, merge_threshold=0.0)
+    out = assign_clusters(star([-1, -1, 1, 1]), np.array([0, 1]), NO_PAIRS,
+                          single_component(4), params)
     # Bigger cluster gets label 0 after re-indexing.
     assert list(out.labels) == [1, 0, 0, 0]
+    # Two clusters of equal size: the one holding the lower sample index
+    # (its root) is labelled 0, whichever center is listed first.
+    out = assign_clusters(star([3, 2, -1, -1]), np.array([2, 3]), NO_PAIRS,
+                          single_component(4), params)
+    assert list(out.labels) == [0, 1, 1, 0]
 
 
 # ----------------------------------------------------------------- fit
@@ -486,7 +503,8 @@ def test_fit_identical_points_single_cluster():
     assert result.labeling.n_outliers == n - (k + 1)
 
 
-@settings(max_examples=150, deadline=None)
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).
+@settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "150")), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), k=st.integers(1, 6),
        d=st.integers(1, 3), points=st.sampled_from(["random", "lattice"]),
        floor=st.integers(1, 10), rho=st.sampled_from([0.0, 0.01, 0.3]),

@@ -703,8 +703,8 @@ def test_components_of_shuffled_paths(seed, n, paths):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 40))
 def test_component_roots_of_linked_matrix(data, n):
-    # The form merge_clusters passes: np.argwhere of a symmetric boolean
-    # matrix with its diagonal set, so both (i, j) and (j, i) and self-loops.
+    # np.argwhere of a symmetric boolean matrix with its diagonal set, so
+    # both (i, j) and (j, i) and self-loops.
     linked = data.draw(arrays(bool, (n, n)))
     linked |= linked.T
     np.fill_diagonal(linked, True)

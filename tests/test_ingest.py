@@ -164,7 +164,7 @@ def test_select_features_shape_and_order(tmp_path):
 
 def test_standardize_three_point_column():
     matrix = np.array([[1.0], [2.0], [3.0]])
-    out, params = standardize(matrix, element_order=("X",))
+    out, params = standardize(matrix)
     np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0])
     assert params.scale[0] == pytest.approx(1.0)
 
@@ -180,7 +180,7 @@ def test_standardize_none_is_identity():
 def test_standardize_constant_column_errors():
     matrix = np.column_stack([np.arange(4.0), np.full(4, 5.0)])
     with pytest.raises(DegenerateColumnError, match="Ba"):
-        standardize(matrix, element_order=("As", "Ba"))
+        standardize(matrix)
 
 
 @pytest.mark.parametrize("top", [1e202, 1.7e308])
@@ -209,10 +209,10 @@ def test_standardize_moments():
 def test_standardize_round_trip_and_idempotence(matrix):
     if np.any(matrix.std(axis=0, ddof=1) < 1e-9):
         return
-    out, params = standardize(matrix, element_order=("A", "B", "C"))
+    out, params = standardize(matrix)
     np.testing.assert_allclose(out * params.scale + params.center, matrix,
                                atol=1e-9 * max(1, np.abs(matrix).max()))
-    again, _ = standardize(out, element_order=("A", "B", "C"))
+    again, _ = standardize(out)
     np.testing.assert_allclose(again, out, atol=1e-9)
 
 

@@ -81,7 +81,7 @@ def test_report_run_diagnostics(tmp_path, survey_csv):
     assert sum(int(size) * count for size, count in histogram.items()) == report["n_samples"]
     assert report["n_centers"] >= report["n_clusters"]
     assert list(report["fit_seconds"]) == ["knn", "mutual", "intersect", "components", "density",
-                                           "big_brother", "centers", "assign", "merge"]
+                                           "big_brother", "centers", "merge", "assign"]
     assert all(t >= 0 for t in report["fit_seconds"].values())
     assert sum(report["fit_seconds"].values()) <= report["stage_seconds"]["cluster"]
     assert report["peak_rss_mib"] > 0
