@@ -40,7 +40,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -206,30 +206,26 @@ def _write_csv(path, header, columns) -> Path:
     return Path(path)
 
 
-def _read_columns(path, cells: dict, optional: dict | None = None) -> dict:
-    """Parse CSV columns: cells maps each output key to its (column, parser);
-    the optional cells are read too once any of their columns is present. A
-    parser maps a chunk's cells of its column to values, raising ValueError
+def _read_columns(path, cells: dict) -> dict:
+    """Parse CSV columns: cells maps each output key to its (column, parser).
+    A parser maps a chunk's cells of its column to values, raising ValueError
     or KeyError on a bad cell. A short row's missing cells read as "", and a
     column named twice is read from the last. A missing column or a bad cell
     raises DataError naming the file and the column, or the line and the
     first bad cell in (line, key) order (see fileio.read_csv)."""
 
     def parse(header, chunks) -> dict:
-        header, spec = header or [], dict(cells)
-        if optional and any(col in header for col, _ in optional.values()):
-            spec.update(optional)
-        index = {name: i for i, name in enumerate(header)}
-        missing = [col for col, _ in spec.values() if col not in index]
+        index = {name: i for i, name in enumerate(header or [])}
+        missing = [col for col, _ in cells.values() if col not in index]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]}")
-        width = max(index[col] for col, _ in spec.values()) + 1
-        columns = {key: [] for key in spec}
+        width = max(index[col] for col, _ in cells.values()) + 1
+        columns = {key: [] for key in cells}
         for line, rows in chunks:
             if min(map(len, rows)) < width:
                 rows = [row + [""] * (width - len(row)) for row in rows]
             transposed = list(zip(*rows))
-            for key, (col, parse_cells) in spec.items():
+            for key, (col, parse_cells) in cells.items():
                 try:
                     columns[key] += parse_cells(transposed[index[col]])
                 except (ValueError, KeyError):
@@ -250,7 +246,7 @@ def _floats(cells, ok=np.isfinite) -> list[float]:
 
 
 def _scores(cells) -> list[float]:
-    """Empty (NaN) for a sample refine did not score; any other score is
+    """Empty (NaN) for a sample refine has not scored; any other score is
     exported, so it must be finite."""
     values = list(map(float, map({"": "nan"}.get, cells, cells)))
     if np.isfinite(values).sum() + cells.count("") < len(cells):
@@ -275,26 +271,23 @@ _LABELING_CELLS = {
     # +inf marks a component's peak.
     "omega": ("omega", partial(_floats, ok=lambda v: v >= 0)),
     "component_id": ("component_id", partial(map, int)),
-}
-_REFINE_CELLS = {
     "anomaly_score": ("anomaly_score", _scores),
     "iforest_flag": ("iforest_flag", partial(map, {"True": True, "False": False}.__getitem__)),
 }
 
 
 def write_labeling(lab: dict, path) -> Path:
-    """Write labeling.csv: the _LABELING_CELLS columns, then the _REFINE_CELLS
-    ones once refine has added them to lab."""
-    cells = {**_LABELING_CELLS, **(_REFINE_CELLS if "anomaly_score" in lab else {})}
-    return _write_csv(path, [col for col, _ in cells.values()], [lab[key] for key in cells])
+    """Write labeling.csv: the _LABELING_CELLS columns of lab, in order."""
+    return _write_csv(path, [col for col, _ in _LABELING_CELLS.values()],
+                      [lab[key] for key in _LABELING_CELLS])
 
 
 def read_labeling(path) -> dict:
-    """labeling.csv's columns keyed as the cluster stage stores them, plus
-    anomaly_score and iforest_flag once refine has written them. A cluster
-    label or component id out of range for the row count raises DataError
-    naming the row."""
-    cols = _read_columns(path, _LABELING_CELLS, optional=_REFINE_CELLS)
+    """labeling.csv's _LABELING_CELLS columns keyed as the cluster stage
+    stores them; a file missing any of them raises DataError naming the
+    first missing. A cluster label or component id out of range for the row
+    count raises DataError naming the row."""
+    cols = _read_columns(path, _LABELING_CELLS)
     n = len(cols["site_ids"])
     lab = {key: values if key == "site_ids" else np.array(values)
            for key, values in cols.items()}
@@ -322,10 +315,10 @@ def write_summary(summary: metrics.ClusterSummary, path) -> Path:
 
 
 # One feature as json.dumps(feature, separators=(",", ":"), sort_keys=True)
-# writes it, from its longitude, latitude, anomaly_score member (with its
-# comma; empty without scores), cluster, iforest_flag, log_density and site_id.
-_FEATURE = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},"properties":{%s"cluster":%s,'
-            '"iforest_flag":%s,"log_density":%s,"site_id":%s},"type":"Feature"}')
+# writes it, from its longitude, latitude, anomaly_score, cluster,
+# iforest_flag, log_density and site_id.
+_FEATURE = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},"properties":{"anomaly_score":'
+            '%s,"cluster":%s,"iforest_flag":%s,"log_density":%s,"site_id":%s},"type":"Feature"}')
 
 
 def export_geojson(lab: dict, coords: np.ndarray, path) -> Path:
@@ -335,9 +328,8 @@ def export_geojson(lab: dict, coords: np.ndarray, path) -> Path:
     json.dumps(doc, separators=(",", ":"), sort_keys=True) would write it,
     _ROWS features at a time. Each feature fills the _FEATURE template: site
     ids JSON-escaped to ASCII, floats by _reprs in the _JSON spelling, and a
-    NaN score as null. Before refine has added its anomaly_score and
-    iforest_flag columns, the score member is left out and each flag is false."""
-    site_ids, refined = lab["site_ids"], "anomaly_score" in lab
+    NaN score (a sample refine has not scored) as null."""
+    site_ids = lab["site_ids"]
     with atomic_open(path, encoding="utf-8") as fh:
         # The document's two keys, sorted, around the features.
         fh.write('{"features":[')
@@ -345,12 +337,9 @@ def export_geojson(lab: dict, coords: np.ndarray, path) -> Path:
             chunk = slice(start, start + _ROWS)
             features = zip(
                 _reprs(coords[chunk, 1], _JSON), _reprs(coords[chunk, 0], _JSON),
-                map('"anomaly_score":%s,'.__mod__,
-                    _reprs(lab["anomaly_score"][chunk], _JSON | {"nan": "null"}))
-                if refined else repeat(""),
+                _reprs(lab["anomaly_score"][chunk], _JSON | {"nan": "null"}),
                 _reprs(lab["labels"][chunk], _JSON),
-                map(("false", "true").__getitem__, lab["iforest_flag"][chunk].tolist())
-                if refined else repeat("false"),
+                map(("false", "true").__getitem__, lab["iforest_flag"][chunk].tolist()),
                 _reprs(lab["log_density"][chunk], _JSON),
                 map(json.encoder.encode_basestring_ascii, site_ids[chunk]))
             fh.write(("," if start else "") + ",".join(map(_FEATURE.__mod__, features)))
@@ -499,15 +488,17 @@ def _graph(s: _Store) -> None:
 
 def _cluster(s: _Store) -> None:
     """CPF on the standardized features within the geographic graph. The
-    fit's labeling columns go to the store; its graph and fit figures go to
-    s.report, taken here, where the fit is held. No later stage reads the
-    graph, so it leaves the store, and the fit ends with this stage."""
+    fit's labeling columns go to the store, every anomaly score NaN and flag
+    False until refine; its graph and fit figures go to s.report, taken
+    here, where the fit is held. No later stage reads the graph, so it
+    leaves the store, and the fit ends with this stage."""
     fit = cpf.fit(s["features"]["standardized"], s["adjacency"], s.config.cpf)
     geo_edges = s.pop("adjacency").n_edges
     n, labeling = s["samples"].n, fit.labeling
     s["labeling"] = {"site_ids": s["samples"].site_ids, "labels": labeling.labels,
                      "log_density": fit.density.log_density, "omega": fit.big_brother.omega,
-                     "component_id": fit.components.labels}
+                     "component_id": fit.components.labels,
+                     "anomaly_score": np.full(n, np.nan), "iforest_flag": np.zeros(n, bool)}
     sizes = fit.components.component_sizes.values()
     degree = np.bincount(fit.intersected.edges.ravel(), minlength=n)
     s.report.update({
@@ -535,7 +526,8 @@ def _cluster(s: _Store) -> None:
 
 def _refine(s: _Store) -> None:
     """Isolation Forest scores and flags for the outlier set; NaN and False
-    elsewhere, and everywhere when there are fewer than two outliers."""
+    elsewhere, and everywhere when there are fewer than two outliers. Both
+    columns are made afresh, so no earlier score or flag survives."""
     params = s.config.iforest
     features, lab = s["features"][params.features], s["labeling"]
     outlier_idx = np.flatnonzero(lab["labels"] == cpf.OUTLIER)
@@ -604,9 +596,10 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
     stage's peak starts from the memory still live. A stage writes the
     outputs that no later stage in names rewrites, to the --out path if
     given, else where they are read (s.output), and s books each file and
-    its writer's seconds (part of its stage's). On an error the files this
-    run wrote are removed, and StageError names the stage. The stages run
-    with the objects tracked before them frozen (_gc_frozen)."""
+    its writer's seconds (part of its stage's). On an error or an interrupt
+    the files this run wrote are removed; an error is raised as StageError
+    naming the stage, an interrupt (KeyboardInterrupt) as it is. The stages
+    run with the objects tracked before them frozen (_gc_frozen)."""
     seconds, peak_rss = {}, {}
     with _gc_frozen(), warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
@@ -622,9 +615,11 @@ def _run(s: _Store, names: list[str]) -> tuple[dict[str, float], dict[str, float
                         ARTIFACTS[key].write(s, path)
                         s.write_seconds[key] = time.perf_counter() - write_start
                         s.written.append(path)
-            except Exception as exc:
+            except BaseException as exc:
                 for path in s.written:
                     path.unlink(missing_ok=True)
+                if not isinstance(exc, Exception):
+                    raise
                 raise StageError(name, exc) from exc
             seconds[name] = time.perf_counter() - start
             peak_rss[name] = cpf.peak_rss_mib()

@@ -11,16 +11,14 @@ import json
 import numpy as np
 
 
-def feature(i, site_ids, labels, coords, log_density, scores=None, flags=None):
+def feature(i, site_ids, labels, coords, log_density, scores, flags):
     props = {
         "site_id": site_ids[i],
         "cluster": int(labels[i]),
         "log_density": float(log_density[i]),
+        "anomaly_score": None if np.isnan(scores[i]) else float(scores[i]),
+        "iforest_flag": bool(flags[i]),
     }
-    if scores is not None:
-        props["anomaly_score"] = (
-            None if np.isnan(scores[i]) else float(scores[i]))
-    props["iforest_flag"] = bool(flags[i]) if flags is not None else False
     return {
         "type": "Feature",
         "geometry": {"type": "Point",
@@ -29,7 +27,7 @@ def feature(i, site_ids, labels, coords, log_density, scores=None, flags=None):
     }
 
 
-def geojson_text(site_ids, labels, coords, log_density, scores=None, flags=None) -> str:
+def geojson_text(site_ids, labels, coords, log_density, scores, flags) -> str:
     """The FeatureCollection document as export_geojson must write it."""
     doc = {"type": "FeatureCollection",
            "features": [feature(i, site_ids, labels, coords, log_density, scores, flags)

@@ -19,15 +19,12 @@ from spatialcpf.errors import DataError
 OUTLIER = -1
 
 
-def read_columns(path, cells: dict, optional: dict | None = None) -> dict:
-    """Parse CSV columns: cells maps each output key to its (column, parser);
-    the optional cells are read too once any of their columns is present."""
+def read_columns(path, cells: dict) -> dict:
+    """Parse CSV columns: cells maps each output key to its (column, parser),
+    and every one of those columns must be present."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         header = reader.fieldnames or []
-        cells = dict(cells)
-        if optional and any(col in header for col, _ in optional.values()):
-            cells.update(optional)
         missing = [col for col, _ in cells.values() if col not in header]
         if missing:
             raise DataError(f"{path}: missing column {missing[0]}")
@@ -66,8 +63,6 @@ LABELING_CELLS = {
     "log_density": ("log_density", finite),
     "omega": ("omega", checked(lambda value: value >= 0)),
     "component_id": ("component_id", int),
-}
-REFINE_CELLS = {
     "anomaly_score": ("anomaly_score", lambda cell: finite(cell) if cell else math.nan),
     "iforest_flag": ("iforest_flag", flag),
 }
@@ -76,7 +71,7 @@ REFINE_CELLS = {
 def read_labeling(path) -> dict:
     """labeling.csv's columns, arrays but for site_ids; a cluster label or
     component id out of range for the row count raises DataError."""
-    cols = read_columns(path, LABELING_CELLS, optional=REFINE_CELLS)
+    cols = read_columns(path, LABELING_CELLS)
     n = len(cols["site_ids"])
     lab = {key: values if key == "site_ids" else np.array(values)
            for key, values in cols.items()}

@@ -526,6 +526,69 @@ def test_staged_run_matches_run_pipeline_euclidean_degrees(tmp_path, survey_csv)
     np.testing.assert_array_equal(got.edges, want.edges)
 
 
+def clustered(tmp_path, survey_csv):
+    """The config of a staged chain run through the cluster stage."""
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    for stage in (pipeline.stage_ingest, pipeline.stage_project, pipeline.stage_graph,
+                  pipeline.stage_cluster):
+        stage(config)
+    return config
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_staged_cluster_writes_unscored_labeling_that_export_writes(tmp_path, survey_csv):
+    # Before refine, labeling.csv has all seven columns, every score empty
+    # and every flag False, and export writes them as null and false.
+    config = clustered(tmp_path, survey_csv)
+    header, *rows = read_rows(config.path(FILES["labeling"]))
+    assert header == ["site_id", "cluster_label", "log_density", "omega", "component_id",
+                      "anomaly_score", "iforest_flag"]
+    assert len(rows) == 400 and all(row[5:] == ["", "False"] for row in rows)
+    geojson, _ = pipeline.stage_export(config)
+    lab = pipeline.read_labeling(config.path(FILES["labeling"]))
+    coords, _ = pipeline._read_coords(config.path(FILES["coords"]))
+    assert geojson.read_bytes() == oracle_geojson.geojson_text(
+        lab["site_ids"], lab["labels"], coords, lab["log_density"], np.full(400, np.nan),
+        np.zeros(400, dtype=bool)).encode("ascii")
+
+
+def test_refine_drops_a_score_and_flag_off_the_outlier_set(tmp_path, survey_csv):
+    # Refine makes both columns from the labels and features alone: a score
+    # and a True flag set by hand on a clustered row do not survive it.
+    config = clustered(tmp_path, survey_csv)
+    rows = read_rows(config.path(FILES["labeling"]))
+    row = next(row for row in rows[1:] if row[1] != str(cpf.OUTLIER))
+    row[5:] = ["0.75", "True"]
+    edited = tmp_path / "edited.csv"
+    with open(edited, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    from_edited = pipeline.stage_refine(config, edited, tmp_path / "from_edited.csv")
+    from_clustered = pipeline.stage_refine(config, out_path=tmp_path / "from_clustered.csv")
+    assert from_edited.read_bytes() == from_clustered.read_bytes()
+    assert read_rows(from_clustered)[rows.index(row)][5:] == ["", "False"]
+
+
+def test_five_column_labeling_is_rejected(tmp_path, survey_csv, capsys):
+    # A labeling.csv without anomaly_score and iforest_flag, as the cluster
+    # stage wrote it before it wrote all seven columns.
+    config = clustered(tmp_path, survey_csv)
+    five = tmp_path / "five.csv"
+    with open(five, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            row[:5] for row in read_rows(config.path(FILES["labeling"])))
+    before = five.read_bytes()
+    with pytest.raises(DataError) as excinfo:
+        pipeline.read_labeling(five)
+    assert str(excinfo.value) == f"{five}: missing column anomaly_score"
+    assert main(["refine", "--config", str(tmp_path / "config.yaml"), "--in", str(five)]) == 1
+    assert capsys.readouterr().err == f"error: {five}: missing column anomaly_score\n"
+    assert five.read_bytes() == before
+
+
 def test_run_pipeline_parses_once_and_reads_no_intermediate(tmp_path, survey_csv,
                                                            monkeypatch):
     calls = {}
@@ -623,6 +686,30 @@ def test_min_samples_too_large_aborts_with_stage(tmp_path, survey_csv):
     assert excinfo.value.stage == "graph"
     # Partial outputs removed.
     assert not config.path(FILES["samples"]).exists()
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_interrupted_run_removes_the_files_it_wrote(tmp_path, survey_csv, monkeypatch):
+    # An interrupt in the cluster stage, after ingest, project and graph
+    # wrote their files, propagates as it is, and the run's files go.
+    config = PipelineConfig.from_file(make_config(tmp_path, survey_csv))
+    with monkeypatch.context() as patch:
+        patch.setattr(cpf, "fit", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+    assert os.listdir(config.output_dir) == []
+    # A single stage interrupted after writing its first output removes it.
+    run_pipeline(config)
+    for key in ("geojson", "plot_data"):
+        config.path(FILES[key]).unlink()
+    monkeypatch.setattr(pipeline, "export_plot_data", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.stage_export(config)
+    assert sorted(os.listdir(config.output_dir)) == sorted(
+        FILES[key] for key in ("samples", "coords", "adjacency", "labeling", "summary", "report"))
 
 
 def test_unknown_config_key_rejected(tmp_path, survey_csv):
@@ -754,7 +841,8 @@ def test_config_validation_errors(tmp_path, survey_csv):
 
 def test_geojson_single_point(tmp_path):
     path = tmp_path / "one.geojson"
-    export_geojson({"site_ids": ["S1"], "labels": np.array([0]), "log_density": np.array([1.5])},
+    export_geojson({"site_ids": ["S1"], "labels": np.array([0]), "log_density": np.array([1.5]),
+                    "anomaly_score": np.array([np.nan]), "iforest_flag": np.array([False])},
                    np.array([[53.5, -8.0]]), path)
     doc = json.loads(path.read_text())
     assert doc["type"] == "FeatureCollection"
@@ -762,11 +850,14 @@ def test_geojson_single_point(tmp_path):
     assert feat["geometry"]["coordinates"] == [-8.0, 53.5]
     assert feat["properties"]["cluster"] == 0
     assert feat["properties"]["site_id"] == "S1"
+    assert feat["properties"]["anomaly_score"] is None
+    assert feat["properties"]["iforest_flag"] is False
 
 
 def test_geojson_empty(tmp_path):
     path = tmp_path / "empty.geojson"
-    export_geojson({"site_ids": [], "labels": np.array([]), "log_density": np.array([])},
+    export_geojson({"site_ids": [], "labels": np.array([]), "log_density": np.array([]),
+                    "anomaly_score": np.array([]), "iforest_flag": np.array([], dtype=bool)},
                    np.empty((0, 2)), path)
     doc = json.loads(path.read_text())
     assert doc == {"type": "FeatureCollection", "features": []}
@@ -802,25 +893,22 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e16
 # SPATIALCPF_FUZZ_EXAMPLES sets the examples (CI runs 3000).
 @settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "200")), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), n=st.integers(0, 9), chunk=st.sampled_from([1, 2, 4, 1024]),
-       refined=st.booleans())
-def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk, refined):
+@given(data=st.data(), n=st.integers(0, 9), chunk=st.sampled_from([1, 2, 4, 1024]))
+def test_geojson_template_matches_json_dumps_oracle(tmp_path, data, n, chunk):
     lab = {"site_ids": data.draw(st.lists(SITE_IDS, min_size=n, max_size=n)),
            "labels": np.array(data.draw(st.lists(st.integers(-1, 2**40), min_size=n,
                                                  max_size=n)), dtype=np.int64),
-           "log_density": np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))}
+           "log_density": np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))),
+           "anomaly_score": np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n))),
+           "iforest_flag": np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                    dtype=bool)}
     coords = np.array(data.draw(st.lists(FLOATS, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
-    if refined:
-        # Refine adds its scores and flags together.
-        lab["anomaly_score"] = np.array(data.draw(st.lists(FLOATS, min_size=n, max_size=n)))
-        lab["iforest_flag"] = np.array(data.draw(st.lists(st.booleans(), min_size=n,
-                                                          max_size=n)), dtype=bool)
     path = tmp_path / "c.geojson"
     with mock.patch.object(pipeline, "_ROWS", chunk):
         export_geojson(lab, coords, path)
     assert path.read_bytes() == oracle_geojson.geojson_text(
-        lab["site_ids"], lab["labels"], coords, lab["log_density"], lab.get("anomaly_score"),
-        lab.get("iforest_flag")).encode("ascii")
+        lab["site_ids"], lab["labels"], coords, lab["log_density"], lab["anomaly_score"],
+        lab["iforest_flag"]).encode("ascii")
 
 
 def test_geojson_full_run_outlier_count(tmp_path, survey_csv):
@@ -940,8 +1028,9 @@ def test_cli_stage_labeling_cell_over_csv_field_limit_names_file_and_line(tmp_pa
 
 def test_read_labeling_names_first_row_out_of_range(tmp_path):
     path = tmp_path / "labeling.csv"
-    path.write_text("site_id,cluster_label,log_density,omega,component_id\n"
-                    + "".join(f"S{i},{label},0.0,1.0,{comp}\n" for i, (label, comp) in
+    path.write_text("site_id,cluster_label,log_density,omega,component_id,anomaly_score,"
+                    "iforest_flag\n"
+                    + "".join(f"S{i},{label},0.0,1.0,{comp},,False\n" for i, (label, comp) in
                               enumerate([(0, 0), (-1, 9), (5, 0), (-2, 0), (0, 0)])))
     with pytest.raises(DataError, match=r": row 3: cluster_label 5 is outside \[-1, 5\)$"):
         pipeline.read_labeling(path)

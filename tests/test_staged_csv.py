@@ -1,11 +1,11 @@
 """The staged-file readers against their cell-by-cell oracle.
 
-pipeline.read_labeling (with and without refine's columns) and
-pipeline._read_coords read by columns, fileio.CHUNK_ROWS rows at a time, and
-read a faulty file again one row at a time. On valid files they must return
-what tests/oracle_staged.py returns, bit for bit; on faulty ones they must
-raise its error class and message. What pipeline.write_labeling writes,
-pipeline._ROWS rows at a time, read_labeling must read back bit for bit.
+pipeline.read_labeling and pipeline._read_coords read by columns,
+fileio.CHUNK_ROWS rows at a time, and read a faulty file again one row at a
+time. On valid files they must return what tests/oracle_staged.py returns,
+bit for bit; on faulty ones they must raise its error class and message.
+What pipeline.write_labeling writes, pipeline._ROWS rows at a time,
+read_labeling must read back bit for bit.
 """
 
 import csv
@@ -23,18 +23,19 @@ from spatialcpf import fileio, pipeline
 from spatialcpf.errors import DataError, SpatialCpfError
 
 COLUMNS = {
-    "labeling": ("site_id", "cluster_label", "log_density", "omega", "component_id"),
-    "refined": ("site_id", "cluster_label", "log_density", "omega", "component_id",
-                "anomaly_score", "iforest_flag"),
+    "labeling": ("site_id", "cluster_label", "log_density", "omega", "component_id",
+                 "anomaly_score", "iforest_flag"),
     "coords": ("site_id", "latitude", "longitude"),
 }
 
 # Each format's reader and its oracle.
 READERS = {
     "labeling": (pipeline.read_labeling, oracle_staged.read_labeling),
-    "refined": (pipeline.read_labeling, oracle_staged.read_labeling),
     "coords": (pipeline._read_coords, oracle_staged.read_coords),
 }
+# The keys read_labeling gives a labeling's columns, in file order.
+LABELING_KEYS = ("site_ids", "labels", "log_density", "omega", "component_id",
+                 "anomaly_score", "iforest_flag")
 
 
 def floats(low=-1e6, high=1e6):
@@ -142,8 +143,10 @@ def outcome(read, path):
             (value.dtype.str, value.shape, value.tobytes()) for key, value in result.items()}
 
 
-STAGED = settings(max_examples=80, deadline=None,
-                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+# SPATIALCPF_FUZZ_EXAMPLES sets the examples of the two oracle tests and
+# the round trip (CI runs 3000).
+STAGED = settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "80")),
+                  deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @STAGED
@@ -159,8 +162,8 @@ def test_columns_equal_oracle_on_valid_files(tmp_path, data, kind, chunk_rows, q
         got = outcome(read, path)
     assert got == outcome(oracle, path)
     assert isinstance(got, dict), got
-    if kind != "coords":
-        assert ("anomaly_score" in got) == (kind == "refined")
+    if kind == "labeling":
+        assert tuple(got) == LABELING_KEYS
 
 
 @STAGED
@@ -198,16 +201,8 @@ def test_short_row_reads_missing_cells_as_empty(tmp_path):
                 DataError, f"{path}: line 4: bad iforest_flag value ''")
 
 
-# SPATIALCPF_FUZZ_EXAMPLES sets the round trip's examples (CI runs 3000).
-ROUND_TRIP = settings(max_examples=int(os.environ.get("SPATIALCPF_FUZZ_EXAMPLES", "80")),
-                      deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-# The keys of a refined labeling, in file order.
-LABELING_KEYS = ("site_ids", "labels", "log_density", "omega", "component_id",
-                 "anomaly_score", "iforest_flag")
-
-
 def labeling_rows(n):
-    """One row of a refined n-row labeling, in LABELING_KEYS order."""
+    """One row of an n-row labeling, in LABELING_KEYS order."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return st.tuples(st.text(st.sampled_from("Sa1 ,\"'\r\né"), max_size=6),
                      st.integers(-1, n - 1), finite,
@@ -216,17 +211,15 @@ def labeling_rows(n):
                      st.booleans())
 
 
-@ROUND_TRIP
-@given(data=st.data(), rows=st.sampled_from([1, 2, 3, 1024]), refined=st.booleans())
-def test_labeling_round_trips_at_any_write_chunk(tmp_path, data, rows, refined):
+@STAGED
+@given(data=st.data(), rows=st.sampled_from([1, 2, 3, 1024]))
+def test_labeling_round_trips_at_any_write_chunk(tmp_path, data, rows):
     # Row counts on both sides of each chunk size; the drawn rows repeat.
     n = data.draw(st.one_of(st.integers(1, 7), st.sampled_from([1023, 1024, 1025])))
     drawn = data.draw(st.lists(labeling_rows(n), min_size=1, max_size=6))
     columns = zip(*(drawn[i % len(drawn)] for i in range(n)))
     lab = {key: list(column) if key == "site_ids" else np.array(column)
            for key, column in zip(LABELING_KEYS, columns)}
-    if not refined:
-        del lab["anomaly_score"], lab["iforest_flag"]
     path = tmp_path / "labeling.csv"
     with mock.patch.object(pipeline, "_ROWS", rows):
         pipeline.write_labeling(lab, path)
